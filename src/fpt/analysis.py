@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -548,6 +548,7 @@ def mixed_weights_similarity_sweep(
     from .tasks import (  # runner plumbing; imported here to keep layering one-way
         AblationSetup,
         TrainConfig,
+        _derive_config,
         _fit,
         _forecast_samples,
         _predict_denorm,
@@ -556,7 +557,7 @@ def mixed_weights_similarity_sweep(
     ratios = [float(r) for r in ratios]
     if any(not 0.0 <= r <= 1.0 for r in ratios):
         raise InvalidInput("ratios must lie in [0, 1]")
-    derived_cfg = _sweep_config(cfg, patch, wspec)
+    derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
     random_store = init_random(derived_cfg, rng.child(1))
     train = _forecast_samples(dataset, wspec, patch, revin_eps, "train")
     test = _forecast_samples(dataset, wspec, patch, revin_eps, "test")
@@ -582,14 +583,3 @@ def mixed_weights_similarity_sweep(
         )
     return rows
 
-
-def _sweep_config(cfg: BackboneConfig, patch, wspec) -> BackboneConfig:
-    n_tokens = patch.n_patches(wspec.lookback)
-    return replace(
-        cfg,
-        patch_len=patch.patch_len,
-        max_tokens=max(cfg.max_tokens, n_tokens),
-        head_in=n_tokens * cfg.d_model,
-        head_out=wspec.horizon,
-        head_mode="flatten",
-    )

@@ -7,9 +7,15 @@ records every layer's token outputs; the backward pass is hand-written
 reverse mode and matches central finite differences to ~1e-4 relative in
 float64, which the test suite checks tensor by tensor.
 
+One pass (``_blocks``) runs embedding -> blocks -> final LayerNorm for
+``forward``, ``predict`` and ``loss_and_grads`` alike, so the block that is
+audited is the block that is trained.  It keeps the per-layer caches of the
+backward pass only when gradients are wanted, and draws dropout masks only
+from the stream ``loss_and_grads`` is given.
+
 Attention can be swapped for a principal-component projection of the
 layer's (token-centered) inputs, preserving all shapes, to probe what the
-frozen attention blocks contribute.
+frozen attention blocks contribute; this path is forward-only.
 
 Weight container format: a directory holding ``manifest.json`` and
 ``weights.bin``; the manifest lists {name, dtype:"f32", shape, offset}
@@ -34,7 +40,7 @@ from .errors import (
     NumericalFailure,
     ShapeError,
 )
-from .numerics import sym_eig
+from .numerics import layer_norm_last, softmax_last, sym_eig
 from .rng import RandomStream
 
 LN_EPS = 1e-5
@@ -82,13 +88,7 @@ class BackboneConfig:
 
 
 class ParameterStore(dict):
-    """Named tensors of the backbone; a dict with convenience helpers."""
-
-    def astype(self, dtype) -> "ParameterStore":
-        return ParameterStore({k: v.astype(dtype) for k, v in self.items()})
-
-    def copy_store(self) -> "ParameterStore":
-        return ParameterStore({k: v.copy() for k, v in self.items()})
+    """Named tensors of the backbone."""
 
 
 def expected_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
@@ -322,15 +322,6 @@ def _gelu_bwd(dg, u, t):
     return dg * (0.5 * (1.0 + t) + 0.5 * u * dt)
 
 
-def _ln_fwd(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
-
-
 def _ln_bwd(dy, cache):
     xhat, inv, gamma = cache
     axes = tuple(range(dy.ndim - 1))
@@ -353,12 +344,6 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
 
-def _softmax_last(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _attn_fwd(x, p, prefix, cfg):
     wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
     bq, bk, bv, bo = (p[prefix + "attn.b" + s] for s in "qkvo")
@@ -371,7 +356,7 @@ def _attn_fwd(x, p, prefix, cfg):
     if cfg.causal:
         n = z.shape[-1]
         z = z + np.triu(np.full((n, n), _NEG_INF), k=1)
-    probs = _softmax_last(z)
+    probs = softmax_last(z)
     ctx = _merge_heads(probs @ vh)
     out = ctx @ wo + bo
     cache = (x, qh, kh, vh, probs, ctx, scale)
@@ -415,6 +400,69 @@ def _pca_attention_out(x, m):
     return out
 
 
+def _f64(store: ParameterStore) -> ParameterStore:
+    """The store in float64; tensors already in float64 are not copied."""
+    return ParameterStore({k: v.astype(np.float64, copy=False) for k, v in store.items()})
+
+
+def _block(h, p, prefix, cfg, pca_m, dropout, keep):
+    """One pre-LN block; returns (h, cache), cache None unless ``keep``."""
+    a1, ln1_cache = layer_norm_last(h, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"], LN_EPS)
+    if pca_m is None:
+        attn_out, attn_cache = _attn_fwd(a1, p, prefix, cfg)
+    else:
+        attn_out, attn_cache = _pca_attention_out(a1, pca_m), None
+    attn_out, attn_mask = dropout(attn_out)
+    h = h + attn_out
+    if not keep:  # free the attention buffers before the MLP; bounds eval-chunk peak memory
+        ln1_cache = attn_cache = None
+    a2, ln2_cache = layer_norm_last(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"], LN_EPS)
+    u = a2 @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]
+    g, tanh_cache = _gelu(u)
+    mlp_out, mlp_mask = dropout(g @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"])
+    h = h + mlp_out
+    if not keep:
+        return h, None
+    return h, (ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask)
+
+
+def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=False):
+    """Embedding -> blocks -> final LayerNorm on the float64 store ``p``.
+
+    Tokens are (B, n, patch_len) or one (n, patch_len) sample.  Returns
+    (y, trace, tape): the final-LN output (B, n, d_model), every layer's
+    token outputs starting with the embedding, and -- only when ``keep`` --
+    the (tokens, embedding dropout mask, block caches, final-LN cache) tape
+    of the backward pass.  ``pca_m`` swaps attention for its rank-``pca_m``
+    PCA projection; dropout fires only when ``dropout_rng`` is given.
+    """
+    x = np.asarray(tokens, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[None]
+    if x.ndim != 3 or x.shape[-1] != cfg.patch_len:
+        raise ShapeError(f"tokens must be (..., n, {cfg.patch_len}), got {x.shape}")
+    n = x.shape[1]
+    if n > cfg.max_tokens:
+        raise InvalidInput(f"{n} tokens exceed max_tokens={cfg.max_tokens}")
+    drop_p = cfg.dropout if dropout_rng is not None else 0.0
+
+    def dropout(a):
+        if drop_p == 0.0:
+            return a, None
+        mask = (dropout_rng.uniform(a.shape) >= drop_p).astype(np.float64) / (1.0 - drop_p)
+        return a * mask, mask
+
+    emb = x @ p["input_embedding.w"] + p["input_embedding.b"] + p["pos_embedding"][:n]
+    h, emb_mask = dropout(emb)
+    trace, caches = [h], []
+    for i in range(cfg.n_layers):
+        h, cache = _block(h, p, f"blocks.{i}.", cfg, pca_m, dropout, keep)
+        trace.append(h)
+        caches.append(cache)
+    y, lnf_cache = layer_norm_last(h, p["ln_f.gamma"], p["ln_f.beta"], LN_EPS)
+    return y, trace, (x, emb_mask, caches, lnf_cache) if keep else None
+
+
 def forward(
     store: ParameterStore,
     cfg: BackboneConfig,
@@ -430,40 +478,13 @@ def forward(
     attention sublayer's output with the rank-``pca_m`` principal-component
     projection of its (token-centered) inputs.
     """
-    x = np.asarray(tokens, dtype=np.float64)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    if x.ndim != 3 or x.shape[-1] != cfg.patch_len:
-        raise ShapeError(f"tokens must be (..., n, {cfg.patch_len}), got {x.shape}")
-    n = x.shape[1]
-    if n > cfg.max_tokens:
-        raise InvalidInput(f"{n} tokens exceed max_tokens={cfg.max_tokens}")
     if mode not in ("softmax", "pca"):
         raise InvalidInput("mode must be 'softmax' or 'pca'")
     if mode == "pca" and pca_m is None:
         raise InvalidInput("mode='pca' needs pca_m")
-
-    p = {k: v.astype(np.float64) for k, v in store.items()}
-    h = x @ p["input_embedding.w"] + p["input_embedding.b"] + p["pos_embedding"][:n]
-    trace = [h]
-    for i in range(cfg.n_layers):
-        prefix = f"blocks.{i}."
-        a1, _ = _ln_fwd(h, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"])
-        if mode == "softmax":
-            attn_out, _ = _attn_fwd(a1, p, prefix, cfg)
-        else:
-            attn_out = _pca_attention_out(a1, pca_m)
-        h = h + attn_out
-        a2, _ = _ln_fwd(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
-        u = a2 @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]
-        g, _ = _gelu(u)
-        h = h + g @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"]
-        trace.append(h)
-    y, _ = _ln_fwd(h, p["ln_f.gamma"], p["ln_f.beta"])
-    if squeeze:
-        y = y[0]
-        trace = [t[0] for t in trace]
+    y, trace, _ = _blocks(_f64(store), cfg, tokens, pca_m=pca_m if mode == "pca" else None)
+    if np.ndim(tokens) == 2:
+        return y[0], [t[0] for t in trace]
     return y, trace
 
 
@@ -478,13 +499,9 @@ def _head_fwd(y, p, cfg):
 
 def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
     """Forward plus the output head; returns (B, head_out)."""
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    y, _ = forward(store, cfg, x)
-    p = {k: store[k].astype(np.float64) for k in ("output_head.w", "output_head.b")}
-    out, _ = _head_fwd(y, p, cfg)
-    return out
+    p = _f64(store)
+    y, _ = forward(p, cfg, tokens)
+    return _head_fwd(y[None] if y.ndim == 2 else y, p, cfg)[0]
 
 
 def _loss_and_dout(out, batch: Batch, loss: str):
@@ -493,7 +510,7 @@ def _loss_and_dout(out, batch: Batch, loss: str):
             raise InvalidInput("cross_entropy needs integer labels")
         labels = np.asarray(batch.labels, dtype=np.int64)
         b = out.shape[0]
-        probs = _softmax_last(out)
+        probs = softmax_last(out)
         eps = 1e-300
         value = float(-np.mean(np.log(probs[np.arange(b), labels] + eps)))
         dout = probs.copy()
@@ -542,44 +559,10 @@ def loss_and_grads(
     computes every tensor's gradient).  Dropout fires only when a stream is
     supplied and cfg.dropout > 0, with masks drawn deterministically.
     """
-    x = np.asarray(batch.tokens, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    n = x.shape[1]
-    if n > cfg.max_tokens:
-        raise InvalidInput(f"{n} tokens exceed max_tokens={cfg.max_tokens}")
-    p = {k: v.astype(np.float64) for k, v in store.items()}
-    drop_p = cfg.dropout if dropout_rng is not None else 0.0
-
-    def dropmask(shape):
-        if drop_p == 0.0:
-            return None
-        keep = dropout_rng.uniform(shape) >= drop_p
-        return keep.astype(np.float64) / (1.0 - drop_p)
-
-    h = x @ p["input_embedding.w"] + p["input_embedding.b"] + p["pos_embedding"][:n]
-    emb_mask = dropmask(h.shape)
-    if emb_mask is not None:
-        h = h * emb_mask
-    caches = []
-    for i in range(cfg.n_layers):
-        prefix = f"blocks.{i}."
-        a1, ln1_cache = _ln_fwd(h, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"])
-        attn_out, attn_cache = _attn_fwd(a1, p, prefix, cfg)
-        attn_mask = dropmask(attn_out.shape)
-        if attn_mask is not None:
-            attn_out = attn_out * attn_mask
-        h = h + attn_out
-        a2, ln2_cache = _ln_fwd(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
-        u = a2 @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]
-        g, tanh_cache = _gelu(u)
-        mlp_out = g @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"]
-        mlp_mask = dropmask(mlp_out.shape)
-        if mlp_mask is not None:
-            mlp_out = mlp_out * mlp_mask
-        h = h + mlp_out
-        caches.append((ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask))
-    y, lnf_cache = _ln_fwd(h, p["ln_f.gamma"], p["ln_f.beta"])
+    p = _f64(store)
+    y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
+        p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
+    )
     out, flat = _head_fwd(y, p, cfg)
 
     value, dout = _loss_and_dout(out, batch, loss)
@@ -627,7 +610,7 @@ def loss_and_grads(
 
     def dpos():
         g_full = np.zeros_like(p["pos_embedding"])
-        g_full[:n] = dh.sum(axis=0)
+        g_full[: x.shape[1]] = dh.sum(axis=0)
         return g_full
 
     _accum(grads, wanted, "pos_embedding", dpos)

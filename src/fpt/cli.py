@@ -4,8 +4,6 @@ One process per invocation: reads a JSON run config, executes the selected
 runner or analysis, and writes JSON reports with CSV mirrors under the
 output directory.  Reruns with the same config and seed produce identical
 bytes apart from the timestamp field, which is excluded from hashing.
-Set FPT_THREADS to cap internal worker counts (execution is sequential, so
-any positive value is honored).
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 """
@@ -16,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -65,19 +62,6 @@ _CONFIG_ERRORS = (ConfigError, FormatError, ShapeError, MissingWeights, IoError)
 _TASKS = ("forecast", "imputation", "classification", "anomaly", "fewshot", "zeroshot")
 
 
-def _worker_cap() -> int:
-    """FPT_THREADS caps internal worker counts; execution is sequential, so
-    the cap is honored by construction for any positive value."""
-    raw = os.environ.get("FPT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"FPT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"FPT_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -85,7 +69,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        _worker_cap()
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -30,16 +30,34 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def softmax_last(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max-subtraction; no input checks."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; rows sum to 1.
 
     Shift invariance makes inputs of any magnitude (up to float range)
     safe: softmax(r + c) == softmax(r).
     """
-    a = check_matrix(m, "softmax input")
-    z = a - a.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_last(check_matrix(m, "softmax input"))
+
+
+def layer_norm_last(x: np.ndarray, gamma, beta, eps: float):
+    """LayerNorm over the last axis; no input checks.
+
+    Returns (gamma * xhat + beta, (xhat, 1 / sqrt(var + eps), gamma)); the
+    second item is what the backbone's backward pass reads.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
 
 
 def layer_norm(v, gamma, beta, eps: float) -> np.ndarray:
@@ -55,11 +73,9 @@ def layer_norm(v, gamma, beta, eps: float) -> np.ndarray:
         raise InvalidInput("eps must be nonnegative")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("layer_norm input contains non-finite entries")
-    var = x.var()
-    denom = np.sqrt(var + eps)
-    if denom == 0.0:
+    if x.var() + eps == 0.0:
         raise InvalidInput("zero variance with eps=0 makes layer_norm undefined")
-    return g * (x - x.mean()) / denom + b
+    return layer_norm_last(x, g, b, eps)[0]
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,8 @@ def revin_normalize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, InstanceSt
         raise InvalidInput("eps must be nonnegative")
     if not np.all(np.isfinite(v)):
         raise InvalidInput("window contains non-finite values")
-    mean = float(v.mean())
-    var = float(v.var())
-    stats = InstanceStats(mean=mean, std=float(np.sqrt(var)), eps=eps)
-    denom = stats.std_eff
-    if denom == 0.0:
-        # constant window with eps=0: define the normalized window as zeros
-        return np.zeros_like(v), stats
-    return (v - mean) / denom, stats
+    norm, means, _ = normalize_windows(v[None, :], eps)
+    return norm[0], InstanceStats(mean=float(means[0]), std=float(np.sqrt(v.var())), eps=eps)
 
 
 def revin_denormalize(y, stats: InstanceStats) -> np.ndarray:
@@ -82,14 +76,12 @@ def patchify(x, cfg: PatchConfig) -> np.ndarray:
     Patch i covers x[i*stride : i*stride + patch_len]; any trailing
     remainder shorter than a full patch is dropped.
     """
-    v = np.asarray(x, dtype=np.float64).ravel()
-    n = cfg.n_patches(v.size)
-    idx = np.arange(n)[:, None] * cfg.stride + np.arange(cfg.patch_len)[None, :]
-    return v[idx]
+    return patchify_windows(np.asarray(x, dtype=np.float64).reshape(1, -1), cfg)[0]
 
 
 def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
-    """Vectorized revin_normalize over rows of a (batch, length) array.
+    """Standardize each row of a (batch, length) array by its own mean and
+    variance; rows with zero variance and eps=0 map to all-zeros.
 
     Returns (normalized, means, std_effs) with per-row statistics.
     """
@@ -105,7 +97,7 @@ def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
 
 
 def patchify_windows(windows: np.ndarray, cfg: PatchConfig) -> np.ndarray:
-    """Vectorized patchify over rows: (batch, L) -> (batch, n_patches, P)."""
+    """Slice each row into patch tokens: (batch, L) -> (batch, n_patches, P)."""
     w = np.asarray(windows, dtype=np.float64)
     n = cfg.n_patches(w.shape[1])
     idx = np.arange(n)[:, None] * cfg.stride + np.arange(cfg.patch_len)[None, :]

@@ -163,26 +163,35 @@ def make_ablation(
 
 @dataclass
 class Samples:
-    """Model-ready arrays for one split (all channels concatenated)."""
+    """Model-ready arrays for one split (all channels concatenated).
+
+    Regression splits carry targets and revin statistics; classification
+    splits carry only tokens and labels.
+    """
 
     tokens: np.ndarray  # (B, n_patches, P)
-    targets: np.ndarray  # (B, out) raw units
-    scale: np.ndarray  # (B,) revin divisors
-    mean: np.ndarray  # (B,) revin means
-    last: np.ndarray  # (B,) last observed input value (naive baseline)
+    targets: np.ndarray | None = None  # (B, out) raw units
+    scale: np.ndarray | None = None  # (B,) revin divisors
+    mean: np.ndarray | None = None  # (B,) revin means
+    last: np.ndarray | None = None  # (B,) last observed input value (naive baseline)
     mask: np.ndarray | None = None  # (B, out) 1 = scored coordinate
+    labels: np.ndarray | None = None  # (B,) integer classes
 
     @property
     def count(self) -> int:
         return self.tokens.shape[0]
 
     def batch(self, idx) -> Batch:
+        def take(a):
+            return None if a is None else a[idx]
+
         return Batch(
             tokens=self.tokens[idx],
-            targets=self.targets[idx],
-            out_scale=self.scale[idx],
-            out_mean=self.mean[idx],
-            mask=None if self.mask is None else self.mask[idx],
+            targets=take(self.targets),
+            labels=take(self.labels),
+            out_scale=take(self.scale),
+            out_mean=take(self.mean),
+            mask=take(self.mask),
         )
 
 
@@ -289,6 +298,12 @@ def _eval_loss(store, cfg, samples: Samples, loss: str) -> float:
         idx = slice(lo, lo + _EVAL_CHUNK)
         b = samples.batch(idx)
         out = predict(store, cfg, b.tokens)
+        if loss == "cross_entropy":
+            z = out - out.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            total -= float(np.sum(logp[np.arange(out.shape[0]), b.labels]))
+            weight += out.shape[0]
+            continue
         pred = out * b.out_scale[:, None] + b.out_mean[:, None]
         diff = pred - b.targets
         if loss == "masked_mse":
@@ -616,44 +631,17 @@ def run_classification(
     n = tokens.shape[0]
     n_train = int(math.floor(dataset.split.train * n))
     n_val = int(math.floor(dataset.split.val * n))
-    seg = {
-        "train": slice(0, n_train),
-        "val": slice(n_train, n_train + n_val),
-        "test": slice(n_train + n_val, n),
-    }
-
+    cuts = (0, n_train, n_train + n_val, n)
+    train, val, test = (
+        Samples(tokens=tokens[lo:hi], labels=labels[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+    )
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    store, cfg = setup.store, setup.cfg
-    opt = AdamState(lr=tcfg.learning_rate)
-    best_store, best_val, strikes = store, math.inf, 0
-    fit_rng = rng.child(2)
-    for epoch in range(tcfg.epochs):
-        order = fit_rng.child(epoch).permutation(n_train)
-        for lo in range(0, n_train, tcfg.batch_size):
-            idx = order[lo : lo + tcfg.batch_size]
-            batch = Batch(tokens=tokens[idx], labels=labels[idx])
-            _, store = backward_and_step(store, cfg, batch, "cross_entropy", opt, setup.mask)
-        val_idx = seg["val"]
-        if val_idx.stop > val_idx.start:
-            out = predict(store, cfg, tokens[val_idx])
-            z = out - out.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            vl = float(-np.mean(logp[np.arange(out.shape[0]), labels[val_idx]]))
-            if vl < best_val:
-                best_val, best_store, strikes = vl, store, 0
-            else:
-                strikes += 1
-                if strikes >= tcfg.early_stop_patience:
-                    break
-        else:
-            best_store = store
-    store = best_store if best_val < math.inf else store
-
-    test_idx = seg["test"]
-    out = predict(store, cfg, tokens[test_idx])
+    store, _ = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
+    cfg = setup.cfg
+    out = predict(store, cfg, test.tokens)
     pred_classes = np.argmax(out, axis=1)
-    accuracy = float(np.mean(pred_classes == labels[test_idx]))
+    accuracy = float(np.mean(pred_classes == test.labels))
     report = MetricReport(
         metadata=_base_metadata(
             "classification",
@@ -663,7 +651,7 @@ def run_classification(
                 task="classification", patch=patch, cfg=cfg, tcfg=tcfg, eps=revin_eps
             ),
             n_classes=n_classes,
-            n_test=int(test_idx.stop - test_idx.start),
+            n_test=test.count,
         )
     )
     report.add_row("test", {"accuracy": accuracy})

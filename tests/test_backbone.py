@@ -14,6 +14,7 @@ from fpt.backbone import (
     forward,
     init_random,
     load_weights,
+    loss_and_grads,
     mix_weights,
     param_hash,
     predict,
@@ -213,6 +214,26 @@ class TestForward:
         expect = ln(h, p["ln_f.gamma"], p["ln_f.beta"])
         assert np.abs(out_pca[0] - expect).max() <= 1e-8
 
+    def test_batch_trace_matches_rows_alone(self):
+        cfg = tiny_backbone()
+        store = init_random(cfg, seeded_rng(4))
+        tokens = seeded_rng(5).normal((5, 6, cfg.patch_len))
+        out, trace = forward(store, cfg, tokens)
+        for i in range(tokens.shape[0]):
+            row_out, row_trace = forward(store, cfg, tokens[i])
+            assert np.abs(row_out - out[i]).max() <= 1e-12
+            for layer, row_layer in zip(trace, row_trace):
+                assert np.abs(row_layer - layer[i]).max() <= 1e-12
+
+    def test_bad_token_width_is_shape_error(self):
+        cfg = tiny_backbone(head_in=3 * 16, head_out=2)
+        store = init_random(cfg, seeded_rng(2))
+        bad = np.zeros((2, 3, cfg.patch_len + 1))
+        with pytest.raises(ShapeError):
+            loss_and_grads(store, cfg, Batch(tokens=bad, targets=np.zeros((2, 2))), "mse")
+        with pytest.raises(ShapeError):
+            predict(store, cfg, bad)
+
     def test_pca_mode_needs_rank(self):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(7))
@@ -284,6 +305,18 @@ class TestTrainingStep:
             store, cfg, batch, "mse", AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(10)
         )
         assert l3 != l1
+
+    def test_training_and_inference_run_the_same_block(self):
+        cfg = tiny_backbone(head_in=3 * 16, head_out=5)
+        rng = seeded_rng(7)
+        store = init_random(cfg, seeded_rng(6))
+        for name, arr in store.items():  # nonzero biases so every addition is exercised
+            store[name] = (arr + rng.normal(arr.shape, scale=0.1)).astype(arr.dtype)
+        tokens = rng.normal((4, 3, cfg.patch_len))
+        value, _ = loss_and_grads(
+            store, cfg, Batch(tokens=tokens, targets=np.zeros((4, 5))), "mse"
+        )
+        assert value == float(np.mean(predict(store, cfg, tokens) ** 2))
 
     def test_predict_shape(self):
         cfg = tiny_backbone(head_in=3 * 16, head_out=5)

@@ -192,6 +192,17 @@ class TestClassification:
         )
         assert report.metric("accuracy", "test") >= 0.95
 
+    def test_dropout_reaches_training(self):
+        ds = self._corpus(n_series=60, length=64)
+        tcfg = _tcfg(epochs=2, batch_size=16)
+
+        def trained(dropout):
+            _, store = run_classification(ds, tiny_backbone(dropout=dropout), tcfg, PATCH)
+            return param_hash(store)
+
+        assert trained(0.3) == trained(0.3)
+        assert trained(0.3) != trained(0.0)
+
     def test_single_class_rejected(self):
         values, _ = classification_values(20, 64, seeded_rng(71))
         ds = TimeSeriesDataset(
