@@ -26,7 +26,14 @@ from .backbone import (
     mix_weights,
 )
 from .errors import InvalidInput, NumericalFailure, RankDeficient
-from .numerics import EigenDecomposition, check_matrix, softmax_rows, spectral_norm, sym_eig
+from .numerics import (
+    EigenDecomposition,
+    check_matrix,
+    softmax_last,
+    softmax_rows,
+    spectral_norm,
+    sym_eig,
+)
 from .rng import RandomStream
 
 SIMILARITY_BINS = 20
@@ -149,8 +156,7 @@ def optimal_pca_attention(x, m: int) -> PcaAttentionSolution:
     d = xc.shape[1]
     if not 1 <= m <= d:
         raise InvalidInput(f"rank m={m} must be in [1, {d}]")
-    gram = xc.T @ xc
-    eigen = sym_eig((gram + gram.T) / 2.0)
+    eigen = sym_eig(xc.T @ xc)
     lam = eigen.eigenvalues
     if lam[m - 1] <= 1e-10:
         raise RankDeficient(
@@ -315,9 +321,7 @@ def attention_mean_convergence(
         tokens = mu[None, None, :] + rng.normal((trials, n, d), scale=sigma / math.sqrt(d))
         q = tokens[:, 0, :]
         logits = np.einsum("td,de,tne->tn", q, a, tokens) / math.sqrt(d)
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        w /= w.sum(axis=1, keepdims=True)
+        w = softmax_last(logits)
         out = np.einsum("tn,tnd->td", w, tokens) @ wv
         err = float(np.mean(np.abs(out - target).max(axis=1)))
         points.append((n, err))
@@ -361,8 +365,7 @@ def sgd_conditioning_check(
         raise InvalidInput(f"targets must have {n} rows, got {y.shape[0]}")
     if avg_window < 1 or check_every < 1:
         raise InvalidInput("avg_window and check_every must be >= 1")
-    cov = (g.T @ g) / n
-    eigen = sym_eig((cov + cov.T) / 2.0)
+    eigen = sym_eig((g.T @ g) / n)
     sigma = float(eigen.eigenvalues[-1])
     if sigma <= 1e-12:
         raise RankDeficient(f"feature covariance is singular (sigma_min={sigma:.3e})")

@@ -388,16 +388,12 @@ def _accum(grads, wanted, name, fn):
 
 def _pca_attention_out(x, m):
     """Project token-centered inputs onto their top-m principal components."""
-    b, n, d = x.shape
+    d = x.shape[-1]
     if not 1 <= m <= d:
         raise InvalidInput(f"pca rank m={m} must be in [1, {d}]")
-    out = np.empty_like(x)
-    for i in range(b):
-        xc = x[i] - x[i].mean(axis=0, keepdims=True)
-        gram = xc.T @ xc
-        vecs = sym_eig((gram + gram.T) / 2.0).eigenvectors[:, :m]
-        out[i] = xc @ vecs @ vecs.T
-    return out
+    xc = x - x.mean(axis=1, keepdims=True)
+    vecs = sym_eig(xc.swapaxes(-1, -2) @ xc).eigenvectors[..., :m]
+    return xc @ vecs @ vecs.swapaxes(-1, -2)
 
 
 def _f64(store: ParameterStore) -> ParameterStore:

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,7 +45,6 @@ from .metrics import MetricReport
 from .preprocess import PatchConfig
 from .rng import seeded_rng
 from .tasks import (
-    TaskSpec,
     TrainConfig,
     run_ablation_suite,
     run_anomaly,
@@ -233,6 +232,9 @@ def _validate_config(cfg: dict, task: str) -> dict:
         ratios = _require(imp, "mask_ratios", list, "config.imputation")
         if not ratios:
             raise ConfigError("config.imputation.mask_ratios: must be non-empty")
+        for r in ratios:
+            if not isinstance(r, (int, float)) or isinstance(r, bool):
+                raise ConfigError(f"config.imputation.mask_ratios: expected numbers, got {r!r}")
     if task == "fewshot":
         fs = _require(cfg, "fewshot", dict, "config")
         _require(fs, "percent", float, "config.fewshot")
@@ -342,11 +344,9 @@ def _cmd_task(args) -> int:
         tcfg = replace(tcfg, epochs=0, ablation="fpt")
 
     if task == "forecast":
-        spec = TaskSpec.forecast(wspec.horizon)
         dataset = _load_dataset(cfg)
         report, store = run_forecast(dataset, wspec, base, tcfg, patch, weights, eps)
     elif task == "fewshot":
-        spec = TaskSpec.forecast(wspec.horizon)
         dataset = _load_dataset(cfg)
         fs = cfg["fewshot"]
         report, store = run_few_shot(
@@ -361,7 +361,6 @@ def _cmd_task(args) -> int:
             position=fs.get("position", "suffix"),
         )
     elif task == "zeroshot":
-        spec = TaskSpec.forecast(wspec.horizon)
         zs = cfg["zeroshot"]
         source = _load_dataset(cfg, zs["source"])
         target = _load_dataset(cfg, zs["target"])
@@ -369,11 +368,10 @@ def _cmd_task(args) -> int:
             source, target, wspec, base, tcfg, patch, zs.get("metric", "smape"), weights, eps
         )
     elif task == "imputation":
-        spec = TaskSpec.imputation(cfg["imputation"]["mask_ratios"])
         dataset = _load_dataset(cfg)
         report, stores = run_imputation(
             dataset,
-            spec.mask_ratios,
+            cfg["imputation"]["mask_ratios"],
             wspec.lookback,
             base,
             tcfg,
@@ -385,20 +383,16 @@ def _cmd_task(args) -> int:
         store = next(iter(stores.values()))
     elif task == "classification":
         dataset = _load_dataset(cfg)
-        configured = cfg.get("classification", {}).get("n_classes")
-        if configured is None and dataset.labels is not None:
-            configured = int(np.max(dataset.labels)) + 1
-        spec = TaskSpec.classification(configured or 0)
+        n_classes = cfg.get("classification", {}).get("n_classes")
         report, store = run_classification(
-            dataset, base, tcfg, patch, weights, eps, n_classes=spec.n_classes
+            dataset, base, tcfg, patch, weights, eps, n_classes=n_classes
         )
     else:
         an = cfg.get("anomaly", {})
-        spec = TaskSpec.anomaly(an.get("quantile", 0.99))
         dataset = _load_dataset(cfg)
         report, store = run_anomaly(
             dataset,
-            spec.anomaly_quantile,
+            an.get("quantile", 0.99),
             wspec.lookback,
             base,
             tcfg,
@@ -408,7 +402,6 @@ def _cmd_task(args) -> int:
             revin_eps=eps,
             stride=an.get("stride"),
         )
-    report.metadata.setdefault("task_spec", asdict(spec))
 
     _emit_report(report, out, args)
     if args.command != "eval":

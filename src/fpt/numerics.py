@@ -1,7 +1,10 @@
-"""Deterministic dense linear algebra and differentiation oracles.
+"""Dense linear algebra and differentiation oracles.
 
 All routines compute in float64, take immutable inputs, and hold no shared
-state, so they are safe to call concurrently.
+state, so they are safe to call concurrently.  The eigensolver is LAPACK
+``eigh`` behind one checked wrapper; like every BLAS-backed product here,
+its results repeat bit for bit on the same machine, numpy build and BLAS
+kernel, not across them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, ShapeError
 from .rng import RandomStream, seeded_rng  # noqa: F401  (re-exported)
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_TOL = 1e-12
 
 
 def check_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -84,7 +84,8 @@ class EigenDecomposition:
 
     ``eigenvectors`` holds unit-norm column vectors aligned with
     ``eigenvalues``; each column's largest-magnitude entry is positive
-    (ties broken by first index) so decompositions are reproducible.
+    (ties broken by first index) so decompositions are reproducible.  For a
+    stack of matrices both arrays carry the stack's leading axes.
     """
 
     eigenvalues: np.ndarray
@@ -92,77 +93,40 @@ class EigenDecomposition:
 
 
 def sym_eig(s) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix, or of a stack of them.
 
-    Sweeps stop when the off-diagonal Frobenius norm falls below
-    1e-12 relative to the input scale; more than 100 sweeps raises
-    NumericalFailure.
+    ``s`` is one (d, d) matrix or a (..., d, d) stack.  Each matrix must be
+    finite and symmetric within 1e-10 of max(1, its largest entry); it is
+    symmetrised once and handed to LAPACK (``np.linalg.eigh``), and the
+    result is put in the EigenDecomposition order and sign convention
+    matrix by matrix.  A LAPACK convergence failure raises NumericalFailure.
     """
-    a = check_matrix(s, "sym_eig input")
-    n, m = a.shape
-    if n != m:
+    a = np.asarray(s, dtype=np.float64)
+    if a.ndim <= 2:
+        a = check_matrix(a, "sym_eig input")
+    elif min(a.shape) < 1:
+        raise ShapeError(f"sym_eig input must have positive dimensions, got {a.shape}")
+    elif not np.all(np.isfinite(a)):
+        raise InvalidInput("sym_eig input contains non-finite entries")
+    if a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"sym_eig needs a square matrix, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(np.abs(a - at).max(axis=(-2, -1)) > 1e-10 * scale):
         raise InvalidInput("sym_eig input is not symmetric within tolerance")
-    d = (a + a.T) / 2.0  # kill round-off asymmetry
-    v = np.eye(n)
-    fro = max(1.0, float(np.linalg.norm(d)))
-    threshold = _JACOBI_OFF_TOL * fro
-    offdiag = ~np.eye(n, dtype=bool)
-
-    for _ in range(_JACOBI_SWEEP_CAP + 1):
-        off = float(np.sqrt(np.sum(np.square(d[offdiag]))))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if apq == 0.0:
-                    continue
-                gap = d[q, q] - d[p, p]
-                if abs(gap) > 1e8 * abs(apq):
-                    t = apq / gap  # asymptotic small-angle branch, avoids overflow
-                else:
-                    tau = gap / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                dp, dq = d[:, p].copy(), d[:, q].copy()
-                d[:, p] = c * dp - sn * dq
-                d[:, q] = sn * dp + c * dq
-                rp, rq = d[p, :].copy(), d[q, :].copy()
-                d[p, :] = c * rp - sn * rq
-                d[q, :] = sn * rp + c * rq
-                d[p, q] = 0.0
-                d[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        raise NumericalFailure(
-            f"Jacobi sweeps did not converge within {_JACOBI_SWEEP_CAP} passes"
-        )
-
-    vals = np.diag(d).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    try:
+        vals, vecs = np.linalg.eigh((a + at) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigh did not converge: {exc}") from None
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]  # LAPACK sorts ascending
+    peak = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-2)[..., None, :], axis=-2)
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=np.where(peak < 0.0, -vecs, vecs))
 
 
 def spectral_norm(m) -> float:
     """Largest singular value, computed as sqrt(lambda_max) of the Gram matrix."""
     a = check_matrix(m, "spectral_norm input")
     gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    gram = (gram + gram.T) / 2.0
     lam = sym_eig(gram).eigenvalues[0]
     return float(np.sqrt(max(lam, 0.0)))
 

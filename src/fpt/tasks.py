@@ -51,60 +51,6 @@ _EVAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    """Which protocol to run and its task-specific knobs.
-
-    Exactly the fields belonging to ``kind`` may be populated: horizon for
-    forecasting, mask_ratios for imputation, n_classes for classification,
-    anomaly_quantile for anomaly detection.
-    """
-
-    kind: str  # forecast | imputation | classification | anomaly
-    horizon: int = 0
-    mask_ratios: tuple[float, ...] = ()
-    n_classes: int = 0
-    anomaly_quantile: float = 0.0
-
-    def __post_init__(self):
-        kinds = ("forecast", "imputation", "classification", "anomaly")
-        if self.kind not in kinds:
-            raise InvalidInput(f"kind must be one of {kinds}")
-        populated = {
-            "horizon": self.horizon > 0,
-            "mask_ratios": bool(self.mask_ratios),
-            "n_classes": self.n_classes > 0,
-            "anomaly_quantile": self.anomaly_quantile > 0,
-        }
-        allowed = {
-            "forecast": "horizon",
-            "imputation": "mask_ratios",
-            "classification": "n_classes",
-            "anomaly": "anomaly_quantile",
-        }[self.kind]
-        if not populated[allowed]:
-            raise InvalidInput(f"{self.kind} task needs {allowed} set")
-        stray = [f for f, on in populated.items() if on and f != allowed]
-        if stray:
-            raise InvalidInput(f"{self.kind} task must not set {stray}")
-
-    @staticmethod
-    def forecast(horizon: int) -> "TaskSpec":
-        return TaskSpec(kind="forecast", horizon=horizon)
-
-    @staticmethod
-    def imputation(mask_ratios) -> "TaskSpec":
-        return TaskSpec(kind="imputation", mask_ratios=tuple(float(r) for r in mask_ratios))
-
-    @staticmethod
-    def classification(n_classes: int) -> "TaskSpec":
-        return TaskSpec(kind="classification", n_classes=n_classes)
-
-    @staticmethod
-    def anomaly(quantile: float = 0.99) -> "TaskSpec":
-        return TaskSpec(kind="anomaly", anomaly_quantile=quantile)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
@@ -621,7 +567,7 @@ def run_classification(
         raise InvalidInput("classification needs one label per channel")
     labels = np.asarray(dataset.labels, dtype=np.int64)
     inferred = int(labels.max()) + 1
-    n_classes = n_classes or inferred
+    n_classes = inferred if n_classes is None else n_classes
     if n_classes < 2 or len(np.unique(labels)) < 2:
         raise InvalidInput("classification needs at least two classes present")
     length = dataset.n_steps
@@ -637,7 +583,7 @@ def run_classification(
     )
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    store, _ = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
+    store, history = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
     cfg = setup.cfg
     out = predict(store, cfg, test.tokens)
     pred_classes = np.argmax(out, axis=1)
@@ -652,6 +598,7 @@ def run_classification(
             ),
             n_classes=n_classes,
             n_test=test.count,
+            history=history,
         )
     )
     report.add_row("test", {"accuracy": accuracy})

@@ -218,12 +218,13 @@ class TestForward:
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(4))
         tokens = seeded_rng(5).normal((5, 6, cfg.patch_len))
-        out, trace = forward(store, cfg, tokens)
-        for i in range(tokens.shape[0]):
-            row_out, row_trace = forward(store, cfg, tokens[i])
-            assert np.abs(row_out - out[i]).max() <= 1e-12
-            for layer, row_layer in zip(trace, row_trace):
-                assert np.abs(row_layer - layer[i]).max() <= 1e-12
+        for mode, pca_m in (("softmax", None), ("pca", 2)):
+            out, trace = forward(store, cfg, tokens, mode=mode, pca_m=pca_m)
+            for i in range(tokens.shape[0]):
+                row_out, row_trace = forward(store, cfg, tokens[i], mode=mode, pca_m=pca_m)
+                assert np.abs(row_out - out[i]).max() <= 1e-12
+                for layer, row_layer in zip(trace, row_trace):
+                    assert np.abs(row_layer - layer[i]).max() <= 1e-12
 
     def test_bad_token_width_is_shape_error(self):
         cfg = tiny_backbone(head_in=3 * 16, head_out=2)
@@ -239,6 +240,14 @@ class TestForward:
         store = init_random(cfg, seeded_rng(7))
         with pytest.raises(InvalidInput):
             forward(store, cfg, np.zeros((3, cfg.patch_len)), mode="pca")
+
+    def test_pca_mode_rejects_nan_tokens(self):
+        cfg = tiny_backbone()
+        store = init_random(cfg, seeded_rng(7))
+        tokens = seeded_rng(8).normal((2, 3, cfg.patch_len))
+        tokens[1, 0, 0] = np.nan
+        with pytest.raises(InvalidInput):
+            forward(store, cfg, tokens, mode="pca", pca_m=2)
 
 
 class TestTrainingStep:

@@ -133,6 +133,14 @@ class TestTaskCommands:
         scopes = [r["scope"] for r in report["rows"]]
         assert scopes == ["ratio=0.125", "ratio=0.5", "avg"]
 
+    def test_impute_non_numeric_ratio_exits_2(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        for bad in ("x", True):
+            config["imputation"] = {"mask_ratios": [0.5, bad]}
+            cfg_path.write_text(json.dumps(config))
+            assert main(["impute", "--config", str(cfg_path), "--output", str(tmp / "imp")]) == 2
+            assert "error: ConfigError: config.imputation.mask_ratios" in capsys.readouterr().err
+
     def test_fewshot(self, workspace):
         tmp, cfg_path, config = workspace
         config["fewshot"] = {"percent": 0.5}

@@ -90,7 +90,7 @@ class TestSymEig:
 
     def test_orthonormality_and_trace(self):
         rng = seeded_rng(5)
-        for n in (2, 3, 8, 12):
+        for n in (2, 3, 8, 12, 64):
             a = rng.normal((n, n))
             a = (a + a.T) / 2
             ed = sym_eig(a)
@@ -107,6 +107,19 @@ class TestSymEig:
         for j in range(5):
             k = int(np.argmax(np.abs(ed.eigenvectors[:, j])))
             assert ed.eigenvectors[k, j] > 0
+
+    def test_stack_matches_each_matrix(self):
+        a = seeded_rng(8).normal((3, 5, 5))
+        a = (a + a.swapaxes(-1, -2)) / 2
+        ed = sym_eig(a)
+        assert ed.eigenvalues.shape == (3, 5) and ed.eigenvectors.shape == (3, 5, 5)
+        for i in range(3):
+            one = sym_eig(a[i])
+            assert np.array_equal(ed.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(ed.eigenvectors[i], one.eigenvectors)
+            for j in range(5):
+                k = int(np.argmax(np.abs(ed.eigenvectors[i, :, j])))
+                assert ed.eigenvectors[i, k, j] > 0
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInput):
