@@ -213,8 +213,17 @@ def save_weights(store: ParameterStore, path) -> None:
         raise IoError(f"cannot write weight container at {path}: {exc}") from None
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
-    """Bitwise load of an f32 weight container, validated against cfg."""
+    """Bitwise load of an f32 weight container, validated against cfg.
+
+    Malformed manifests raise ``FormatError`` (or ``ShapeError`` for a shape
+    that disagrees with cfg); non-finite tensor values raise
+    ``NumericalFailure``.
+    """
     path = Path(path)
     try:
         with open(path / "manifest.json", encoding="utf-8") as fh:
@@ -227,7 +236,12 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
     if manifest.get("format_version") != 1:
         raise FormatError(f"unsupported container version {manifest.get('format_version')!r}")
     want = expected_shapes(cfg)
-    entries = {e["name"]: e for e in manifest.get("tensors", [])}
+    tensors = manifest.get("tensors", [])
+    if not isinstance(tensors, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) for e in tensors
+    ):
+        raise FormatError("weight manifest 'tensors' must be a list of objects with a string name")
+    entries = {e["name"]: e for e in tensors}
     for name in want:
         if name not in entries:
             raise FormatError(f"weight container is missing tensor {name!r}")
@@ -238,15 +252,21 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
     for name, entry in entries.items():
         if entry.get("dtype") != "f32":
             raise FormatError(f"{name}: unsupported dtype {entry.get('dtype')!r}")
-        shape = tuple(entry["shape"])
+        shape, start = entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+            raise FormatError(f"{name}: shape must be a list of non-negative ints, got {shape!r}")
+        if not _is_count(start):
+            raise FormatError(f"{name}: offset must be a non-negative integer, got {start!r}")
+        shape = tuple(shape)
         if shape != want[name]:
             raise ShapeError(f"{name}: file has {shape}, config wants {want[name]}")
         count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
         end = start + 4 * count
         if end > len(blob):
             raise FormatError(f"{name}: blob too short ({end} > {len(blob)})")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise NumericalFailure(f"{name}: weight container holds non-finite values")
         store[name] = np.ascontiguousarray(arr, dtype=np.float32)
     return store
 
@@ -313,7 +333,7 @@ class Batch:
 
 
 def _gelu(u):
-    t = np.tanh(_GELU_K * (u + _GELU_C * u**3))
+    t = np.tanh(_GELU_K * (u + _GELU_C * (u * u * u)))
     return 0.5 * u * (1.0 + t), t
 
 
@@ -334,6 +354,21 @@ def _ln_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
+def _mm(a, w):
+    """``a @ w`` for a (..., k) stack and a (k, e) weight as one (rows, k) GEMM.
+
+    numpy runs a stacked ``@`` as one small GEMM per leading index; folding
+    the leading axes into the row axis hands BLAS a single large product.
+    """
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+
+
+def _wgrad(a, b):
+    """Weight gradient ``einsum("...d,...e->de", a, b)`` as one GEMM over the
+    flattened rows."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def _split_heads(x, n_heads):
     b, n, d = x.shape
     return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -347,9 +382,9 @@ def _merge_heads(x):
 def _attn_fwd(x, p, prefix, cfg):
     wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
     bq, bk, bv, bo = (p[prefix + "attn.b" + s] for s in "qkvo")
-    q = x @ wq + bq
-    k = x @ wk + bk
-    v = x @ wv + bv
+    q = _mm(x, wq) + bq
+    k = _mm(x, wk) + bk
+    v = _mm(x, wv) + bv
     qh, kh, vh = (_split_heads(a, cfg.n_heads) for a in (q, k, v))
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     z = (qh @ kh.swapaxes(-1, -2)) * scale
@@ -358,7 +393,7 @@ def _attn_fwd(x, p, prefix, cfg):
         z = z + np.triu(np.full((n, n), _NEG_INF), k=1)
     probs = softmax_last(z)
     ctx = _merge_heads(probs @ vh)
-    out = ctx @ wo + bo
+    out = _mm(ctx, wo) + bo
     cache = (x, qh, kh, vh, probs, ctx, scale)
     return out, cache
 
@@ -366,9 +401,9 @@ def _attn_fwd(x, p, prefix, cfg):
 def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     x, qh, kh, vh, probs, ctx, scale = cache
     wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
-    _accum(grads, wanted, prefix + "attn.wo", lambda: np.einsum("bnd,bne->de", ctx, dout))
+    _accum(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
     _accum(grads, wanted, prefix + "attn.bo", lambda: dout.sum(axis=(0, 1)))
-    dctx = _split_heads(dout @ wo.T, cfg.n_heads)
+    dctx = _split_heads(_mm(dout, wo.T), cfg.n_heads)
     dprobs = dctx @ vh.swapaxes(-1, -2)
     dvh = probs.swapaxes(-1, -2) @ dctx
     dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
@@ -376,9 +411,9 @@ def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     dkh = (dz.swapaxes(-1, -2) @ qh) * scale
     dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
     for nm, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        _accum(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: np.einsum("bnd,bne->de", x, dm))
+        _accum(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
         _accum(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
-    return dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return _mm(dq, wq.T) + _mm(dk, wk.T) + _mm(dv, wv.T)
 
 
 def _accum(grads, wanted, name, fn):
@@ -413,9 +448,9 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
     if not keep:  # free the attention buffers before the MLP; bounds eval-chunk peak memory
         ln1_cache = attn_cache = None
     a2, ln2_cache = layer_norm_last(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"], LN_EPS)
-    u = a2 @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]
+    u = _mm(a2, p[prefix + "mlp.w1"]) + p[prefix + "mlp.b1"]
     g, tanh_cache = _gelu(u)
-    mlp_out, mlp_mask = dropout(g @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"])
+    mlp_out, mlp_mask = dropout(_mm(g, p[prefix + "mlp.w2"]) + p[prefix + "mlp.b2"])
     h = h + mlp_out
     if not keep:
         return h, None
@@ -448,7 +483,7 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
         mask = (dropout_rng.uniform(a.shape) >= drop_p).astype(np.float64) / (1.0 - drop_p)
         return a * mask, mask
 
-    emb = x @ p["input_embedding.w"] + p["input_embedding.b"] + p["pos_embedding"][:n]
+    emb = _mm(x, p["input_embedding.w"]) + p["input_embedding.b"] + p["pos_embedding"][:n]
     h, emb_mask = dropout(emb)
     trace, caches = [h], []
     for i in range(cfg.n_layers):
@@ -581,13 +616,13 @@ def loss_and_grads(
         prefix = f"blocks.{i}."
         ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = caches[i]
         dmlp_out = dh if mlp_mask is None else dh * mlp_mask
-        _accum(grads, wanted, prefix + "mlp.w2", lambda: np.einsum("bnf,bnd->fd", g, dmlp_out))
+        _accum(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
         _accum(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
-        dg = dmlp_out @ p[prefix + "mlp.w2"].T
+        dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
         du = _gelu_bwd(dg, u, tanh_cache)
-        _accum(grads, wanted, prefix + "mlp.w1", lambda: np.einsum("bnd,bnf->df", a2, du))
+        _accum(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
         _accum(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
-        da2 = du @ p[prefix + "mlp.w1"].T
+        da2 = _mm(du, p[prefix + "mlp.w1"].T)
         dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
         _accum(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
         _accum(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
@@ -601,7 +636,7 @@ def loss_and_grads(
 
     if emb_mask is not None:
         dh = dh * emb_mask
-    _accum(grads, wanted, "input_embedding.w", lambda: np.einsum("bnp,bnd->pd", x, dh))
+    _accum(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
     _accum(grads, wanted, "input_embedding.b", lambda: dh.sum(axis=(0, 1)))
 
     def dpos():

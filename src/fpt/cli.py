@@ -242,6 +242,14 @@ def _validate_config(cfg: dict, task: str) -> dict:
         an = cfg.get("anomaly", {})
         if not isinstance(an, dict):
             raise ConfigError("config.anomaly: expected an object")
+        if "quantile" in an:
+            _require(an, "quantile", float, "config.anomaly")
+    if task == "classification":
+        cls = cfg.get("classification", {})
+        if not isinstance(cls, dict):
+            raise ConfigError("config.classification: expected an object")
+        if cls.get("n_classes") is not None:
+            _require(cls, "n_classes", int, "config.classification")
     return cfg
 
 

@@ -5,10 +5,15 @@ import pytest
 
 from conftest import tiny_backbone
 from fpt.backbone import (
+    _GELU_C,
+    _GELU_K,
     AdamState,
     BackboneConfig,
     Batch,
     FreezeMask,
+    _gelu,
+    _mm,
+    _wgrad,
     backward_and_step,
     expected_shapes,
     forward,
@@ -20,7 +25,7 @@ from fpt.backbone import (
     predict,
     save_weights,
 )
-from fpt.errors import FormatError, InvalidInput, ShapeError
+from fpt.errors import FormatError, InvalidInput, NumericalFailure, ShapeError
 from fpt.rng import seeded_rng
 
 
@@ -79,6 +84,48 @@ class TestWeightContainer:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="pos_embedding"):
             load_weights(tmp_path / "model", cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offset", None),
+            ("offset", "0"),
+            ("offset", -4),
+            ("offset", True),
+            ("offset", 1.5),
+            ("shape", None),
+            ("shape", "16"),
+            ("shape", [16.0]),
+            ("shape", [-16]),
+        ],
+    )
+    def test_bad_entry_field_is_format_error(self, tmp_path, field, value):
+        cfg = tiny_backbone()
+        save_weights(init_random(cfg, seeded_rng(3)), tmp_path / "model")
+        mpath = tmp_path / "model" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        entry = next(e for e in manifest["tensors"] if e["name"] == "ln_f.beta")
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"ln_f.beta: {field}"):
+            load_weights(tmp_path / "model", cfg)
+
+    def test_non_finite_value_is_numerical_failure(self, tmp_path):
+        cfg = tiny_backbone()
+        save_weights(init_random(cfg, seeded_rng(3)), tmp_path / "model")
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        entry = next(e for e in manifest["tensors"] if e["name"] == "blocks.1.mlp.w2")
+        bpath = tmp_path / "model" / "weights.bin"
+        for bad in (np.nan, np.inf):
+            blob = bytearray(bpath.read_bytes())
+            at = entry["offset"] + 4 * 5
+            blob[at : at + 4] = np.array([bad], dtype="<f4").tobytes()
+            bpath.write_bytes(bytes(blob))
+            with pytest.raises(NumericalFailure, match="blocks.1.mlp.w2"):
+                load_weights(tmp_path / "model", cfg)
 
     def test_shape_mismatch_reports_both(self, tmp_path):
         cfg = tiny_backbone()
@@ -248,6 +295,32 @@ class TestForward:
         tokens[1, 0, 0] = np.nan
         with pytest.raises(InvalidInput):
             forward(store, cfg, tokens, mode="pca", pca_m=2)
+
+
+class TestKernels:
+    def test_gelu_matches_pow_reference(self):
+        u = np.linspace(-10.0, 10.0, 40001)
+        t_ref = np.tanh(_GELU_K * (u + _GELU_C * u**3))
+        g, t = _gelu(u)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+        # 0.5 * u * (1 + t) cancels in the negative tail, where one ulp of t
+        # is large against 1 + t: allow an absolute floor of a few ulps of 1.0
+        np.testing.assert_allclose(g, 0.5 * u * (1.0 + t_ref), rtol=1e-14, atol=1e-15)
+
+    def test_gemm_helpers_match_batched_products(self):
+        rng = seeded_rng(11)
+        a, b, w = rng.normal((7, 5, 6)), rng.normal((7, 5, 3)), rng.normal((6, 4))
+        assert np.abs(_wgrad(a, b) - np.einsum("bnd,bne->de", a, b)).max() <= 1e-12
+        assert np.abs(_mm(a, w) - np.einsum("bnk,ke->bne", a, w)).max() <= 1e-12
+        assert np.abs(_mm(b, w[:, :3].T) - np.einsum("bnk,ek->bne", b, w[:, :3])).max() <= 1e-12
+
+    def test_predict_equals_its_row_chunks(self):
+        cfg = tiny_backbone(head_in=4 * 16, head_out=3)
+        store = init_random(cfg, seeded_rng(12))
+        tokens = seeded_rng(13).normal((700, 4, cfg.patch_len))
+        whole = predict(store, cfg, tokens)
+        chunks = [predict(store, cfg, tokens[lo : lo + 128]) for lo in range(0, 700, 128)]
+        assert np.abs(whole - np.concatenate(chunks)).max() <= 1e-12
 
 
 class TestTrainingStep:

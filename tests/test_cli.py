@@ -111,6 +111,22 @@ class TestTrainCommand:
         e = next(r for r in evaluated["rows"] if r["scope"] == "O=12")["metrics"]["MSE"]
         assert e == pytest.approx(t, rel=1e-12)
 
+    def test_eval_rejects_corrupt_weights(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        model = tmp / "out" / "model"
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+        blob = bytearray((model / "weights.bin").read_bytes())
+        blob[:4] = np.array([np.nan], dtype="<f4").tobytes()
+        (model / "weights.bin").write_bytes(bytes(blob))
+        argv = ["eval", "--config", str(cfg_path), "--weights", str(model)]
+        assert main(argv + ["--output", str(tmp / "e1")]) == 3
+        assert "error: NumericalFailure:" in capsys.readouterr().err
+        manifest = json.loads((model / "manifest.json").read_text())
+        del manifest["tensors"][0]["offset"]
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        assert main(argv + ["--output", str(tmp / "e2")]) == 2
+        assert "error: FormatError:" in capsys.readouterr().err
+
 
 class TestTaskCommands:
     def test_zeroshot(self, workspace):
@@ -140,6 +156,22 @@ class TestTaskCommands:
             cfg_path.write_text(json.dumps(config))
             assert main(["impute", "--config", str(cfg_path), "--output", str(tmp / "imp")]) == 2
             assert "error: ConfigError: config.imputation.mask_ratios" in capsys.readouterr().err
+
+    def test_anomaly_non_numeric_quantile_exits_2(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        for bad in ("x", True, None):
+            config["anomaly"] = {"quantile": bad}
+            cfg_path.write_text(json.dumps(config))
+            assert main(["anomaly", "--config", str(cfg_path), "--output", str(tmp / "an")]) == 2
+            assert "error: ConfigError: config.anomaly.quantile" in capsys.readouterr().err
+
+    def test_classify_non_integer_n_classes_exits_2(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        for bad in ("3", 2.0, True):
+            config["classification"] = {"n_classes": bad}
+            cfg_path.write_text(json.dumps(config))
+            assert main(["classify", "--config", str(cfg_path), "--output", str(tmp / "cls")]) == 2
+            assert "error: ConfigError: config.classification.n_classes" in capsys.readouterr().err
 
     def test_fewshot(self, workspace):
         tmp, cfg_path, config = workspace

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import tiny_backbone
-from fpt.backbone import gpt0_config, init_random, param_hash
+from fpt.backbone import gpt0_config, init_random, param_hash, predict
 from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec
 from fpt.errors import InvalidInput, MissingWeights
-from fpt.preprocess import PatchConfig
+from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import classification_values, inject_spikes, sinusoid
 from fpt.tasks import (
     TrainConfig,
+    _derive_config,
+    _reconstruction_errors,
+    _tile_starts,
     make_ablation,
     run_anomaly,
     run_classification,
@@ -244,6 +247,34 @@ class TestAnomaly:
     def test_quantile_domain(self):
         with pytest.raises(InvalidInput):
             run_anomaly(self._spiky(), 1.5, 48, tiny_backbone(), _tcfg(), PATCH)
+
+    def test_batched_errors_match_per_window_loop(self):
+        lookback, eps = 16, 1e-5
+        values = np.stack([sinusoid(1200, p) for p in (24.0, 7.0, 50.0)], axis=1)
+        values = values + seeded_rng(9).normal(values.shape, scale=0.1)
+        ds = TimeSeriesDataset(name="three", values=values)
+        cfg = _derive_config(tiny_backbone(), PATCH, lookback, head_out=lookback)
+        store = init_random(cfg, seeded_rng(4))
+
+        def per_window(lo, hi):
+            acc = np.zeros((hi - lo, ds.n_channels))
+            for ci in range(ds.n_channels):
+                for start in _tile_starts(lo, hi, lookback):
+                    window = ds.values[start : start + lookback, ci]
+                    norm, mu, sd = normalize_windows(window[None, :], eps)
+                    out = predict(store, cfg, patchify_windows(norm, PATCH))[0] * sd[0] + mu[0]
+                    write_lo = max(start, lo)
+                    acc[write_lo - lo : start - lo + lookback, ci] = (out - window)[
+                        write_lo - start :
+                    ] ** 2
+            return acc.mean(axis=1)
+
+        # 1000 steps give 63 tiles per channel, so 189 windows span two eval
+        # chunks; 5..203 ends in an overlapping end-aligned tail
+        for lo, hi in ((0, 1000), (5, 203), (1190, 1200)):
+            want = per_window(lo, hi)
+            got = _reconstruction_errors(store, cfg, ds, lookback, PATCH, eps, lo, hi)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestFewShot:
