@@ -552,9 +552,9 @@ def mixed_weights_similarity_sweep(
         AblationSetup,
         TrainConfig,
         _derive_config,
+        _eval_loss,
         _fit,
-        _forecast_samples,
-        _predict_denorm,
+        _samples,
     )
 
     ratios = [float(r) for r in ratios]
@@ -562,8 +562,8 @@ def mixed_weights_similarity_sweep(
         raise InvalidInput("ratios must lie in [0, 1]")
     derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
     random_store = init_random(derived_cfg, rng.child(1))
-    train = _forecast_samples(dataset, wspec, patch, revin_eps, "train")
-    test = _forecast_samples(dataset, wspec, patch, revin_eps, "test")
+    train = _samples(dataset, wspec, patch, revin_eps, "train")
+    test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[: min(eval_batch, test.count)]
     tcfg = TrainConfig(
         epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
@@ -574,14 +574,11 @@ def mixed_weights_similarity_sweep(
         setup = AblationSetup(mixed, FreezeMask.default_fpt(mixed), derived_cfg)
         store, _ = _fit(setup, train, None, tcfg, "mse", rng.child(100 + i), max_steps=finetune_steps)
         _, trace = forward(store, derived_cfg, probe)
-        sims = batch_layer_similarity(trace)
-        preds = _predict_denorm(store, derived_cfg, test)
-        err = preds - test.targets
         rows.append(
             {
                 "ratio": ratio,
-                "similarity": sims,
-                "mse": float(np.mean(err * err)),
+                "similarity": batch_layer_similarity(trace),
+                "mse": _eval_loss(store, derived_cfg, test, "mse"),
             }
         )
     return rows

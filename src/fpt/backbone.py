@@ -221,7 +221,8 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
     """Bitwise load of an f32 weight container, validated against cfg.
 
     Malformed manifests raise ``FormatError`` (or ``ShapeError`` for a shape
-    that disagrees with cfg); non-finite tensor values raise
+    that disagrees with cfg), as do tensors whose byte ranges overlap and a
+    blob holding bytes no tensor covers; non-finite tensor values raise
     ``NumericalFailure``.
     """
     path = Path(path)
@@ -249,6 +250,7 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         if name not in want:
             raise FormatError(f"weight container has unexpected tensor {name!r}")
     store = ParameterStore()
+    spans = []
     for name, entry in entries.items():
         if entry.get("dtype") != "f32":
             raise FormatError(f"{name}: unsupported dtype {entry.get('dtype')!r}")
@@ -264,10 +266,18 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         end = start + 4 * count
         if end > len(blob):
             raise FormatError(f"{name}: blob too short ({end} > {len(blob)})")
+        spans.append((start, end, name))
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericalFailure(f"{name}: weight container holds non-finite values")
         store[name] = np.ascontiguousarray(arr, dtype=np.float32)
+    spans.sort()
+    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise FormatError(f"{name}: offset {start} overlaps tensor {prev!r}")
+    covered = sum(end - start for start, end, _ in spans)
+    if covered != len(blob):
+        raise FormatError(f"weights.bin holds {len(blob)} bytes but its tensors cover {covered}")
     return store
 
 

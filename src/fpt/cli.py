@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     FormatError,
     FptError,
+    InvalidInput,
     IoError,
     MissingWeights,
     ShapeError,
@@ -201,6 +202,11 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _optional(obj: dict, key: str, kind, where: str) -> None:
+    if key in obj:
+        _require(obj, key, kind, where)
+
+
 def _validate_config(cfg: dict, task: str) -> dict:
     if task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
@@ -210,10 +216,13 @@ def _validate_config(cfg: dict, task: str) -> dict:
         zs = _require(cfg, "zeroshot", dict, "config")
         _require(zs, "source", str, "config.zeroshot")
         _require(zs, "target", str, "config.zeroshot")
+        _optional(zs, "metric", str, "config.zeroshot")
     else:
         _require(ds, "name", str, "config.dataset")
+    _optional(cfg, "revin_eps", float, "config")
     win = _require(cfg, "window", dict, "config")
     _require(win, "lookback", int, "config.window")
+    _optional(win, "stride", int, "config.window")
     if task in ("forecast", "fewshot", "zeroshot"):
         if _require(win, "horizon", int, "config.window") < 1:
             raise ConfigError("config.window.horizon: must be >= 1 for forecasting tasks")
@@ -223,10 +232,14 @@ def _validate_config(cfg: dict, task: str) -> dict:
     bb = _require(cfg, "backbone", dict, "config")
     for key in ("n_layers", "d_model", "n_heads", "d_ff"):
         _require(bb, key, int, "config.backbone")
+    for key, kind in (("dropout", float), ("causal", bool), ("max_tokens", int)):
+        _optional(bb, key, kind, "config.backbone")
     tr = _require(cfg, "train", dict, "config")
     for key in ("epochs", "batch_size"):
         _require(tr, key, int, "config.train")
     _require(tr, "learning_rate", float, "config.train")
+    for key, kind in (("early_stop_patience", int), ("seed", int), ("ablation", str)):
+        _optional(tr, key, kind, "config.train")
     if task == "imputation":
         imp = _require(cfg, "imputation", dict, "config")
         ratios = _require(imp, "mask_ratios", list, "config.imputation")
@@ -235,15 +248,20 @@ def _validate_config(cfg: dict, task: str) -> dict:
         for r in ratios:
             if not isinstance(r, (int, float)) or isinstance(r, bool):
                 raise ConfigError(f"config.imputation.mask_ratios: expected numbers, got {r!r}")
+        if imp.get("stride") is not None:  # null keeps the default stride
+            _require(imp, "stride", int, "config.imputation")
     if task == "fewshot":
         fs = _require(cfg, "fewshot", dict, "config")
         _require(fs, "percent", float, "config.fewshot")
+        _optional(fs, "position", str, "config.fewshot")
     if task == "anomaly":
         an = cfg.get("anomaly", {})
         if not isinstance(an, dict):
             raise ConfigError("config.anomaly: expected an object")
-        if "quantile" in an:
-            _require(an, "quantile", float, "config.anomaly")
+        _optional(an, "quantile", float, "config.anomaly")
+        _optional(an, "point_adjust", bool, "config.anomaly")
+        if an.get("stride") is not None:  # null keeps the default stride
+            _require(an, "stride", int, "config.anomaly")
     if task == "classification":
         cls = cfg.get("classification", {})
         if not isinstance(cls, dict):
@@ -254,35 +272,37 @@ def _validate_config(cfg: dict, task: str) -> dict:
 
 
 def _build_parts(cfg: dict, args):
-    window = cfg["window"]
-    wspec = WindowSpec(
-        lookback=window["lookback"],
-        horizon=window.get("horizon", 0),
-        stride=window.get("stride", 1),
-    )
-    patch = PatchConfig(cfg["patch"]["patch_len"], cfg["patch"]["stride"])
-    bb = cfg["backbone"]
-    base = BackboneConfig(
-        n_layers=bb["n_layers"],
-        d_model=bb["d_model"],
-        n_heads=bb["n_heads"],
-        d_ff=bb["d_ff"],
-        max_tokens=bb.get("max_tokens", 512),
-        patch_len=patch.patch_len,
-        head_in=1,
-        head_out=1,
-        dropout=bb.get("dropout", 0.0),
-        causal=bb.get("causal", False),
-    )
-    tr = cfg["train"]
-    tcfg = TrainConfig(
-        epochs=tr["epochs"],
-        batch_size=tr["batch_size"],
-        learning_rate=tr["learning_rate"],
-        early_stop_patience=tr.get("early_stop_patience", 3),
-        seed=tr.get("seed", 0) if args.seed is None else args.seed,
-        ablation=tr.get("ablation", "no_pretrain"),
-    )
+    """Typed run configs; a value their constructors reject is a ConfigError."""
+    window, bb, tr = cfg["window"], cfg["backbone"], cfg["train"]
+    try:
+        wspec = WindowSpec(
+            lookback=window["lookback"],
+            horizon=window.get("horizon", 0),
+            stride=window.get("stride", 1),
+        )
+        patch = PatchConfig(cfg["patch"]["patch_len"], cfg["patch"]["stride"])
+        base = BackboneConfig(
+            n_layers=bb["n_layers"],
+            d_model=bb["d_model"],
+            n_heads=bb["n_heads"],
+            d_ff=bb["d_ff"],
+            max_tokens=bb.get("max_tokens", 512),
+            patch_len=patch.patch_len,
+            head_in=1,
+            head_out=1,
+            dropout=bb.get("dropout", 0.0),
+            causal=bb.get("causal", False),
+        )
+        tcfg = TrainConfig(
+            epochs=tr["epochs"],
+            batch_size=tr["batch_size"],
+            learning_rate=tr["learning_rate"],
+            early_stop_patience=tr.get("early_stop_patience", 3),
+            seed=tr.get("seed", 0) if args.seed is None else args.seed,
+            ablation=tr.get("ablation", "no_pretrain"),
+        )
+    except InvalidInput as exc:
+        raise ConfigError(f"config: {exc}") from None
     return wspec, patch, base, tcfg
 
 
@@ -545,12 +565,12 @@ def _cmd_similarity(args) -> int:
     weights = _resolve_weights(cfg, args)
     if weights is None:
         raise MissingWeights("similarity analysis requires --weights")
-    from .tasks import _derive_config, _forecast_samples
+    from .tasks import _derive_config, _samples
 
     derived = _derive_config(base, patch, wspec.lookback, wspec.horizon)
     store = load_weights(weights, derived)
     dataset = _load_dataset(cfg)
-    samples = _forecast_samples(dataset, wspec, patch, cfg.get("revin_eps", 1e-5), "test")
+    samples = _samples(dataset, wspec, patch, cfg.get("revin_eps", 1e-5), "test")
     probe = samples.tokens[: min(args.eval_batch, samples.count)]
     _, trace = forward(store, derived, probe, mode=args.mode, pca_m=args.pca_m)
     sims = batch_layer_similarity(trace)

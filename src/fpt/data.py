@@ -336,24 +336,6 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
     )
 
 
-def channel_split(d: TimeSeriesDataset) -> list[TimeSeriesDataset]:
-    """One univariate dataset per channel, metadata preserved."""
-    out = []
-    for c in range(d.n_channels):
-        labels = d.labels
-        if labels is not None and d.label_kind == "series":
-            labels = labels[c : c + 1]
-        out.append(
-            replace(
-                d,
-                name=f"{d.name}[{c}]",
-                values=d.values[:, c : c + 1],
-                labels=labels,
-            )
-        )
-    return out
-
-
 def make_windows(
     d: TimeSeriesDataset, w: WindowSpec, split: str
 ) -> tuple[np.ndarray, np.ndarray]:

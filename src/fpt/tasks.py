@@ -23,6 +23,7 @@ from .backbone import (
     Batch,
     FreezeMask,
     ParameterStore,
+    _loss_and_dout,
     backward_and_step,
     gpt0_config,
     init_random,
@@ -34,7 +35,6 @@ from .backbone import (
 from .data import (
     TimeSeriesDataset,
     WindowSpec,
-    channel_split,
     few_shot_subset,
     make_windows,
     mask_with_count,
@@ -144,77 +144,46 @@ class Samples:
         )
 
 
-def _forecast_samples(
+def _samples(
     dataset: TimeSeriesDataset,
     wspec: WindowSpec,
-    patch: PatchConfig,
-    eps: float,
-    split: str,
-) -> Samples:
-    tokens, targets, scales, means, lasts = [], [], [], [], []
-    for ch in channel_split(dataset):
-        inputs, outs = make_windows(ch, wspec, split)
-        x = inputs[:, :, 0]
-        y = outs[:, :, 0]
-        norm, mu, sd = normalize_windows(x, eps)
-        tokens.append(patchify_windows(norm, patch))
-        targets.append(y)
-        scales.append(sd)
-        means.append(mu)
-        lasts.append(x[:, -1])
-    return Samples(
-        tokens=np.concatenate(tokens),
-        targets=np.concatenate(targets),
-        scale=np.concatenate(scales),
-        mean=np.concatenate(means),
-        last=np.concatenate(lasts),
-    )
-
-
-def _reconstruction_samples(
-    dataset: TimeSeriesDataset,
-    lookback: int,
-    stride: int,
     patch: PatchConfig,
     eps: float,
     split: str,
     mask_counts: int | None = None,
     mask_rng: RandomStream | None = None,
 ) -> Samples:
-    """Windows whose target is the window itself; optionally masked inputs.
+    """Every channel's windows of one split as univariate samples, all of
+    channel 0's windows first, then channel 1's, and so on.
 
-    With masking, normalization statistics come from the full window and the
+    Horizon 0 means reconstruction: the target is the window itself.  With
+    masking, normalization statistics come from the full window and the
     masked entries are zeroed after normalization; the loss mask scores
     exactly the masked coordinates.
     """
-    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
-    tokens, targets, scales, means, lasts, loss_masks = [], [], [], [], [], []
-    for ci, ch in enumerate(channel_split(dataset)):
-        inputs, _ = make_windows(ch, wspec, split)
-        x = inputs[:, :, 0]
-        norm, mu, sd = normalize_windows(x, eps)
-        if mask_counts is not None:
-            rng_ch = mask_rng.child(ci)
-            observed = np.stack(
-                [
-                    mask_with_count((lookback, 1), mask_counts, rng_ch.child(wi))[:, 0]
-                    for wi in range(x.shape[0])
-                ]
-            )
-            norm = norm * observed
-            loss_masks.append(1.0 - observed)
-        tokens.append(patchify_windows(norm, patch))
-        targets.append(x)
-        scales.append(sd)
-        means.append(mu)
-        lasts.append(x[:, -1])
+    inputs, outs = make_windows(dataset, wspec, split)
+    x = inputs.transpose(2, 0, 1).reshape(-1, wspec.lookback)
+    targets = outs.transpose(2, 0, 1).reshape(-1, wspec.horizon) if wspec.horizon else x
+    norm, mu, sd = normalize_windows(x, eps)
+    loss_mask = None
+    if mask_counts is not None:
+        shape = (wspec.lookback, 1)
+        observed = np.stack(
+            [
+                mask_with_count(shape, mask_counts, mask_rng.child(ci).child(wi))[:, 0]
+                for ci in range(dataset.n_channels)
+                for wi in range(inputs.shape[0])
+            ]
+        )
+        norm = norm * observed
+        loss_mask = 1.0 - observed
     return Samples(
-        tokens=np.concatenate(tokens),
-        targets=np.concatenate(targets),
-        scale=np.concatenate(scales),
-        mean=np.concatenate(means),
-        last=np.concatenate(lasts),
-        mask=np.concatenate(loss_masks) if loss_masks else None,
+        tokens=patchify_windows(norm, patch),
+        targets=targets,
+        scale=sd,
+        mean=mu,
+        last=x[:, -1].copy(),  # a view would keep every raw window alive
+        mask=loss_mask,
     )
 
 
@@ -241,27 +210,20 @@ def _derive_config(
 # training loop
 
 
+def _outputs(store, cfg, tokens) -> np.ndarray:
+    """Head outputs for every row, ``_EVAL_CHUNK`` windows per ``predict`` call."""
+    chunks = range(0, max(len(tokens), 1), _EVAL_CHUNK)  # an empty split still has a shape
+    return np.concatenate([predict(store, cfg, tokens[lo : lo + _EVAL_CHUNK]) for lo in chunks])
+
+
 def _eval_loss(store, cfg, samples: Samples, loss: str) -> float:
-    total, weight = 0.0, 0.0
-    for lo in range(0, samples.count, _EVAL_CHUNK):
-        idx = slice(lo, lo + _EVAL_CHUNK)
-        b = samples.batch(idx)
-        out = predict(store, cfg, b.tokens)
-        if loss == "cross_entropy":
-            z = out - out.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            total -= float(np.sum(logp[np.arange(out.shape[0]), b.labels]))
-            weight += out.shape[0]
-            continue
-        pred = out * b.out_scale[:, None] + b.out_mean[:, None]
-        diff = pred - b.targets
-        if loss == "masked_mse":
-            total += float(np.sum(b.mask * diff * diff))
-            weight += float(b.mask.sum())
-        else:
-            total += float(np.sum(diff * diff))
-            weight += diff.size
-    return total / max(weight, 1.0)
+    """The training loss over the whole split, without gradients."""
+    out = _outputs(store, cfg, samples.tokens)
+    return _loss_and_dout(out, samples.batch(slice(None)), loss)[0]
+
+
+def _predict_denorm(store, cfg, samples: Samples) -> np.ndarray:
+    return _outputs(store, cfg, samples.tokens) * samples.scale[:, None] + samples.mean[:, None]
 
 
 def _fit(
@@ -271,18 +233,19 @@ def _fit(
     tcfg: TrainConfig,
     loss: str,
     rng: RandomStream,
-    max_steps: int | None = None,
+    max_steps: float = math.inf,
 ):
     """Minibatch Adam with early stopping on validation loss.
 
-    Returns (best store, history); history holds the first epoch's per-step
-    training losses and the per-epoch validation losses.
+    Returns (store, history): the store with the best validation loss when
+    validation ran, the last store otherwise.  History holds the first
+    epoch's per-step training losses and the per-epoch validation losses.
     """
     store, cfg = setup.store, setup.cfg
     opt = AdamState(lr=tcfg.learning_rate)
+    validate = val is not None and val.count > 0
     best_store, best_val, strikes = store, math.inf, 0
-    first_epoch_losses: list[float] = []
-    val_history: list[float] = []
+    history: dict[str, list[float]] = {"train_first_epoch": [], "val": []}
     steps = 0
     for epoch in range(tcfg.epochs):
         order = rng.child(epoch).permutation(train.count)
@@ -293,36 +256,22 @@ def _fit(
                 store, cfg, train.batch(idx), loss, opt, setup.mask, dropout_rng=drop_rng
             )
             if epoch == 0:
-                first_epoch_losses.append(value)
+                history["train_first_epoch"].append(value)
             steps += 1
-            if max_steps is not None and steps >= max_steps:
-                return store, {"train_first_epoch": first_epoch_losses, "val": val_history}
-        if val is not None and val.count > 0:
+            if steps >= max_steps:
+                break
+        if steps >= max_steps:
+            break
+        if validate:
             vl = _eval_loss(store, cfg, val, loss)
-            val_history.append(vl)
+            history["val"].append(vl)
             if vl < best_val:
                 best_val, best_store, strikes = vl, store, 0
             else:
                 strikes += 1
                 if strikes >= tcfg.early_stop_patience:
-                    return best_store, {
-                        "train_first_epoch": first_epoch_losses,
-                        "val": val_history,
-                    }
-        else:
-            best_store = store
-    if val is not None and val.count > 0 and best_val < math.inf:
-        store = best_store
-    return store, {"train_first_epoch": first_epoch_losses, "val": val_history}
-
-
-def _predict_denorm(store, cfg, samples: Samples) -> np.ndarray:
-    preds = []
-    for lo in range(0, samples.count, _EVAL_CHUNK):
-        idx = slice(lo, lo + _EVAL_CHUNK)
-        out = predict(store, cfg, samples.tokens[idx])
-        preds.append(out * samples.scale[idx, None] + samples.mean[idx, None])
-    return np.concatenate(preds)
+                    break
+    return (store if best_val == math.inf else best_store), history
 
 
 def _config_hash(**parts) -> str:
@@ -358,8 +307,8 @@ def _train_forecast(dataset, wspec, base_cfg, tcfg, patch, weights, eps):
     cfg = _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    train = _forecast_samples(dataset, wspec, patch, eps, "train")
-    val = _forecast_samples(dataset, wspec, patch, eps, "val")
+    train = _samples(dataset, wspec, patch, eps, "train")
+    val = _samples(dataset, wspec, patch, eps, "val")
     store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
     return store, setup.cfg, history
 
@@ -381,7 +330,7 @@ def run_forecast(
     store, cfg, history = _train_forecast(
         dataset, wspec, base_cfg, tcfg, patch, weights, revin_eps
     )
-    test = _forecast_samples(dataset, wspec, patch, revin_eps, "test")
+    test = _samples(dataset, wspec, patch, revin_eps, "test")
     preds = _predict_denorm(store, cfg, test)
     naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
     report = MetricReport(
@@ -445,7 +394,7 @@ def run_zero_shot(
         source, wspec, base_cfg, tcfg, patch, weights, revin_eps
     )
     hash_before = param_hash(store)
-    test = _forecast_samples(target, wspec, patch, revin_eps, "test")
+    test = _samples(target, wspec, patch, revin_eps, "test")
     preds = _predict_denorm(store, cfg, test)
     hash_after = param_hash(store)
     naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
@@ -501,6 +450,7 @@ def run_imputation(
     if not ratios or not all(0.0 < r < 1.0 for r in ratios):
         raise InvalidInput("mask ratios must lie in (0, 1)")
     stride = stride or max(1, lookback // 8)
+    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
     report = MetricReport(
         metadata=_base_metadata(
@@ -525,33 +475,21 @@ def run_imputation(
     for ri, ratio in enumerate(ratios):
         rng = seeded_rng(tcfg.seed).child(100 + ri)
         n_masked = max(1, int(math.floor(ratio * lookback + 0.5)))
-        parts = {}
-        for si, split in enumerate(("train", "val", "test")):
-            parts[split] = _reconstruction_samples(
-                dataset,
-                lookback,
-                stride,
-                patch,
-                revin_eps,
-                split,
-                mask_counts=n_masked,
-                mask_rng=rng.child(10 + si),
-            )
-        setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-        store, history = _fit(setup, parts["train"], parts["val"], tcfg, "masked_mse", rng.child(2))
-        stores[ratio] = store
-        test = parts["test"]
-        preds = _predict_denorm(store, setup.cfg, test)
-        scored = test.mask.astype(bool)
-        err = preds[scored] - test.targets[scored]
-        # mean-imputation baseline: predict the window mean at masked points
-        base_err = np.repeat(test.mean[:, None], lookback, axis=1)[scored] - test.targets[scored]
-        report.metadata["baseline"][f"ratio={ratio}"] = {"MSE": float(np.mean(base_err**2))}
-        report.metadata["history"][f"ratio={ratio}"] = history
-        report.add_row(
-            f"ratio={ratio}",
-            {"MSE": float(np.mean(err**2)), "MAE": float(np.mean(np.abs(err)))},
+        train, val, test = (
+            _samples(dataset, wspec, patch, revin_eps, split, n_masked, rng.child(10 + si))
+            for si, split in enumerate(("train", "val", "test"))
         )
+        setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
+        store, history = _fit(setup, train, val, tcfg, "masked_mse", rng.child(2))
+        stores[ratio] = store
+        scored = test.mask.astype(bool)
+        truth = test.targets[scored]
+        preds = _predict_denorm(store, setup.cfg, test)[scored]
+        # mean-imputation baseline: predict the window mean at masked points
+        window_means = np.repeat(test.mean[:, None], lookback, axis=1)[scored]
+        report.metadata["baseline"][f"ratio={ratio}"] = {"MSE": mse(truth, window_means)}
+        report.metadata["history"][f"ratio={ratio}"] = history
+        report.add_row(f"ratio={ratio}", {"MSE": mse(truth, preds), "MAE": mae(truth, preds)})
     return report.finalize(), stores
 
 
@@ -588,8 +526,7 @@ def run_classification(
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
     store, history = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
     cfg = setup.cfg
-    out = predict(store, cfg, test.tokens)
-    pred_classes = np.argmax(out, axis=1)
+    pred_classes = np.argmax(_outputs(store, cfg, test.tokens), axis=1)
     accuracy = float(np.mean(pred_classes == test.labels))
     report = MetricReport(
         metadata=_base_metadata(
@@ -660,11 +597,12 @@ def run_anomaly(
     if dataset.labels is None or dataset.label_kind != "timestep":
         raise InvalidInput("anomaly detection needs one binary label per timestep")
     stride = stride or max(1, lookback // 8)
+    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    train = _reconstruction_samples(dataset, lookback, stride, patch, revin_eps, "train")
-    val = _reconstruction_samples(dataset, lookback, stride, patch, revin_eps, "val")
+    train = _samples(dataset, wspec, patch, revin_eps, "train")
+    val = _samples(dataset, wspec, patch, revin_eps, "val")
     store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
 
     bounds = dataset.split_bounds()
@@ -736,7 +674,7 @@ def run_ablation_suite(
             ),
         )
     )
-    test = _forecast_samples(dataset, wspec, patch, revin_eps, "test")
+    test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[: min(8, test.count)]
     step0: dict[str, np.ndarray] = {}
     for arm in arms:

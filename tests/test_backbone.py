@@ -113,6 +113,28 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match=f"ln_f.beta: {field}"):
             load_weights(tmp_path / "model", cfg)
 
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("overlap", "ln_f.gamma: offset .* overlaps tensor 'ln_f.beta'"),
+            ("trailing", "weights.bin holds .* bytes but its tensors cover"),
+        ],
+    )
+    def test_bad_layout_is_format_error(self, tmp_path, corruption, message):
+        cfg = tiny_backbone()
+        save_weights(init_random(cfg, seeded_rng(3)), tmp_path / "model")
+        if corruption == "overlap":
+            mpath = tmp_path / "model" / "manifest.json"
+            manifest = json.loads(mpath.read_text())
+            entries = {e["name"]: e for e in manifest["tensors"]}
+            entries["ln_f.gamma"]["offset"] = entries["ln_f.beta"]["offset"]
+            mpath.write_text(json.dumps(manifest))
+        else:
+            bpath = tmp_path / "model" / "weights.bin"
+            bpath.write_bytes(bpath.read_bytes() + bytes(4))
+        with pytest.raises(FormatError, match=message):
+            load_weights(tmp_path / "model", cfg)
+
     def test_non_finite_value_is_numerical_failure(self, tmp_path):
         cfg = tiny_backbone()
         save_weights(init_random(cfg, seeded_rng(3)), tmp_path / "model")

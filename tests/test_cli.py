@@ -46,6 +46,17 @@ def _strip_timestamp(report_path):
     return json.dumps(obj, sort_keys=True)
 
 
+def _with(config: dict, updates: dict) -> dict:
+    """A copy of config with nested sections updated key by key."""
+    out = json.loads(json.dumps(config))
+    for key, value in updates.items():
+        if isinstance(value, dict):
+            out[key] = {**out.get(key, {}), **value}
+        else:
+            out[key] = value
+    return out
+
+
 class TestTrainCommand:
     def test_smoke_writes_report_and_weights(self, workspace, capsys):
         tmp, cfg_path, _ = workspace
@@ -87,6 +98,52 @@ class TestTrainCommand:
         bad.write_text(json.dumps(config))
         assert main(["train", "--config", str(bad), "--output", str(tmp / "o2")]) == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, updates, where",
+        [
+            ("train", {"backbone": {"dropout": "x"}}, "config.backbone.dropout"),
+            ("train", {"backbone": {"causal": "yes"}}, "config.backbone.causal"),
+            ("train", {"backbone": {"max_tokens": "64"}}, "config.backbone.max_tokens"),
+            ("train", {"train": {"early_stop_patience": "3"}}, "config.train.early_stop_patience"),
+            ("train", {"train": {"seed": 1.5}}, "config.train.seed"),
+            ("train", {"train": {"ablation": 3}}, "config.train.ablation"),
+            ("train", {"window": {"stride": "x"}}, "config.window.stride"),
+            ("train", {"revin_eps": "x"}, "config.revin_eps"),
+            ("anomaly", {"anomaly": {"point_adjust": "yes"}}, "config.anomaly.point_adjust"),
+            ("anomaly", {"anomaly": {"stride": "8"}}, "config.anomaly.stride"),
+            (
+                "impute",
+                {"imputation": {"mask_ratios": [0.5], "stride": 2.5}},
+                "config.imputation.stride",
+            ),
+            ("fewshot", {"fewshot": {"percent": 0.5, "position": 1}}, "config.fewshot.position"),
+            (
+                "zeroshot",
+                {"zeroshot": {"source": "sine", "target": "shifted", "metric": 5}},
+                "config.zeroshot.metric",
+            ),
+        ],
+    )
+    def test_ill_typed_optional_key_exits_2(self, workspace, capsys, command, updates, where):
+        tmp, cfg_path, config = workspace
+        cfg_path.write_text(json.dumps(_with(config, updates)))
+        assert main([command, "--config", str(cfg_path), "--output", str(tmp / "o")]) == 2
+        assert f"error: ConfigError: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "updates, message",
+        [
+            ({"window": {"lookback": -5}}, "lookback must be >= 1"),
+            ({"backbone": {"d_model": 8, "n_heads": 3}}, "n_heads must divide d_model"),
+            ({"train": {"ablation": "nope"}}, "ablation must be one of"),
+        ],
+    )
+    def test_invalid_config_value_exits_2(self, workspace, capsys, updates, message):
+        tmp, cfg_path, config = workspace
+        cfg_path.write_text(json.dumps(_with(config, updates)))
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "o")]) == 2
+        assert f"error: ConfigError: config: {message}" in capsys.readouterr().err
 
     def test_eval_uses_saved_weights(self, workspace):
         tmp, cfg_path, _ = workspace

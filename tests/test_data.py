@@ -8,7 +8,6 @@ from fpt.data import (
     SplitSpec,
     TimeSeriesDataset,
     WindowSpec,
-    channel_split,
     few_shot_subset,
     load_csv,
     load_from_manifest,
@@ -96,26 +95,6 @@ class TestManifest:
         write_manifest(tmp_path / "m.json", {})
         with pytest.raises(FormatError):
             load_from_manifest(tmp_path / "m.json", "missing")
-
-
-class TestChannelSplit:
-    def test_seven_channels(self):
-        ds = TimeSeriesDataset(name="x", values=seeded_rng(0).normal((30, 7)))
-        parts = channel_split(ds)
-        assert len(parts) == 7
-        assert all(p.n_channels == 1 for p in parts)
-
-    def test_singleton(self):
-        ds = TimeSeriesDataset(name="x", values=seeded_rng(1).normal((30, 1)))
-        parts = channel_split(ds)
-        assert len(parts) == 1
-        assert np.array_equal(parts[0].values, ds.values)
-
-    def test_columnwise_round_trip(self):
-        ds = TimeSeriesDataset(name="x", values=seeded_rng(2).normal((25, 4)))
-        parts = channel_split(ds)
-        rebuilt = np.concatenate([p.values for p in parts], axis=1)
-        assert np.array_equal(rebuilt, ds.values)
 
 
 class TestMakeWindows:

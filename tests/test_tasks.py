@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import tiny_backbone
+from fpt import tasks
 from fpt.backbone import gpt0_config, init_random, param_hash, predict
-from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec
+from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, make_windows, mask_with_count
 from fpt.errors import InvalidInput, MissingWeights
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
@@ -14,6 +16,7 @@ from fpt.tasks import (
     TrainConfig,
     _derive_config,
     _reconstruction_errors,
+    _samples,
     _tile_starts,
     make_ablation,
     run_anomaly,
@@ -54,6 +57,57 @@ def test_fully_unmasked_loss_rejected():
     )
     with pytest.raises(InvalidInput):
         loss_and_grads(store, cfg, batch, "masked_mse")
+
+
+class TestSamples:
+    """``_samples`` windows every channel in one pass; the reference is the
+    one-dataset-per-channel loop it replaced."""
+
+    def _three_channels(self) -> TimeSeriesDataset:
+        values = np.stack([sinusoid(400, 24.0), 3.0 * sinusoid(400, 7.0), sinusoid(400, 50.0)], 1)
+        values = values + seeded_rng(5).normal(values.shape, scale=0.1)
+        return TimeSeriesDataset(name="three", values=values)
+
+    @staticmethod
+    def _per_channel(ds, wspec, eps, split, mask_counts=None, mask_rng=None):
+        parts = {k: [] for k in ("tokens", "targets", "scale", "mean", "last", "mask")}
+        for ci in range(ds.n_channels):
+            inputs, outs = make_windows(replace(ds, values=ds.values[:, ci : ci + 1]), wspec, split)
+            x = inputs[:, :, 0]
+            norm, mu, sd = normalize_windows(x, eps)
+            if mask_counts is not None:
+                rng_ch = mask_rng.child(ci)
+                observed = np.stack(
+                    [
+                        mask_with_count((wspec.lookback, 1), mask_counts, rng_ch.child(wi))[:, 0]
+                        for wi in range(x.shape[0])
+                    ]
+                )
+                norm = norm * observed
+                parts["mask"].append(1.0 - observed)
+            parts["tokens"].append(patchify_windows(norm, PATCH))
+            parts["targets"].append(outs[:, :, 0] if wspec.horizon else x)
+            parts["scale"].append(sd)
+            parts["mean"].append(mu)
+            parts["last"].append(x[:, -1])
+        return {k: np.concatenate(v) if v else None for k, v in parts.items()}
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_forecast_matches_per_channel_loop(self, split):
+        ds = self._three_channels()
+        got = _samples(ds, WSPEC, PATCH, 1e-5, split)
+        want = self._per_channel(ds, WSPEC, 1e-5, split)
+        for key, value in want.items():
+            np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_masked_reconstruction_matches_per_channel_loop(self, split):
+        ds = self._three_channels()
+        wspec = WindowSpec(lookback=48, horizon=0, stride=6)
+        got = _samples(ds, wspec, PATCH, 1e-5, split, mask_counts=12, mask_rng=seeded_rng(8))
+        want = self._per_channel(ds, wspec, 1e-5, split, mask_counts=12, mask_rng=seeded_rng(8))
+        for key, value in want.items():
+            np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
 
 
 class TestMakeAblation:
@@ -181,6 +235,20 @@ class TestClassification:
 
         assert trained(0.3) == trained(0.3)
         assert trained(0.3) != trained(0.0)
+
+    def test_test_split_scored_in_eval_chunks(self, monkeypatch):
+        rows = []
+
+        def counting_predict(store, cfg, tokens):
+            rows.append(len(tokens))
+            return predict(store, cfg, tokens)
+
+        monkeypatch.setattr(tasks, "predict", counting_predict)
+        monkeypatch.setattr(tasks, "_EVAL_CHUNK", 8)
+        ds = self._corpus(n_series=60, length=64)  # 12 test series
+        report, _ = run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
+        assert report.metadata["n_test"] > 8
+        assert rows and max(rows) <= 8
 
     def test_single_class_rejected(self):
         values, _ = classification_values(20, 64, seeded_rng(71))
