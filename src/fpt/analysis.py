@@ -183,7 +183,7 @@ def bruteforce_rank_m_objective(
     never touches the eigendecomposition path.
     """
     xc = _centered(x)
-    n, d = xc.shape
+    d = xc.shape[1]
     if not 1 <= m <= d:
         raise InvalidInput(f"rank m={m} must be in [1, {d}]")
     s = xc.T @ xc
@@ -191,29 +191,26 @@ def bruteforce_rank_m_objective(
 
     u = rng.normal((restarts, d, m), scale=0.3)
     v = rng.normal((restarts, d, m), scale=0.3)
+    uv = np.concatenate([u, v], axis=2)  # U | V per restart
     lr = np.full(restarts, init_lr)
 
-    def objective(uu, vv):
-        a = uu @ vv.swapaxes(1, 2)
-        residual = xc[None] - np.einsum("ni,rji,jk->rnk", xc, a, s)
-        return np.sum(residual * residual, axis=(1, 2))
+    def objective(uv):
+        # ||X (I - A^T S)||_F^2 = sum(M * (S M)) with M = I - V U^T S: all d x d
+        mm = eye - uv[..., m:] @ uv[..., :m].swapaxes(1, 2) @ s
+        return np.sum(mm * (s @ mm), axis=(1, 2))
 
-    obj = objective(u, v)
+    obj = objective(uv)
     for _ in range(steps):
-        a = u @ v.swapaxes(1, 2)
-        r_mat = eye[None] - np.einsum("ij,rjk->rik", s, a)
-        g_a = -2.0 * np.einsum("ij,rjk,kl->ril", s, r_mat, s)
-        g_u = g_a @ v
-        g_v = g_a.swapaxes(1, 2) @ u
+        u, v = uv[..., :m], uv[..., m:]
+        g_a = -2.0 * s @ (eye - s @ u @ v.swapaxes(1, 2)) @ s
+        g = np.concatenate([g_a @ v, g_a.swapaxes(1, 2) @ u], axis=2)
         pending = np.ones(restarts, dtype=bool)
         for _ in range(40):
-            cand_u = u - lr[:, None, None] * g_u
-            cand_v = v - lr[:, None, None] * g_v
-            cand_obj = objective(cand_u, cand_v)
+            cand = uv - lr[:, None, None] * g
+            cand_obj = objective(cand)
             accept = pending & (cand_obj <= obj)
-            u[accept] = cand_u[accept]
-            v[accept] = cand_v[accept]
-            obj[accept] = cand_obj[accept]
+            np.copyto(uv, cand, where=accept[:, None, None])
+            np.copyto(obj, cand_obj, where=accept)
             pending &= ~accept
             if not pending.any():
                 break

@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     FormatError,
     FptError,
+    InsufficientData,
     InvalidInput,
     IoError,
     MissingWeights,
@@ -57,7 +58,7 @@ from .tasks import (
     synthetic_pretrain,
 )
 
-_CONFIG_ERRORS = (ConfigError, FormatError, ShapeError, MissingWeights, IoError)
+_CONFIG_ERRORS = (ConfigError, FormatError, ShapeError, MissingWeights, IoError, InsufficientData)
 
 _TASKS = ("forecast", "imputation", "classification", "anomaly", "fewshot", "zeroshot")
 
@@ -219,7 +220,8 @@ def _validate_config(cfg: dict, task: str) -> dict:
         _optional(zs, "metric", str, "config.zeroshot")
     else:
         _require(ds, "name", str, "config.dataset")
-    _optional(cfg, "revin_eps", float, "config")
+    if "revin_eps" in cfg and _require(cfg, "revin_eps", float, "config") < 0:
+        raise ConfigError("config: revin_eps must be nonnegative")
     win = _require(cfg, "window", dict, "config")
     _require(win, "lookback", int, "config.window")
     _optional(win, "stride", int, "config.window")
@@ -308,7 +310,10 @@ def _build_parts(cfg: dict, args):
 
 def _load_dataset(cfg: dict, name: str | None = None):
     ds = cfg["dataset"]
-    return load_from_manifest(ds["manifest"], name or ds["name"])
+    try:
+        return load_from_manifest(ds["manifest"], name or ds["name"])
+    except InvalidInput as exc:
+        raise ConfigError(f"manifest {ds['manifest']}: {exc}") from None
 
 
 def _resolve_weights(cfg: dict, args):

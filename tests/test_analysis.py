@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -164,6 +165,73 @@ class TestOptimalPcaAttention:
             optimal_pca_attention(x, 0)
         with pytest.raises(InvalidInput):
             optimal_pca_attention(x, 4)
+
+
+def _residual_oracle(x, m, rng, restarts=10, steps=1500, init_lr=1e-2):
+    """Reference oracle in residual form: it forms the (restarts, n, d)
+    residual X - X A^T S of every candidate, with the same draws, steps and
+    backtracking as bruteforce_rank_m_objective."""
+    xc = x - x.mean(axis=0, keepdims=True)
+    s = xc.T @ xc
+    eye = np.eye(xc.shape[1])
+    u = rng.normal((restarts, xc.shape[1], m), scale=0.3)
+    v = rng.normal((restarts, xc.shape[1], m), scale=0.3)
+    lr = np.full(restarts, init_lr)
+
+    def objective(uu, vv):
+        a = uu @ vv.swapaxes(1, 2)
+        residual = xc[None] - np.einsum("ni,rji,jk->rnk", xc, a, s)
+        return np.sum(residual * residual, axis=(1, 2))
+
+    obj = objective(u, v)
+    for _ in range(steps):
+        a = u @ v.swapaxes(1, 2)
+        r_mat = eye[None] - np.einsum("ij,rjk->rik", s, a)
+        g_a = -2.0 * np.einsum("ij,rjk,kl->ril", s, r_mat, s)
+        g_u = g_a @ v
+        g_v = g_a.swapaxes(1, 2) @ u
+        pending = np.ones(restarts, dtype=bool)
+        for _ in range(40):
+            cand_u = u - lr[:, None, None] * g_u
+            cand_v = v - lr[:, None, None] * g_v
+            cand_obj = objective(cand_u, cand_v)
+            accept = pending & (cand_obj <= obj)
+            u[accept] = cand_u[accept]
+            v[accept] = cand_v[accept]
+            obj[accept] = cand_obj[accept]
+            pending &= ~accept
+            if not pending.any():
+                break
+            lr[pending] *= 0.5
+        lr[~pending] *= 1.2
+        np.clip(lr, 1e-12, 10.0 * init_lr, out=lr)
+    return float(obj.min())
+
+
+class TestBruteforceOracle:
+    def test_zero_steps_is_best_initial_draw(self):
+        x = seeded_rng(14).normal((9, 4))
+        draws = seeded_rng(15)
+        u = draws.normal((6, 4, 2), scale=0.3)
+        v = draws.normal((6, 4, 2), scale=0.3)
+        expected = min(attention_objective(x, u[r] @ v[r].T) for r in range(6))
+        got = bruteforce_rank_m_objective(x, 2, seeded_rng(15), restarts=6, steps=0)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_residual_form_on_c03_trials(self):
+        rng = seeded_rng(31)  # the c03 suite's trial streams
+        for trial in range(10):
+            stream = rng.child(trial)
+            d = 2 + stream.integers(5)
+            n = d + 1 + stream.integers(16 - d)
+            x = stream.normal((n, d))
+            m = 1 + stream.integers(d)
+            ref = _residual_oracle(x, m, copy.deepcopy(stream))
+            got = bruteforce_rank_m_objective(x, m, stream, restarts=10, steps=1500)
+            if ref > 1e-12:
+                assert got == pytest.approx(ref, rel=1e-9), trial
+            else:  # exact-zero optimum (m = d): compare absolutely
+                assert got == pytest.approx(ref, abs=1e-18), trial
 
 
 class TestJacobianBound:

@@ -137,6 +137,7 @@ class TestTrainCommand:
             ({"window": {"lookback": -5}}, "lookback must be >= 1"),
             ({"backbone": {"d_model": 8, "n_heads": 3}}, "n_heads must divide d_model"),
             ({"train": {"ablation": "nope"}}, "ablation must be one of"),
+            ({"revin_eps": -1.0}, "revin_eps must be nonnegative"),
         ],
     )
     def test_invalid_config_value_exits_2(self, workspace, capsys, updates, message):
@@ -144,6 +145,23 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(_with(config, updates)))
         assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "o")]) == 2
         assert f"error: ConfigError: config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "split, lookback, message",
+        [
+            ([0.5, 0.1, 0.1], 48, "ConfigError: manifest"),
+            ([0.7, 0.1, 0.2], 480, "InsufficientData: train segment"),
+        ],
+        ids=["split-not-summing-to-1", "lookback-beyond-train-split"],
+    )
+    def test_unusable_data_exits_2(self, workspace, capsys, split, lookback, message):
+        tmp, cfg_path, config = workspace
+        write_manifest(tmp / "manifest.json", {"sine": {"path": "sine.csv", "split": split}})
+        cfg_path.write_text(json.dumps(_with(config, {"window": {"lookback": lookback}})))
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "o")]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], err
 
     def test_eval_uses_saved_weights(self, workspace):
         tmp, cfg_path, _ = workspace
