@@ -516,8 +516,8 @@ def batch_layer_similarity(trace_batch) -> list[float]:
     means = []
     for layer in trace_batch:
         x = np.asarray(layer, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] < 2:
-            raise InvalidInput("each layer needs (B, n>=2, d) token outputs")
+        if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 2:
+            raise InvalidInput("each layer needs (B>=1, n>=2, d) token outputs")
         norms = np.linalg.norm(x, axis=2, keepdims=True)
         xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
         sims = np.clip(xn @ xn.swapaxes(1, 2), -1.0, 1.0)

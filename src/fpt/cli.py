@@ -35,19 +35,20 @@ from .backbone import BackboneConfig, forward, load_weights, save_weights
 from .data import WindowSpec, load_from_manifest
 from .errors import (
     ConfigError,
-    FormatError,
+    DegenerateScale,
     FptError,
-    InsufficientData,
     InvalidInput,
-    IoError,
     MissingWeights,
-    ShapeError,
+    NumericalFailure,
+    RankDeficient,
 )
 from .metrics import MetricReport
 from .preprocess import PatchConfig
 from .rng import seeded_rng
 from .tasks import (
     TrainConfig,
+    _derive_config,
+    _samples,
     run_ablation_suite,
     run_anomaly,
     run_classification,
@@ -58,7 +59,8 @@ from .tasks import (
     synthetic_pretrain,
 )
 
-_CONFIG_ERRORS = (ConfigError, FormatError, ShapeError, MissingWeights, IoError, InsufficientData)
+# Exit 3; every other FptError is a config or input error and exits 2.
+_NUMERICAL_ERRORS = (NumericalFailure, RankDeficient, DegenerateScale)
 
 _TASKS = ("forecast", "imputation", "classification", "anomaly", "fewshot", "zeroshot")
 
@@ -71,12 +73,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except FptError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,13 +143,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("convergence", help="attention-output concentration rate")
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--d", type=int, default=8)
-    p.add_argument("--n-grid", default="16,64,256,1024")
+    p.add_argument("--n-grid", type=_comma_list(int), default="16,64,256,1024")
     p.add_argument("--trials", type=int, default=200)
     common(p, needs_config=False)
     p.set_defaults(func=_cmd_convergence)
 
     p = asub.add_parser("sgd-rate", help="SGD step counts vs feature conditioning")
-    p.add_argument("--sigmas", default="1,0.1,0.01")
+    p.add_argument("--sigmas", type=_comma_list(float), default="1,0.1,0.01")
     p.add_argument("--eps", type=float, default=1e-3)
     common(p, needs_config=False)
     p.set_defaults(func=_cmd_sgd_rate)
@@ -159,17 +158,38 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("softmax", "pca"), default="softmax")
     p.add_argument("--pca-m", type=int, default=None)
-    p.add_argument("--eval-batch", type=int, default=16)
+    p.add_argument("--eval-batch", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_similarity)
 
     p = asub.add_parser("mix-sweep", help="weight mixing ratio sweep with similarity and MSE")
     common(p)
-    p.add_argument("--ratios", default="0,0.25,0.5,0.75,1.0")
+    p.add_argument("--ratios", type=_comma_list(float), default="0,0.25,0.5,0.75,1.0")
     p.add_argument("--finetune-steps", type=int, default=50)
     p.add_argument("--mix-mode", choices=("replace", "interpolate"), default="replace")
     p.set_defaults(func=_cmd_mix_sweep)
 
     return parser
+
+
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -186,139 +206,137 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
 
 
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    value = obj[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
-    return value
+_REQUIRED = object()  # a _SCHEMA row with no default
+
+_ALL = _TASKS + ("ablate",)
+_FORECASTING = ("forecast", "fewshot", "zeroshot", "ablate")
+_ONE_DATASET = tuple(t for t in _ALL if t != "zeroshot")  # zeroshot names source and target
+
+# One row per run-config key: (dotted path, type, default or _REQUIRED, tasks
+# that read it).  Types and defaults only: the constructors and runners make
+# the range checks, and the InvalidInput they raise exits 2.  Null stands for
+# the default only where the default is None.  The keys of the window, patch,
+# backbone, train and donor sections are the keyword names of WindowSpec,
+# PatchConfig, BackboneConfig, TrainConfig and synthetic_pretrain.
+_SCHEMA = (
+    ("dataset.manifest", str, _REQUIRED, _ALL),
+    ("dataset.name", str, _REQUIRED, _ONE_DATASET),
+    ("zeroshot.source", str, _REQUIRED, ("zeroshot",)),
+    ("zeroshot.target", str, _REQUIRED, ("zeroshot",)),
+    ("zeroshot.metric", str, "smape", ("zeroshot",)),
+    ("weights", str, None, _ALL),
+    ("revin_eps", float, 1e-5, _ALL),
+    ("window.lookback", int, _REQUIRED, _ALL),
+    ("window.horizon", int, _REQUIRED, _FORECASTING),
+    ("window.horizon", int, 0, ("imputation", "classification", "anomaly")),
+    ("window.stride", int, 1, _ALL),
+    ("patch.patch_len", int, _REQUIRED, _ALL),
+    ("patch.stride", int, _REQUIRED, _ALL),
+    ("backbone.n_layers", int, _REQUIRED, _ALL),
+    ("backbone.d_model", int, _REQUIRED, _ALL),
+    ("backbone.n_heads", int, _REQUIRED, _ALL),
+    ("backbone.d_ff", int, _REQUIRED, _ALL),
+    ("backbone.dropout", float, 0.0, _ALL),
+    ("backbone.causal", bool, False, _ALL),
+    ("backbone.max_tokens", int, 512, _ALL),
+    ("train.epochs", int, _REQUIRED, _ALL),
+    ("train.batch_size", int, _REQUIRED, _ALL),
+    ("train.learning_rate", float, _REQUIRED, _ALL),
+    ("train.early_stop_patience", int, 3, _ALL),
+    ("train.seed", int, 0, _ALL),
+    ("train.ablation", str, "no_pretrain", _ALL),
+    ("imputation.mask_ratios", list, _REQUIRED, ("imputation",)),
+    ("imputation.stride", int, None, ("imputation",)),
+    ("fewshot.percent", float, _REQUIRED, ("fewshot",)),
+    ("fewshot.position", str, "suffix", ("fewshot",)),
+    ("anomaly.quantile", float, 0.99, ("anomaly",)),
+    ("anomaly.point_adjust", bool, False, ("anomaly",)),
+    ("anomaly.stride", int, None, ("anomaly",)),
+    ("classification.n_classes", int, None, ("classification",)),
+    ("donor.length", int, 4096, ("ablate",)),
+    ("donor.n_channels", int, 4, ("ablate",)),
+    ("donor.noise", float, 0.05, ("ablate",)),
+)
 
 
-def _optional(obj: dict, key: str, kind, where: str) -> None:
-    if key in obj:
-        _require(obj, key, kind, where)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _validate_config(cfg: dict, task: str) -> dict:
-    if task not in _TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
-    ds = _require(cfg, "dataset", dict, "config")
-    _require(ds, "manifest", str, "config.dataset")
-    if task == "zeroshot":
-        zs = _require(cfg, "zeroshot", dict, "config")
-        _require(zs, "source", str, "config.zeroshot")
-        _require(zs, "target", str, "config.zeroshot")
-        _optional(zs, "metric", str, "config.zeroshot")
-    else:
-        _require(ds, "name", str, "config.dataset")
-    if "revin_eps" in cfg and _require(cfg, "revin_eps", float, "config") < 0:
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    bool: ("bool", lambda v: isinstance(v, bool)),
+    str: ("str", lambda v: isinstance(v, str)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
+def _resolve(cfg, task: str | None) -> dict:
+    """Walk _SCHEMA over a parsed config.  Returns the value of every row the
+    task reads, keyed by dotted path, with defaults filled in, plus the task
+    itself; a task of None is read from the config's ``task`` selector."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config: expected an object, got {type(cfg).__name__}")
+    if task is None:
+        task = cfg.get("task", "forecast")
+        if task not in _TASKS:
+            raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
+    resolved = {"task": task}
+    for path, kind, default, tasks in _SCHEMA:
+        if task not in tasks:
+            continue
+        node, where = cfg, "config"
+        for name in path.split("."):
+            if not isinstance(node, dict):
+                raise ConfigError(f"{where}: expected an object, got {node!r}")
+            if name not in node:
+                if default is _REQUIRED:
+                    raise ConfigError(f"{where}: missing required key {name!r}")
+                node = default
+                break
+            node, where = node[name], f"{where}.{name}"
+        else:
+            expected, ok = _KINDS[kind]
+            if not (ok(node) or (node is None and default is None)):
+                raise ConfigError(f"{where}: expected {expected}, got {node!r}")
+        resolved[path] = node
+    if resolved["revin_eps"] < 0:
         raise ConfigError("config: revin_eps must be nonnegative")
-    win = _require(cfg, "window", dict, "config")
-    _require(win, "lookback", int, "config.window")
-    _optional(win, "stride", int, "config.window")
-    if task in ("forecast", "fewshot", "zeroshot"):
-        if _require(win, "horizon", int, "config.window") < 1:
-            raise ConfigError("config.window.horizon: must be >= 1 for forecasting tasks")
-    patch = _require(cfg, "patch", dict, "config")
-    _require(patch, "patch_len", int, "config.patch")
-    _require(patch, "stride", int, "config.patch")
-    bb = _require(cfg, "backbone", dict, "config")
-    for key in ("n_layers", "d_model", "n_heads", "d_ff"):
-        _require(bb, key, int, "config.backbone")
-    for key, kind in (("dropout", float), ("causal", bool), ("max_tokens", int)):
-        _optional(bb, key, kind, "config.backbone")
-    tr = _require(cfg, "train", dict, "config")
-    for key in ("epochs", "batch_size"):
-        _require(tr, key, int, "config.train")
-    _require(tr, "learning_rate", float, "config.train")
-    for key, kind in (("early_stop_patience", int), ("seed", int), ("ablation", str)):
-        _optional(tr, key, kind, "config.train")
-    if task == "imputation":
-        imp = _require(cfg, "imputation", dict, "config")
-        ratios = _require(imp, "mask_ratios", list, "config.imputation")
-        if not ratios:
-            raise ConfigError("config.imputation.mask_ratios: must be non-empty")
-        for r in ratios:
-            if not isinstance(r, (int, float)) or isinstance(r, bool):
-                raise ConfigError(f"config.imputation.mask_ratios: expected numbers, got {r!r}")
-        if imp.get("stride") is not None:  # null keeps the default stride
-            _require(imp, "stride", int, "config.imputation")
-    if task == "fewshot":
-        fs = _require(cfg, "fewshot", dict, "config")
-        _require(fs, "percent", float, "config.fewshot")
-        _optional(fs, "position", str, "config.fewshot")
-    if task == "anomaly":
-        an = cfg.get("anomaly", {})
-        if not isinstance(an, dict):
-            raise ConfigError("config.anomaly: expected an object")
-        _optional(an, "quantile", float, "config.anomaly")
-        _optional(an, "point_adjust", bool, "config.anomaly")
-        if an.get("stride") is not None:  # null keeps the default stride
-            _require(an, "stride", int, "config.anomaly")
-    if task == "classification":
-        cls = cfg.get("classification", {})
-        if not isinstance(cls, dict):
-            raise ConfigError("config.classification: expected an object")
-        if cls.get("n_classes") is not None:
-            _require(cls, "n_classes", int, "config.classification")
-    return cfg
+    if task in _FORECASTING and resolved["window.horizon"] < 1:
+        raise ConfigError("config.window.horizon: must be >= 1 for forecasting tasks")
+    return resolved
 
 
-def _build_parts(cfg: dict, args):
-    """Typed run configs; a value their constructors reject is a ConfigError."""
-    window, bb, tr = cfg["window"], cfg["backbone"], cfg["train"]
+def _kwargs(v: dict, section: str) -> dict:
+    """One section's resolved keys, as keywords of the constructor it feeds."""
+    prefix = section + "."
+    return {path[len(prefix) :]: value for path, value in v.items() if path.startswith(prefix)}
+
+
+def _build_parts(v: dict, args):
+    """Typed run configs and the weight path; a value the constructors reject
+    is a ConfigError."""
     try:
-        wspec = WindowSpec(
-            lookback=window["lookback"],
-            horizon=window.get("horizon", 0),
-            stride=window.get("stride", 1),
-        )
-        patch = PatchConfig(cfg["patch"]["patch_len"], cfg["patch"]["stride"])
+        wspec = WindowSpec(**_kwargs(v, "window"))
+        patch = PatchConfig(**_kwargs(v, "patch"))
         base = BackboneConfig(
-            n_layers=bb["n_layers"],
-            d_model=bb["d_model"],
-            n_heads=bb["n_heads"],
-            d_ff=bb["d_ff"],
-            max_tokens=bb.get("max_tokens", 512),
-            patch_len=patch.patch_len,
-            head_in=1,
-            head_out=1,
-            dropout=bb.get("dropout", 0.0),
-            causal=bb.get("causal", False),
+            **_kwargs(v, "backbone"), patch_len=patch.patch_len, head_in=1, head_out=1
         )
-        tcfg = TrainConfig(
-            epochs=tr["epochs"],
-            batch_size=tr["batch_size"],
-            learning_rate=tr["learning_rate"],
-            early_stop_patience=tr.get("early_stop_patience", 3),
-            seed=tr.get("seed", 0) if args.seed is None else args.seed,
-            ablation=tr.get("ablation", "no_pretrain"),
-        )
+        tcfg = TrainConfig(**_kwargs(v, "train"))
+        if args.seed is not None:
+            tcfg = replace(tcfg, seed=args.seed)
     except InvalidInput as exc:
         raise ConfigError(f"config: {exc}") from None
-    return wspec, patch, base, tcfg
+    return wspec, patch, base, tcfg, args.weights or v["weights"]
 
 
-def _load_dataset(cfg: dict, name: str | None = None):
-    ds = cfg["dataset"]
+def _load_dataset(v: dict, name: str | None = None):
+    manifest = v["dataset.manifest"]
     try:
-        return load_from_manifest(ds["manifest"], name or ds["name"])
+        return load_from_manifest(manifest, name or v["dataset.name"])
     except InvalidInput as exc:
-        raise ConfigError(f"manifest {ds['manifest']}: {exc}") from None
-
-
-def _resolve_weights(cfg: dict, args):
-    path = args.weights or cfg.get("weights")
-    return path
+        raise ConfigError(f"manifest {manifest}: {exc}") from None
 
 
 def _outdir(args) -> Path:
@@ -346,6 +364,16 @@ def _emit_json(obj: dict, out: Path, args, stem: str) -> None:
     )
 
 
+def _emit_csv(header: list, rows: list, out: Path, args, stem: str) -> str:
+    """Write a header and rows as CSV; returns the text written."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    _write_text(out / f"{stem}.csv", buf.getvalue(), args.overwrite)
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # task commands
 
@@ -360,15 +388,9 @@ _COMMAND_TASKS = {
 
 
 def _cmd_task(args) -> int:
-    cfg = _load_config(args.config)
-    if args.command in ("train", "eval"):
-        task = cfg.get("task", "forecast")
-    else:
-        task = _COMMAND_TASKS[args.command]
-    _validate_config(cfg, task)
-    wspec, patch, base, tcfg = _build_parts(cfg, args)
-    weights = _resolve_weights(cfg, args)
-    eps = cfg.get("revin_eps", 1e-5)
+    v = _resolve(_load_config(args.config), _COMMAND_TASKS.get(args.command))
+    task, eps = v["task"], v["revin_eps"]
+    wspec, patch, base, tcfg, weights = _build_parts(v, args)
     out = _outdir(args)
 
     if args.command == "eval":
@@ -376,64 +398,56 @@ def _cmd_task(args) -> int:
             raise MissingWeights("eval requires --weights (or config.weights)")
         tcfg = replace(tcfg, epochs=0, ablation="fpt")
 
+    # zeroshot trains on its source dataset and scores its target
+    dataset = _load_dataset(v, v["zeroshot.source"] if task == "zeroshot" else None)
     if task == "forecast":
-        dataset = _load_dataset(cfg)
         report, store = run_forecast(dataset, wspec, base, tcfg, patch, weights, eps)
     elif task == "fewshot":
-        dataset = _load_dataset(cfg)
-        fs = cfg["fewshot"]
         report, store = run_few_shot(
             dataset,
-            fs["percent"],
+            v["fewshot.percent"],
             wspec,
             base,
             tcfg,
             patch,
             weights,
             eps,
-            position=fs.get("position", "suffix"),
+            position=v["fewshot.position"],
         )
     elif task == "zeroshot":
-        zs = cfg["zeroshot"]
-        source = _load_dataset(cfg, zs["source"])
-        target = _load_dataset(cfg, zs["target"])
+        target = _load_dataset(v, v["zeroshot.target"])
         report, store = run_zero_shot(
-            source, target, wspec, base, tcfg, patch, zs.get("metric", "smape"), weights, eps
+            dataset, target, wspec, base, tcfg, patch, v["zeroshot.metric"], weights, eps
         )
     elif task == "imputation":
-        dataset = _load_dataset(cfg)
         report, stores = run_imputation(
             dataset,
-            cfg["imputation"]["mask_ratios"],
+            v["imputation.mask_ratios"],
             wspec.lookback,
             base,
             tcfg,
             patch,
             weights,
             eps,
-            stride=cfg["imputation"].get("stride"),
+            stride=v["imputation.stride"],
         )
         store = next(iter(stores.values()))
     elif task == "classification":
-        dataset = _load_dataset(cfg)
-        n_classes = cfg.get("classification", {}).get("n_classes")
         report, store = run_classification(
-            dataset, base, tcfg, patch, weights, eps, n_classes=n_classes
+            dataset, base, tcfg, patch, weights, eps, n_classes=v["classification.n_classes"]
         )
     else:
-        an = cfg.get("anomaly", {})
-        dataset = _load_dataset(cfg)
         report, store = run_anomaly(
             dataset,
-            an.get("quantile", 0.99),
+            v["anomaly.quantile"],
             wspec.lookback,
             base,
             tcfg,
             patch,
-            point_adjust=an.get("point_adjust", False),
+            point_adjust=v["anomaly.point_adjust"],
             weights=weights,
             revin_eps=eps,
-            stride=an.get("stride"),
+            stride=v["anomaly.stride"],
         )
 
     _emit_report(report, out, args)
@@ -446,31 +460,21 @@ def _cmd_task(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _load_config(args.config)
-    _validate_config(cfg, "forecast")
-    wspec, patch, base, tcfg = _build_parts(cfg, args)
-    eps = cfg.get("revin_eps", 1e-5)
+    v = _resolve(_load_config(args.config), "ablate")
+    wspec, patch, base, tcfg, weights = _build_parts(v, args)
     out = _outdir(args)
-    weights = _resolve_weights(cfg, args)
     if weights is None:
         if not args.synthetic_pretrain:
             raise MissingWeights(
                 "ablate needs --weights or --synthetic-pretrain to obtain donor weights"
             )
-        donor_cfg = cfg.get("donor", {})
-        store = synthetic_pretrain(
-            base,
-            wspec,
-            patch,
-            tcfg,
-            length=donor_cfg.get("length", 4096),
-            n_channels=donor_cfg.get("n_channels", 4),
-            noise=donor_cfg.get("noise", 0.05),
-        )
+        store = synthetic_pretrain(base, wspec, patch, tcfg, **_kwargs(v, "donor"))
         save_weights(store, out / "donor")
         weights = out / "donor"
-    dataset = _load_dataset(cfg)
-    report = run_ablation_suite(dataset, wspec, base, tcfg, patch, weights, revin_eps=eps)
+    dataset = _load_dataset(v)
+    report = run_ablation_suite(
+        dataset, wspec, base, tcfg, patch, weights, revin_eps=v["revin_eps"]
+    )
     _emit_report(report, out, args, stem="ablation")
     return 0
 
@@ -534,8 +538,7 @@ def _cmd_convergence(args) -> int:
     wq = rng.normal((d, d), scale=1.0 / np.sqrt(d))
     wk = rng.normal((d, d), scale=1.0 / np.sqrt(d))
     wv = rng.normal((d, d), scale=1.0 / np.sqrt(d))
-    n_grid = [int(s) for s in args.n_grid.split(",")]
-    res = attention_mean_convergence(mu, args.sigma, wq, wk, wv, n_grid, args.trials, rng)
+    res = attention_mean_convergence(mu, args.sigma, wq, wk, wv, args.n_grid, args.trials, rng)
     out = _outdir(args)
     _emit_json(
         {"sigma": args.sigma, "slope": res.slope, "points": [list(p) for p in res.points]},
@@ -543,19 +546,14 @@ def _cmd_convergence(args) -> int:
         args,
         "convergence",
     )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "mean_error"])
-    for n, e in res.points:
-        w.writerow([n, repr(e)])
-    _write_text(out / "convergence.csv", buf.getvalue(), args.overwrite)
+    rows = [[n, repr(e)] for n, e in res.points]
+    _emit_csv(["n", "mean_error"], rows, out, args, "convergence")
     print(f"slope = {res.slope:.4f}")
     return 0
 
 
 def _cmd_sgd_rate(args) -> int:
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    rows = sgd_rate_experiment(sigmas, args.eps, args.seed if args.seed is not None else 0)
+    rows = sgd_rate_experiment(args.sigmas, args.eps, args.seed if args.seed is not None else 0)
     out = _outdir(args)
     _emit_json({"eps": args.eps, "rows": rows}, out, args, "sgd_rate")
     for row in rows:
@@ -563,71 +561,54 @@ def _cmd_sgd_rate(args) -> int:
     return 0
 
 
-def _cmd_similarity(args) -> int:
-    cfg = _load_config(args.config)
-    _validate_config(cfg, "forecast")
-    wspec, patch, base, tcfg = _build_parts(cfg, args)
-    weights = _resolve_weights(cfg, args)
+def _load_model(args, needs: str):
+    """Resolved forecast config, typed parts, saved model and dataset for the
+    analyses that run a model on configured data."""
+    v = _resolve(_load_config(args.config), "forecast")
+    wspec, patch, base, tcfg, weights = _build_parts(v, args)
     if weights is None:
-        raise MissingWeights("similarity analysis requires --weights")
-    from .tasks import _derive_config, _samples
-
+        raise MissingWeights(f"{needs} requires --weights")
     derived = _derive_config(base, patch, wspec.lookback, wspec.horizon)
     store = load_weights(weights, derived)
-    dataset = _load_dataset(cfg)
-    samples = _samples(dataset, wspec, patch, cfg.get("revin_eps", 1e-5), "test")
+    return v, wspec, patch, base, tcfg, derived, store, _load_dataset(v)
+
+
+def _cmd_similarity(args) -> int:
+    v, wspec, patch, _, _, derived, store, dataset = _load_model(args, "similarity analysis")
+    samples = _samples(dataset, wspec, patch, v["revin_eps"], "test")
     probe = samples.tokens[: min(args.eval_batch, samples.count)]
     _, trace = forward(store, derived, probe, mode=args.mode, pca_m=args.pca_m)
     sims = batch_layer_similarity(trace)
     out = _outdir(args)
     _emit_json({"mode": args.mode, "similarity": sims}, out, args, "similarity")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["layer", "mean_cosine_similarity"])
-    for i, v in enumerate(sims):
-        w.writerow([i, repr(v)])
-    _write_text(out / "similarity.csv", buf.getvalue(), args.overwrite)
-    print(", ".join(f"{v:.4f}" for v in sims))
+    rows = [[i, repr(s)] for i, s in enumerate(sims)]
+    _emit_csv(["layer", "mean_cosine_similarity"], rows, out, args, "similarity")
+    print(", ".join(f"{s:.4f}" for s in sims))
     return 0
 
 
 def _cmd_mix_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    _validate_config(cfg, "forecast")
-    wspec, patch, base, tcfg = _build_parts(cfg, args)
-    weights = _resolve_weights(cfg, args)
-    if weights is None:
-        raise MissingWeights("mix-sweep requires --weights")
-    from .tasks import _derive_config
-
-    derived = _derive_config(base, patch, wspec.lookback, wspec.horizon)
-    store = load_weights(weights, derived)
-    dataset = _load_dataset(cfg)
-    ratios = [float(s) for s in args.ratios.split(",")]
+    v, wspec, patch, base, tcfg, _, store, dataset = _load_model(args, "mix-sweep")
     rows = mixed_weights_similarity_sweep(
         store,
         base,
         dataset,
         wspec,
         patch,
-        ratios,
+        args.ratios,
         seeded_rng(tcfg.seed),
         finetune_steps=args.finetune_steps,
         learning_rate=tcfg.learning_rate,
         batch_size=tcfg.batch_size,
-        revin_eps=cfg.get("revin_eps", 1e-5),
+        revin_eps=v["revin_eps"],
         mode=args.mix_mode,
     )
     out = _outdir(args)
     _emit_json({"rows": rows}, out, args, "mix_sweep")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     n_layers = len(rows[0]["similarity"]) if rows else 0
-    w.writerow(["ratio", "mse"] + [f"layer{i}" for i in range(n_layers)])
-    for row in rows:
-        w.writerow([row["ratio"], repr(row["mse"])] + [repr(v) for v in row["similarity"]])
-    _write_text(out / "mix_sweep.csv", buf.getvalue(), args.overwrite)
-    print(buf.getvalue(), end="")
+    header = ["ratio", "mse"] + [f"layer{i}" for i in range(n_layers)]
+    table = [[r["ratio"], repr(r["mse"])] + [repr(s) for s in r["similarity"]] for r in rows]
+    print(_emit_csv(header, table, out, args, "mix_sweep"), end="")
     return 0
 
 

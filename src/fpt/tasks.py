@@ -63,6 +63,12 @@ class TrainConfig:
     ablation: str = "no_pretrain"
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise InvalidInput("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise InvalidInput("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise InvalidInput("learning_rate must be > 0")
         if self.early_stop_patience < 1:
             raise InvalidInput("patience must be >= 1")
         if self.ablation not in ABLATION_ARMS:
@@ -449,7 +455,7 @@ def run_imputation(
     ratios = tuple(float(r) for r in ratios)
     if not ratios or not all(0.0 < r < 1.0 for r in ratios):
         raise InvalidInput("mask ratios must lie in (0, 1)")
-    stride = stride or max(1, lookback // 8)
+    stride = max(1, lookback // 8) if stride is None else stride
     wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
     report = MetricReport(
@@ -596,7 +602,7 @@ def run_anomaly(
         raise InvalidInput("quantile must be in (0, 1)")
     if dataset.labels is None or dataset.label_kind != "timestep":
         raise InvalidInput("anomaly detection needs one binary label per timestep")
-    stride = stride or max(1, lookback // 8)
+    stride = max(1, lookback // 8) if stride is None else stride
     wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
     rng = seeded_rng(tcfg.seed)
@@ -708,6 +714,8 @@ def synthetic_pretrain(
 ) -> ParameterStore:
     """Train a donor backbone on a procedurally generated corpus so that the
     freeze/transfer arms have stand-in pretrained weights."""
+    if length < 1 or n_channels < 1:
+        raise InvalidInput("donor length and n_channels must be >= 1")
     rng = seeded_rng(tcfg.seed).child(777)
     values = donor_values(length, n_channels, rng, noise=noise)
     donor = TimeSeriesDataset(name="synthetic-donor", values=values)

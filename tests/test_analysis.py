@@ -71,6 +71,10 @@ class TestTokenSimilarity:
         per_sample = [token_similarity([batch_layer[b]]).means[0] for b in range(4)]
         assert means[0] == pytest.approx(np.mean(per_sample), abs=1e-12)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidInput):
+            batch_layer_similarity([np.zeros((0, 5, 6))])
+
     def test_pca_replaced_forward_profile_bounded_same_shape(self):
         from fpt.backbone import forward
 

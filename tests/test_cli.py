@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fpt.cli import main
+from fpt.cli import _REQUIRED, _SCHEMA, main
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid, write_manifest, write_series_csv
 
@@ -201,6 +201,113 @@ class TestTrainCommand:
         (model / "manifest.json").write_text(json.dumps(manifest))
         assert main(argv + ["--output", str(tmp / "e2")]) == 2
         assert "error: FormatError:" in capsys.readouterr().err
+
+
+_TASK_COMMAND = {
+    "forecast": "train",
+    "imputation": "impute",
+    "classification": "classify",
+    "anomaly": "anomaly",
+    "fewshot": "fewshot",
+    "zeroshot": "zeroshot",
+    "ablate": "ablate",
+}
+
+# The sections each task needs beyond the workspace forecast config.
+_TASK_SECTIONS = {
+    "imputation": {"imputation": {"mask_ratios": [0.5]}},
+    "fewshot": {"fewshot": {"percent": 0.5}},
+    "zeroshot": {"zeroshot": {"source": "sine", "target": "shifted"}},
+}
+
+_ILL_TYPED = {int: 1.5, float: "x", bool: 1, str: 5, list: ["x"]}
+
+
+def _error_lines(capsys) -> list[str]:
+    err = capsys.readouterr().err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def _run_task(tmp, cfg_path, task: str, config) -> int:
+    cfg_path.write_text(json.dumps(config))
+    argv = [_TASK_COMMAND[task], "--config", str(cfg_path), "--output", str(tmp / "o")]
+    return main(argv + ["--synthetic-pretrain"] * (task == "ablate"))
+
+
+def _leaf(config: dict, path: str) -> tuple[dict, str]:
+    """The section holding a dotted path's last key (created if absent), and that key."""
+    *sections, key = path.split(".")
+    for name in sections:
+        config = config.setdefault(name, {})
+    return config, key
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "path, kind, task",
+        [pytest.param(p, k, t[0], id=f"{p}-{t[0]}") for p, k, _, t in _SCHEMA],
+    )
+    def test_ill_typed_value_exits_2(self, workspace, capsys, path, kind, task):
+        tmp, cfg_path, config = workspace
+        config = _with(config, _TASK_SECTIONS.get(task, {}))
+        node, key = _leaf(config, path)
+        node[key] = _ILL_TYPED[kind]
+        assert _run_task(tmp, cfg_path, task, config) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: ConfigError: config.{path}: expected")
+
+    @pytest.mark.parametrize(
+        "path, task",
+        [pytest.param(p, t[0], id=f"{p}-{t[0]}") for p, _, d, t in _SCHEMA if d is _REQUIRED],
+    )
+    def test_missing_required_key_exits_2(self, workspace, capsys, path, task):
+        tmp, cfg_path, config = workspace
+        config = _with(config, _TASK_SECTIONS.get(task, {}))
+        node, key = _leaf(config, path)
+        del node[key]
+        assert _run_task(tmp, cfg_path, task, config) == 2
+        errors = _error_lines(capsys)
+        where = ".".join(["config", *path.split(".")[:-1]])
+        assert errors == [f"error: ConfigError: {where}: missing required key {key!r}"]
+
+    @pytest.mark.parametrize(
+        "task, updates",
+        [
+            ("fewshot", {"fewshot": {"percent": 0}}),
+            ("fewshot", {"fewshot": {"percent": 0.5, "position": "middle"}}),
+            ("zeroshot", {"zeroshot": {"source": "sine", "target": "shifted", "metric": "foo"}}),
+            ("anomaly", {"anomaly": {"quantile": 1.5}}),
+            ("imputation", {"imputation": {"mask_ratios": [0.0]}}),
+            ("imputation", {"imputation": {"mask_ratios": [0.5], "stride": -3}}),
+            ("imputation", {"imputation": {"mask_ratios": [0.5], "stride": 0}}),
+            ("forecast", {"train": {"batch_size": 0}}),
+            ("forecast", {"train": {"learning_rate": -1}}),
+            ("forecast", {"train": {"epochs": -1}}),
+            ("forecast", {"weights": 5}),
+            ("ablate", {"donor": 3}),
+            ("ablate", {"donor": {"length": "x"}}),
+            ("ablate", {"donor": {"n_channels": 0}}),
+        ],
+        ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
+    )
+    def test_out_of_range_value_exits_2(self, workspace, capsys, task, updates):
+        tmp, cfg_path, config = workspace
+        assert _run_task(tmp, cfg_path, task, _with(config, updates)) == 2
+        assert len(_error_lines(capsys)) == 1
+
+    def test_non_object_config_exits_2(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        assert _run_task(tmp, cfg_path, "forecast", []) == 2
+        assert _error_lines(capsys) == ["error: ConfigError: config: expected an object, got list"]
+
+    def test_null_is_not_a_default_unless_the_default_is_null(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        config["weights"] = None
+        assert _run_task(tmp, cfg_path, "forecast", _with(config, {"train": {"epochs": 1}})) == 0
+        config["backbone"]["dropout"] = None
+        assert _run_task(tmp, cfg_path, "forecast", config) == 2
+        assert "config.backbone.dropout: expected a number" in _error_lines(capsys)[0]
 
 
 class TestTaskCommands:
@@ -462,6 +569,33 @@ class TestAnalyzeCommands:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--n-grid", "16,x"],
+            ["sgd-rate", "--sigmas", "1,x"],
+            ["mix-sweep", "--config", "run.json", "--ratios", "0,x"],
+            ["similarity", "--config", "run.json", "--eval-batch", "0"],
+            ["similarity", "--config", "run.json", "--eval-batch", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_bad_analyze_argument_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {argv[-2]}" in err
+
+    def test_pca_rank_beyond_width_exits_2(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "similarity", "--config", str(cfg_path), "--mode", "pca"]
+        argv += ["--pca-m", "100", "--weights", str(tmp / "out" / "model")]
+        assert main(argv + ["--output", str(tmp / "sim")]) == 2
+        assert len(_error_lines(capsys)) == 1
+
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -25,6 +25,7 @@ from fpt.tasks import (
     run_forecast,
     run_imputation,
     run_zero_shot,
+    synthetic_pretrain,
 )
 
 WSPEC = WindowSpec(lookback=48, horizon=12, stride=2)
@@ -57,6 +58,26 @@ def test_fully_unmasked_loss_rejected():
     )
     with pytest.raises(InvalidInput):
         loss_and_grads(store, cfg, batch, "masked_mse")
+
+
+@pytest.mark.parametrize(
+    "over", [{"epochs": -1}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": -1.0}]
+)
+def test_train_config_rejects_impossible_values(over):
+    with pytest.raises(InvalidInput):
+        _tcfg(**over)
+
+
+def test_train_config_allows_zero_epochs():
+    assert _tcfg(epochs=0).epochs == 0
+
+
+@pytest.mark.parametrize("length, n_channels", [(0, 2), (1024, 0)])
+def test_synthetic_pretrain_rejects_empty_corpus(length, n_channels):
+    with pytest.raises(InvalidInput):
+        synthetic_pretrain(
+            tiny_backbone(), WSPEC, PATCH, _tcfg(), length=length, n_channels=n_channels
+        )
 
 
 class TestSamples:
@@ -200,6 +221,10 @@ class TestImputation:
         with pytest.raises(InvalidInput):
             run_imputation(_sine_ds(T=400), (1.5,), 48, tiny_backbone(), _tcfg(), PATCH)
 
+    def test_zero_stride_rejected(self):
+        with pytest.raises(InvalidInput):
+            run_imputation(_sine_ds(T=400), (0.5,), 48, tiny_backbone(), _tcfg(), PATCH, stride=0)
+
     def test_beats_mean_imputation_baseline(self):
         report, _ = run_imputation(
             _sine_ds(T=600), (0.125,), 48, tiny_backbone(), _tcfg(epochs=3), PATCH
@@ -315,6 +340,10 @@ class TestAnomaly:
     def test_quantile_domain(self):
         with pytest.raises(InvalidInput):
             run_anomaly(self._spiky(), 1.5, 48, tiny_backbone(), _tcfg(), PATCH)
+
+    def test_zero_stride_rejected(self):
+        with pytest.raises(InvalidInput):
+            run_anomaly(self._spiky(), 0.99, 48, tiny_backbone(), _tcfg(), PATCH, stride=0)
 
     def test_batched_errors_match_per_window_loop(self):
         lookback, eps = 16, 1e-5
