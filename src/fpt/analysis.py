@@ -362,6 +362,8 @@ def sgd_conditioning_check(
         raise InvalidInput(f"targets must have {n} rows, got {y.shape[0]}")
     if avg_window < 1 or check_every < 1:
         raise InvalidInput("avg_window and check_every must be >= 1")
+    if not eps > 0:
+        raise InvalidInput(f"eps must be positive, got {eps}")
     eigen = sym_eig((g.T @ g) / n)
     sigma = float(eigen.eigenvalues[-1])
     if sigma <= 1e-12:

@@ -232,7 +232,7 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         blob = (path / "weights.bin").read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read weight container at {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"weight manifest is not valid JSON: {exc}") from None
     if manifest.get("format_version") != 1:
         raise FormatError(f"unsupported container version {manifest.get('format_version')!r}")
@@ -249,8 +249,7 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
     for name in entries:
         if name not in want:
             raise FormatError(f"weight container has unexpected tensor {name!r}")
-    store = ParameterStore()
-    spans = []
+    spans = {}
     for name, entry in entries.items():
         if entry.get("dtype") != "f32":
             raise FormatError(f"{name}: unsupported dtype {entry.get('dtype')!r}")
@@ -266,18 +265,22 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         end = start + 4 * count
         if end > len(blob):
             raise FormatError(f"{name}: blob too short ({end} > {len(blob)})")
-        spans.append((start, end, name))
+        spans[name] = (start, end, shape)
+    ranges = sorted((start, end, name) for name, (start, end, _) in spans.items())
+    for (_, prev_end, prev), (start, _, name) in zip(ranges, ranges[1:]):
+        if start < prev_end:
+            raise FormatError(f"{name}: offset {start} overlaps tensor {prev!r}")
+    covered = sum(end - start for start, end, _ in ranges)
+    if covered != len(blob):
+        raise FormatError(f"weights.bin holds {len(blob)} bytes but its tensors cover {covered}")
+    # values are read only once the layout holds, so a misplaced tensor is
+    # reported as a format error rather than as the garbage it would decode to
+    store = ParameterStore()
+    for name, (start, end, shape) in spans.items():
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericalFailure(f"{name}: weight container holds non-finite values")
         store[name] = np.ascontiguousarray(arr, dtype=np.float32)
-    spans.sort()
-    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise FormatError(f"{name}: offset {start} overlaps tensor {prev!r}")
-    covered = sum(end - start for start, end, _ in spans)
-    if covered != len(blob):
-        raise FormatError(f"weights.bin holds {len(blob)} bytes but its tensors cover {covered}")
     return store
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import sys
@@ -66,6 +68,7 @@ _TASKS = ("forecast", "imputation", "classification", "anomaly", "fewshot", "zer
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -76,6 +79,34 @@ def main(argv=None) -> int:
     except FptError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
+
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed heap memory in the process for the next training step.
+
+    By default glibc serves a large array from its own mmap and unmaps it on
+    free, and trims the heap top back to the OS, so the backward tape of
+    every step (about 9 MB at the c09 shape) lands on fresh pages and pays a minor fault per page.
+    Pinning both thresholds (setting either one alone turns off glibc's
+    dynamic mmap threshold and is slower than neither) lets the next step
+    reuse the freed memory.  The arithmetic is unchanged.  A no-op off
+    Linux or where the C library has no ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("jacobian", help="randomized audit of the attention Jacobian bound")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--a-norm", type=float, default=1.0, help="spectral-norm cap for A")
     common(p, needs_config=False)
     p.set_defaults(func=_cmd_jacobian)
@@ -158,13 +189,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("softmax", "pca"), default="softmax")
     p.add_argument("--pca-m", type=int, default=None)
-    p.add_argument("--eval-batch", type=_positive_int, default=16)
+    p.add_argument("--eval-batch", type=_int_at_least(1), default=16)
     p.set_defaults(func=_cmd_similarity)
 
     p = asub.add_parser("mix-sweep", help="weight mixing ratio sweep with similarity and MSE")
     common(p)
     p.add_argument("--ratios", type=_comma_list(float), default="0,0.25,0.5,0.75,1.0")
-    p.add_argument("--finetune-steps", type=int, default=50)
+    p.add_argument("--finetune-steps", type=_int_at_least(0), default=50)
     p.add_argument("--mix-mode", choices=("replace", "interpolate"), default="replace")
     p.set_defaults(func=_cmd_mix_sweep)
 
@@ -185,11 +216,15 @@ def _comma_list(kind):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type: a decimal integer >= ``low`` (itself >= 0)."""
+
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 # ---------------------------------------------------------------------------

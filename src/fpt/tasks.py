@@ -39,7 +39,7 @@ from .data import (
     make_windows,
     mask_with_count,
 )
-from .errors import InvalidInput, MissingWeights
+from .errors import InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
 from .preprocess import PatchConfig, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
@@ -217,9 +217,17 @@ def _derive_config(
 
 
 def _outputs(store, cfg, tokens) -> np.ndarray:
-    """Head outputs for every row, ``_EVAL_CHUNK`` windows per ``predict`` call."""
+    """Head outputs for every row, ``_EVAL_CHUNK`` windows per ``predict`` call.
+
+    Raises ``NumericalFailure`` when any output is non-finite, so no score
+    or report is built from it.
+    """
     chunks = range(0, max(len(tokens), 1), _EVAL_CHUNK)  # an empty split still has a shape
-    return np.concatenate([predict(store, cfg, tokens[lo : lo + _EVAL_CHUNK]) for lo in chunks])
+    out = np.concatenate([predict(store, cfg, tokens[lo : lo + _EVAL_CHUNK]) for lo in chunks])
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise NumericalFailure(f"model output holds {bad} non-finite values")
+    return out
 
 
 def _eval_loss(store, cfg, samples: Samples, loss: str) -> float:
@@ -256,6 +264,8 @@ def _fit(
     for epoch in range(tcfg.epochs):
         order = rng.child(epoch).permutation(train.count)
         for lo in range(0, train.count, tcfg.batch_size):
+            if steps >= max_steps:
+                break
             idx = order[lo : lo + tcfg.batch_size]
             drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
             value, store = backward_and_step(
@@ -264,8 +274,6 @@ def _fit(
             if epoch == 0:
                 history["train_first_epoch"].append(value)
             steps += 1
-            if steps >= max_steps:
-                break
         if steps >= max_steps:
             break
         if validate:

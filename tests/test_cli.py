@@ -1,8 +1,16 @@
+import ctypes
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpt
+from fpt import tasks
 from fpt.cli import _REQUIRED, _SCHEMA, main
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid, write_manifest, write_series_csv
@@ -11,6 +19,10 @@ from fpt.synthetic import sinusoid, write_manifest, write_series_csv
 @pytest.fixture
 def workspace(tmp_path):
     """Manifest + CSV fixtures + a forecast run config."""
+    return _make_workspace(tmp_path)
+
+
+def _make_workspace(tmp_path):
     write_series_csv(tmp_path / "sine.csv", sinusoid(700, 24.0))
     shifted = sinusoid(700, 24.0, phase=1.1)
     write_series_csv(tmp_path / "shifted.csv", shifted)
@@ -201,6 +213,147 @@ class TestTrainCommand:
         (model / "manifest.json").write_text(json.dumps(manifest))
         assert main(argv + ["--output", str(tmp / "e2")]) == 2
         assert "error: FormatError:" in capsys.readouterr().err
+
+    def test_eval_non_finite_prediction_exits_3(self, workspace, capsys, monkeypatch):
+        tmp, cfg_path, _ = workspace
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+        real_predict = tasks.predict
+
+        def one_nan(store, cfg, tokens):
+            out = real_predict(store, cfg, tokens).copy()
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(tasks, "predict", one_nan)
+        capsys.readouterr()
+        argv = ["eval", "--config", str(cfg_path), "--weights", str(tmp / "out" / "model")]
+        assert main(argv + ["--output", str(tmp / "e")]) == 3
+        message = "error: NumericalFailure: model output holds 1 non-finite values"
+        assert _error_lines(capsys) == [message]
+        assert not (tmp / "e" / "report.json").exists()
+
+
+@pytest.fixture(scope="class")
+def saved_model(tmp_path_factory):
+    """A workspace and a model trained on it, shared by one test class."""
+    tmp, cfg_path, _ = _make_workspace(tmp_path_factory.mktemp("saved"))
+    assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+    return cfg_path, tmp / "out" / "model"
+
+
+class TestWeightContainerFuzz:
+    """Damaged weight containers read through ``fpt eval``: a malformed
+    container exits 2 and a non-finite weight exits 3, never a traceback."""
+
+    @pytest.fixture
+    def damaged(self, saved_model, tmp_path, capsys):
+        cfg_path, model = saved_model
+        copy = tmp_path / "model"
+        shutil.copytree(model, copy)
+        capsys.readouterr()
+
+        def run_eval() -> tuple[int, list[str]]:
+            argv = ["eval", "--config", str(cfg_path), "--weights", str(copy)]
+            code = main(argv + ["--output", str(tmp_path / "e"), "--overwrite"])
+            return code, _error_lines(capsys)
+
+        return copy, run_eval
+
+    @pytest.mark.parametrize(
+        "keep",
+        [lambda n: 0, lambda n: n // 2, lambda n: n - 4, lambda n: n - 1],
+        ids=["empty", "half", "one-float-short", "one-byte-short"],
+    )
+    def test_truncated_blob_exits_2(self, damaged, keep):
+        model, run_eval = damaged
+        blob = (model / "weights.bin").read_bytes()
+        (model / "weights.bin").write_bytes(blob[: keep(len(blob))])
+        code, errors = run_eval()
+        assert code == 2 and len(errors) == 1 and errors[0].startswith("error: FormatError:")
+
+    @pytest.mark.parametrize("replacement", [b"#", b"\xff"])
+    def test_corrupted_manifest_byte_exits_2(self, damaged, replacement):
+        model, run_eval = damaged
+        text = (model / "manifest.json").read_bytes()
+        positions = [i for i in range(len(text)) if not text[i : i + 1].isspace()]
+        for i in positions[:: max(1, len(positions) // 24)]:
+            (model / "manifest.json").write_bytes(text[:i] + replacement + text[i + 1 :])
+            code, errors = run_eval()
+            assert code == 2 and len(errors) == 1, (i, text[i : i + 1], errors)
+
+    @pytest.mark.parametrize(
+        "which, shift",
+        [(0, 1), (0, 4)] + [(w, s) for w in (5, -1) for s in (-4, -1, 1, 4)],
+    )
+    def test_shifted_offset_exits_2(self, damaged, which, shift):
+        """``which`` indexes the tensors in blob order; the first sits at 0."""
+        model, run_eval = damaged
+        manifest = json.loads((model / "manifest.json").read_text())
+        entry = sorted(manifest["tensors"], key=lambda e: e["offset"])[which]
+        entry["offset"] += shift
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        code, errors = run_eval()
+        assert code == 2 and len(errors) == 1 and errors[0].startswith("error: FormatError:")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 0.5, -1])
+    def test_non_finite_weight_exits_3(self, damaged, value, where):
+        model, run_eval = damaged
+        blob = np.frombuffer((model / "weights.bin").read_bytes(), dtype="<f4").copy()
+        blob[int(where * blob.size) if where >= 0 else where] = value
+        (model / "weights.bin").write_bytes(blob.tobytes())
+        code, errors = run_eval()
+        assert code == 3 and len(errors) == 1
+        assert errors[0].startswith("error: NumericalFailure:")
+
+
+def _has_mallopt() -> bool:
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+# Minor page faults per all-trainable training step at the c09 shape (B=64,
+# 11 tokens, d_model 64, 2 layers, d_ff 128), after the CLI's heap policy.
+_STEP_FAULTS = """
+import resource
+from fpt import cli
+from fpt.backbone import (
+    AdamState, BackboneConfig, Batch, FreezeMask, backward_and_step, init_random,
+)
+from fpt.rng import seeded_rng
+
+cli._keep_heap()
+cfg = BackboneConfig(
+    n_layers=2, d_model=64, n_heads=4, d_ff=128, max_tokens=512,
+    patch_len=16, head_in=11 * 64, head_out=24,
+)
+rng = seeded_rng(0)
+store = init_random(cfg, rng.child(1))
+batch = Batch(tokens=rng.normal((64, 11, 16)), targets=rng.normal((64, 24)))
+mask, opt = FreezeMask.all_trainable(store), AdamState(lr=1e-3)
+for step in range(23):
+    if step == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, store = backward_and_step(store, cfg, batch, "mse", opt, mask)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt on Linux")
+def test_training_steps_reuse_the_heap():
+    """With glibc's defaults every step re-faults its freed backward tape
+    (about a thousand minor faults per step); the pinned heap policy keeps
+    it resident."""
+    src = str(Path(fpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _STEP_FAULTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert float(run.stdout) < 100
 
 
 _TASK_COMMAND = {
@@ -577,6 +730,8 @@ class TestArgumentHandling:
             ["mix-sweep", "--config", "run.json", "--ratios", "0,x"],
             ["similarity", "--config", "run.json", "--eval-batch", "0"],
             ["similarity", "--config", "run.json", "--eval-batch", "-1"],
+            ["jacobian", "--trials", "0"],
+            ["mix-sweep", "--config", "run.json", "--finetune-steps", "-1"],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )
@@ -586,6 +741,13 @@ class TestArgumentHandling:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {argv[-2]}" in err
+
+    @pytest.mark.parametrize("eps", ["0", "-0.001", "nan"])
+    def test_sgd_rate_nonpositive_eps_exits_2(self, tmp_path, capsys, eps):
+        argv = ["analyze", "sgd-rate", "--eps", eps, "--output", str(tmp_path)]
+        assert main(argv) == 2
+        message = f"error: InvalidInput: eps must be positive, got {float(eps)}"
+        assert _error_lines(capsys) == [message]
 
     def test_pca_rank_beyond_width_exits_2(self, workspace, capsys):
         tmp, cfg_path, _ = workspace

@@ -72,6 +72,17 @@ def test_train_config_allows_zero_epochs():
     assert _tcfg(epochs=0).epochs == 0
 
 
+@pytest.mark.parametrize("max_steps", [0, 3])
+def test_fit_runs_exactly_the_step_budget(max_steps):
+    cfg = _derive_config(tiny_backbone(), PATCH, WSPEC.lookback, WSPEC.horizon)
+    setup = make_ablation("no_pretrain", cfg, seeded_rng(1))
+    train = _samples(_sine_ds(), WSPEC, PATCH, 1e-5, "train")
+    tcfg = _tcfg(epochs=10, batch_size=8)
+    store, history = tasks._fit(setup, train, None, tcfg, "mse", seeded_rng(2), max_steps)
+    assert len(history["train_first_epoch"]) == max_steps and history["val"] == []
+    assert (param_hash(store) == param_hash(setup.store)) == (max_steps == 0)
+
+
 @pytest.mark.parametrize("length, n_channels", [(0, 2), (1024, 0)])
 def test_synthetic_pretrain_rejects_empty_corpus(length, n_channels):
     with pytest.raises(InvalidInput):
