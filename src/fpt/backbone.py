@@ -234,6 +234,8 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         raise IoError(f"cannot read weight container at {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"weight manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"weight manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format_version") != 1:
         raise FormatError(f"unsupported container version {manifest.get('format_version')!r}")
     want = expected_shapes(cfg)
@@ -524,9 +526,9 @@ def forward(
     """
     if mode not in ("softmax", "pca"):
         raise InvalidInput("mode must be 'softmax' or 'pca'")
-    if mode == "pca" and pca_m is None:
-        raise InvalidInput("mode='pca' needs pca_m")
-    y, trace, _ = _blocks(_f64(store), cfg, tokens, pca_m=pca_m if mode == "pca" else None)
+    if (mode == "pca") != (pca_m is not None):
+        raise InvalidInput("pca_m must be given exactly when mode='pca'")
+    y, trace, _ = _blocks(_f64(store), cfg, tokens, pca_m=pca_m)
     if np.ndim(tokens) == 2:
         return y[0], [t[0] for t in trace]
     return y, trace
@@ -661,14 +663,14 @@ def loss_and_grads(
     return value, grads
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam optimizer state (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam optimizer state; beta1, beta2 and eps are the ``_ADAM_*`` constants."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -695,13 +697,13 @@ def adam_step(
         if m is None:
             m = np.zeros(arr.shape, dtype=np.float64)
             v = np.zeros(arr.shape, dtype=np.float64)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        mhat = m / (1.0 - state.beta1**t)
-        vhat = v / (1.0 - state.beta2**t)
-        updated = arr.astype(np.float64) - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        mhat = m / (1.0 - _ADAM_BETA1**t)
+        vhat = v / (1.0 - _ADAM_BETA2**t)
+        updated = arr.astype(np.float64) - state.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
         out[name] = updated.astype(arr.dtype)
     return out
 

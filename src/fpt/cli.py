@@ -2,8 +2,9 @@
 
 One process per invocation: reads a JSON run config, executes the selected
 runner or analysis, and writes JSON reports with CSV mirrors under the
-output directory.  Reruns with the same config and seed produce identical
-bytes apart from the timestamp field, which is excluded from hashing.
+output directory.  A report's ``config_hash`` is the SHA-256 of the run's
+resolved config (``_run_config``).  Reruns with the same config and seed
+produce identical bytes apart from the timestamp field, which is not hashed.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 """
@@ -14,10 +15,10 @@ import argparse
 import csv
 import ctypes
 import functools
+import hashlib
 import io
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -343,13 +344,27 @@ def _resolve(cfg, task: str | None) -> dict:
     return resolved
 
 
+def _run_config(args, task: str | None) -> dict:
+    """The resolved config of one command: ``_resolve`` plus every
+    command-line override.  It is the whole description of the run, and the
+    report's config hash is taken over it."""
+    v = _resolve(_load_config(args.config), task)
+    if args.seed is not None:
+        v["train.seed"] = args.seed
+    if args.weights:
+        v["weights"] = args.weights
+    if args.command == "eval":
+        v["train.epochs"], v["train.ablation"] = 0, "fpt"
+    return v
+
+
 def _kwargs(v: dict, section: str) -> dict:
     """One section's resolved keys, as keywords of the constructor it feeds."""
     prefix = section + "."
     return {path[len(prefix) :]: value for path, value in v.items() if path.startswith(prefix)}
 
 
-def _build_parts(v: dict, args):
+def _build_parts(v: dict):
     """Typed run configs and the weight path; a value the constructors reject
     is a ConfigError."""
     try:
@@ -359,11 +374,9 @@ def _build_parts(v: dict, args):
             **_kwargs(v, "backbone"), patch_len=patch.patch_len, head_in=1, head_out=1
         )
         tcfg = TrainConfig(**_kwargs(v, "train"))
-        if args.seed is not None:
-            tcfg = replace(tcfg, seed=args.seed)
     except InvalidInput as exc:
         raise ConfigError(f"config: {exc}") from None
-    return wspec, patch, base, tcfg, args.weights or v["weights"]
+    return wspec, patch, base, tcfg, v["weights"]
 
 
 def _load_dataset(v: dict, name: str | None = None):
@@ -386,8 +399,12 @@ def _write_text(path: Path, content: str, overwrite: bool) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def _emit_report(report: MetricReport, out: Path, args, stem: str = "report") -> None:
+def _emit_report(report: MetricReport, v: dict, out: Path, args, stem: str = "report") -> None:
+    """Write a run's report; ``v`` is the run's config from ``_run_config``."""
     report.metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
+    report.metadata["config_hash"] = hashlib.sha256(
+        json.dumps(v, sort_keys=True).encode()
+    ).hexdigest()
     _write_text(out / f"{stem}.json", report.to_json() + "\n", args.overwrite)
     _write_text(out / f"{stem}.csv", report.to_csv(), args.overwrite)
     print(report.to_csv(), end="")
@@ -423,15 +440,12 @@ _COMMAND_TASKS = {
 
 
 def _cmd_task(args) -> int:
-    v = _resolve(_load_config(args.config), _COMMAND_TASKS.get(args.command))
+    v = _run_config(args, _COMMAND_TASKS.get(args.command))
     task, eps = v["task"], v["revin_eps"]
-    wspec, patch, base, tcfg, weights = _build_parts(v, args)
+    wspec, patch, base, tcfg, weights = _build_parts(v)
     out = _outdir(args)
-
-    if args.command == "eval":
-        if weights is None:
-            raise MissingWeights("eval requires --weights (or config.weights)")
-        tcfg = replace(tcfg, epochs=0, ablation="fpt")
+    if args.command == "eval" and weights is None:
+        raise MissingWeights("eval requires --weights (or config.weights)")
 
     # zeroshot trains on its source dataset and scores its target
     dataset = _load_dataset(v, v["zeroshot.source"] if task == "zeroshot" else None)
@@ -485,7 +499,7 @@ def _cmd_task(args) -> int:
             stride=v["anomaly.stride"],
         )
 
-    _emit_report(report, out, args)
+    _emit_report(report, v, out, args)
     if args.command != "eval":
         model_dir = out / "model"
         if model_dir.exists() and not args.overwrite:
@@ -495,8 +509,8 @@ def _cmd_task(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    v = _resolve(_load_config(args.config), "ablate")
-    wspec, patch, base, tcfg, weights = _build_parts(v, args)
+    v = _run_config(args, "ablate")
+    wspec, patch, base, tcfg, weights = _build_parts(v)
     out = _outdir(args)
     if weights is None:
         if not args.synthetic_pretrain:
@@ -510,7 +524,7 @@ def _cmd_ablate(args) -> int:
     report = run_ablation_suite(
         dataset, wspec, base, tcfg, patch, weights, revin_eps=v["revin_eps"]
     )
-    _emit_report(report, out, args, stem="ablation")
+    _emit_report(report, v, out, args, stem="ablation")
     return 0
 
 
@@ -599,8 +613,8 @@ def _cmd_sgd_rate(args) -> int:
 def _load_model(args, needs: str):
     """Resolved forecast config, typed parts, saved model and dataset for the
     analyses that run a model on configured data."""
-    v = _resolve(_load_config(args.config), "forecast")
-    wspec, patch, base, tcfg, weights = _build_parts(v, args)
+    v = _run_config(args, "forecast")
+    wspec, patch, base, tcfg, weights = _build_parts(v)
     if weights is None:
         raise MissingWeights(f"{needs} requires --weights")
     derived = _derive_config(base, patch, wspec.lookback, wspec.horizon)

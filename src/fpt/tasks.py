@@ -9,11 +9,9 @@ come back as MetricReport objects (JSON/CSV-serializable).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +44,7 @@ from .rng import RandomStream, seeded_rng
 from .synthetic import donor_values
 
 ABLATION_ARMS = ("fpt", "no_freeze", "no_pretrain", "no_pretrain_freeze", "gpt0")
+_PRETRAINED_ARMS = ("fpt", "no_freeze")  # the arms that start from supplied weights
 
 # Windows per evaluation ``predict`` call.  Each chunk runs the backbone as
 # (chunk * n_tokens)-row GEMMs; larger chunks raise peak memory without
@@ -75,6 +74,13 @@ class TrainConfig:
             raise InvalidInput(f"ablation must be one of {ABLATION_ARMS}")
 
 
+def _pretrained(weights, cfg: BackboneConfig) -> ParameterStore:
+    """A store, or a weight container loaded from its path, checked against cfg."""
+    store = weights if isinstance(weights, ParameterStore) else load_weights(weights, cfg)
+    validate_store(store, cfg)
+    return store
+
+
 @dataclass
 class AblationSetup:
     store: ParameterStore
@@ -98,11 +104,10 @@ def make_ablation(
         cfg0 = gpt0_config(cfg)
         store = init_random(cfg0, rng)
         return AblationSetup(store, FreezeMask.default_fpt(store), cfg0)
-    if arm in ("fpt", "no_freeze"):
+    if arm in _PRETRAINED_ARMS:
         if weights is None:
             raise MissingWeights(f"ablation arm {arm!r} requires pretrained weights")
-        store = weights if isinstance(weights, ParameterStore) else load_weights(weights, cfg)
-        validate_store(store, cfg)
+        store = _pretrained(weights, cfg)
         if arm == "fpt":
             return AblationSetup(store, FreezeMask.default_fpt(store), cfg)
         return AblationSetup(store, FreezeMask.all_trainable(store), cfg)
@@ -288,20 +293,6 @@ def _fit(
     return (store if best_val == math.inf else best_store), history
 
 
-def _config_hash(**parts) -> str:
-    def norm(v):
-        if hasattr(v, "__dataclass_fields__"):
-            return asdict(v)
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, tuple):
-            return list(v)
-        return v
-
-    payload = json.dumps({k: norm(v) for k, v in sorted(parts.items())}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _base_metadata(task, dataset, tcfg, **extra) -> dict:
     md = {
         "task": task,
@@ -352,9 +343,6 @@ def run_forecast(
             "forecast",
             dataset,
             tcfg,
-            config_hash=_config_hash(
-                task="forecast", wspec=wspec, patch=patch, cfg=cfg, tcfg=tcfg, eps=revin_eps
-            ),
             baseline={"MSE": mse(test.targets, naive), "MAE": mae(test.targets, naive)},
             history=history,
         )
@@ -424,15 +412,6 @@ def run_zero_shot(
             tcfg,
             source=source.name,
             metric=metric,
-            config_hash=_config_hash(
-                task="zeroshot",
-                source=source.name,
-                wspec=wspec,
-                patch=patch,
-                cfg=cfg,
-                tcfg=tcfg,
-                eps=revin_eps,
-            ),
             param_hash_before=hash_before,
             param_hash_after=hash_after,
             baseline={metric.upper(): metric_fns[metric](test.targets, naive)},
@@ -471,16 +450,6 @@ def run_imputation(
             "imputation",
             dataset,
             tcfg,
-            config_hash=_config_hash(
-                task="imputation",
-                ratios=ratios,
-                lookback=lookback,
-                stride=stride,
-                patch=patch,
-                cfg=cfg,
-                tcfg=tcfg,
-                eps=revin_eps,
-            ),
             baseline={},
             history={},
         )
@@ -547,9 +516,6 @@ def run_classification(
             "classification",
             dataset,
             tcfg,
-            config_hash=_config_hash(
-                task="classification", patch=patch, cfg=cfg, tcfg=tcfg, eps=revin_eps
-            ),
             n_classes=n_classes,
             n_test=test.count,
             history=history,
@@ -639,17 +605,6 @@ def run_anomaly(
             "anomaly",
             dataset,
             tcfg,
-            config_hash=_config_hash(
-                task="anomaly",
-                quantile=quantile,
-                lookback=lookback,
-                stride=stride,
-                patch=patch,
-                cfg=cfg,
-                tcfg=tcfg,
-                eps=revin_eps,
-                point_adjust=point_adjust,
-            ),
             threshold=threshold,
             point_adjust=point_adjust,
             history=history,
@@ -678,22 +633,16 @@ def run_ablation_suite(
     and no_freeze arms, which share identical initial parameters.
     """
     cfg = _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
-    report = MetricReport(
-        metadata=_base_metadata(
-            "ablate",
-            dataset,
-            tcfg,
-            config_hash=_config_hash(
-                task="ablate", wspec=wspec, patch=patch, cfg=cfg, tcfg=tcfg, arms=tuple(arms)
-            ),
-        )
-    )
+    report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg))
     test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[: min(8, test.count)]
+    if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
+        # one read of the container serves each pretrained arm's probe and run
+        weights = _pretrained(weights, cfg)
     step0: dict[str, np.ndarray] = {}
     for arm in arms:
         arm_tcfg = replace(tcfg, ablation=arm)
-        arm_weights = weights if arm in ("fpt", "no_freeze") else None
+        arm_weights = weights if arm in _PRETRAINED_ARMS else None
         setup = make_ablation(arm, cfg, seeded_rng(arm_tcfg.seed).child(1), arm_weights)
         step0[arm] = predict(setup.store, setup.cfg, probe)
         arm_report, _ = run_forecast(dataset, wspec, base_cfg, arm_tcfg, patch, arm_weights, revin_eps)

@@ -118,12 +118,17 @@ class TestWeightContainer:
         [
             ("overlap", "ln_f.gamma: offset .* overlaps tensor 'ln_f.beta'"),
             ("trailing", "weights.bin holds .* bytes but its tensors cover"),
+            ("[]", "weight manifest must be a JSON object, got list"),
+            ("3", "weight manifest must be a JSON object, got int"),
+            ('"x"', "weight manifest must be a JSON object, got str"),
         ],
     )
     def test_bad_layout_is_format_error(self, tmp_path, corruption, message):
         cfg = tiny_backbone()
         save_weights(init_random(cfg, seeded_rng(3)), tmp_path / "model")
-        if corruption == "overlap":
+        if corruption not in ("overlap", "trailing"):  # the whole manifest replaced
+            (tmp_path / "model" / "manifest.json").write_text(corruption)
+        elif corruption == "overlap":
             mpath = tmp_path / "model" / "manifest.json"
             manifest = json.loads(mpath.read_text())
             entries = {e["name"]: e for e in manifest["tensors"]}
@@ -309,6 +314,12 @@ class TestForward:
         store = init_random(cfg, seeded_rng(7))
         with pytest.raises(InvalidInput):
             forward(store, cfg, np.zeros((3, cfg.patch_len)), mode="pca")
+
+    def test_softmax_mode_rejects_pca_rank(self):
+        cfg = tiny_backbone()
+        store = init_random(cfg, seeded_rng(7))
+        with pytest.raises(InvalidInput, match="pca_m must be given exactly when mode='pca'"):
+            forward(store, cfg, np.zeros((3, cfg.patch_len)), pca_m=2)
 
     def test_pca_mode_rejects_nan_tokens(self):
         cfg = tiny_backbone()

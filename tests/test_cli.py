@@ -601,6 +601,59 @@ class TestTaskCommands:
         assert "MissingWeights" in capsys.readouterr().err
 
 
+# Pairs of runs (command, config updates, flags) on one workspace config.
+_SAME_HASH = {
+    "rerun": (("train", {}), ("train", {})),
+    "default-spelled-out": (("train", {"revin_eps": 1e-5}), ("train", {})),
+    "eval-is-train-at-0-epochs-fpt": (("eval", {}), ("train", {"train": {"ablation": "fpt"}})),
+}
+_OTHER_HASH = {
+    "fewshot-percent": (
+        ("fewshot", {"fewshot": {"percent": 0.5}}),
+        ("fewshot", {"fewshot": {"percent": 1.0}}),
+    ),
+    "fewshot-100-vs-train": (("fewshot", {"fewshot": {"percent": 1.0}}), ("train", {})),
+    "zeroshot-metric": (
+        ("zeroshot", {"zeroshot": {"metric": "smape"}}),
+        ("zeroshot", {"zeroshot": {"metric": "mae"}}),
+    ),
+    "ablate-revin-eps": (("ablate", {"revin_eps": 1e-5}), ("ablate", {"revin_eps": 1e-2})),
+    "seed-flag": (("train", {}, "--seed", "9"), ("train", {})),
+}
+
+
+class TestConfigHash:
+    """A report's ``config_hash`` is taken over the resolved run config, so
+    two runs share it exactly when they read the same values."""
+
+    @pytest.fixture
+    def hash_of(self, workspace):
+        tmp, cfg_path, config = workspace
+        config["train"]["epochs"] = 0  # what training does is not hashed
+        config["zeroshot"] = {"source": "sine", "target": "shifted"}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "donor")]) == 0
+        config["weights"] = str(tmp / "donor" / "model")
+        runs = iter(range(10))
+
+        def hash_of(command, updates, *flags):
+            cfg_path.write_text(json.dumps(_with(config, updates)))
+            out = tmp / f"run{next(runs)}"
+            assert main([command, "--config", str(cfg_path), "--output", str(out), *flags]) == 0
+            report = out / ("ablation.json" if command == "ablate" else "report.json")
+            return json.loads(report.read_text())["metadata"]["config_hash"]
+
+        return hash_of
+
+    @pytest.mark.parametrize("first, second", _SAME_HASH.values(), ids=_SAME_HASH)
+    def test_same_run_same_hash(self, hash_of, first, second):
+        assert hash_of(*first) == hash_of(*second)
+
+    @pytest.mark.parametrize("first, second", _OTHER_HASH.values(), ids=_OTHER_HASH)
+    def test_different_run_different_hash(self, hash_of, first, second):
+        assert hash_of(*first) != hash_of(*second)
+
+
 class TestAnalyzeCommands:
     def test_maxent_ln2(self, tmp_path, capsys):
         code = main(
@@ -757,6 +810,16 @@ class TestArgumentHandling:
         argv += ["--pca-m", "100", "--weights", str(tmp / "out" / "model")]
         assert main(argv + ["--output", str(tmp / "sim")]) == 2
         assert len(_error_lines(capsys)) == 1
+
+    def test_pca_rank_without_pca_mode_exits_2(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "similarity", "--config", str(cfg_path), "--pca-m", "2"]
+        argv += ["--weights", str(tmp / "out" / "model"), "--output", str(tmp / "sim")]
+        assert main(argv) == 2
+        message = "error: InvalidInput: pca_m must be given exactly when mode='pca'"
+        assert _error_lines(capsys) == [message]
 
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
