@@ -76,6 +76,17 @@ class SgdRateResult:
     suboptimality: float
 
 
+def _pair_cosines(x: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every distinct token pair over the trailing two
+    axes: (..., n, d) tokens give (..., n * (n - 1) / 2) values, row-major
+    over the upper triangle.  A zero-norm token scores 0 against every other."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
+    sims = np.clip(xn @ xn.swapaxes(-1, -2), -1.0, 1.0)
+    iu = np.triu_indices(x.shape[-2], k=1)
+    return sims[..., iu[0], iu[1]]
+
+
 def token_similarity(trace) -> TokenSimilarityProfile:
     """Mean cosine similarity over distinct token pairs, layer by layer.
 
@@ -89,13 +100,9 @@ def token_similarity(trace) -> TokenSimilarityProfile:
         x = np.asarray(layer, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise InvalidInput(f"layer {li} needs at least two token vectors")
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
+        if np.any(np.linalg.norm(x, axis=1) == 0.0):
             warnings.warn(f"layer {li} has zero-norm tokens; their similarity counts as 0")
-        xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
-        sims = np.clip(xn @ xn.T, -1.0, 1.0)
-        iu = np.triu_indices(x.shape[0], k=1)
-        vals = sims[iu]
+        vals = _pair_cosines(x)
         means.append(float(vals.mean()))
         hists.append(np.histogram(vals, bins=edges)[0])
     return TokenSimilarityProfile(
@@ -520,11 +527,7 @@ def batch_layer_similarity(trace_batch) -> list[float]:
         x = np.asarray(layer, dtype=np.float64)
         if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 2:
             raise InvalidInput("each layer needs (B>=1, n>=2, d) token outputs")
-        norms = np.linalg.norm(x, axis=2, keepdims=True)
-        xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
-        sims = np.clip(xn @ xn.swapaxes(1, 2), -1.0, 1.0)
-        iu = np.triu_indices(x.shape[1], k=1)
-        means.append(float(sims[:, iu[0], iu[1]].mean()))
+        means.append(float(_pair_cosines(x).mean()))
     return means
 
 

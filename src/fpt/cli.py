@@ -118,12 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_config=True):
-        if needs_config:
+    def common(p, *run_flags):
+        """--output and --overwrite, after whichever of the run flags
+        "config", "seed" and "weights" the command reads."""
+        if "config" in run_flags:
             p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "seed" in run_flags:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "weights" in run_flags:
+            p.add_argument("--weights", default=None, help="weight container directory")
         p.add_argument("--output", default="fpt_out", help="directory for emitted files")
-        p.add_argument("--weights", default=None, help="weight container directory")
         p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
     for name, help_text in (
@@ -136,11 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("zeroshot", "train on a source dataset, evaluate a target"),
     ):
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        common(p, "config", "seed", "weights")
         p.set_defaults(func=_cmd_task, command=name)
 
     p = sub.add_parser("ablate", help="run every ablation arm and tabulate MSE/MAE")
-    common(p)
+    common(p, "config", "seed", "weights")
     p.add_argument(
         "--synthetic-pretrain",
         action="store_true",
@@ -155,13 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("maxent", help="solve the one-dimensional maximum-entropy dual")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--g", type=float, required=True)
-    common(p, needs_config=False)
+    common(p)
     p.set_defaults(func=_cmd_maxent)
 
     p = asub.add_parser("pca-attn", help="closed-form rank-m attention on a pattern matrix")
     p.add_argument("--x", required=True, help="headerless numeric CSV holding the patterns")
     p.add_argument("--m", type=int, required=True)
-    common(p, needs_config=False)
+    common(p)
     p.set_defaults(func=_cmd_pca_attn)
 
     p = asub.add_parser("jacobian", help="randomized audit of the attention Jacobian bound")
@@ -169,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--a-norm", type=float, default=1.0, help="spectral-norm cap for A")
-    common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=0)
+    common(p)
     p.set_defaults(func=_cmd_jacobian)
 
     p = asub.add_parser("convergence", help="attention-output concentration rate")
@@ -177,24 +182,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n-grid", type=_comma_list(int), default="16,64,256,1024")
     p.add_argument("--trials", type=int, default=200)
-    common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=0)
+    common(p)
     p.set_defaults(func=_cmd_convergence)
 
     p = asub.add_parser("sgd-rate", help="SGD step counts vs feature conditioning")
     p.add_argument("--sigmas", type=_comma_list(float), default="1,0.1,0.01")
     p.add_argument("--eps", type=float, default=1e-3)
-    common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=0)
+    common(p)
     p.set_defaults(func=_cmd_sgd_rate)
 
     p = asub.add_parser("similarity", help="per-layer token similarity of a model on data")
-    common(p)
+    common(p, "config", "weights")
     p.add_argument("--mode", choices=("softmax", "pca"), default="softmax")
     p.add_argument("--pca-m", type=int, default=None)
     p.add_argument("--eval-batch", type=_int_at_least(1), default=16)
     p.set_defaults(func=_cmd_similarity)
 
     p = asub.add_parser("mix-sweep", help="weight mixing ratio sweep with similarity and MSE")
-    common(p)
+    common(p, "config", "seed", "weights")
     p.add_argument("--ratios", type=_comma_list(float), default="0,0.25,0.5,0.75,1.0")
     p.add_argument("--finetune-steps", type=_int_at_least(0), default=50)
     p.add_argument("--mix-mode", choices=("replace", "interpolate"), default="replace")
@@ -246,6 +253,7 @@ _REQUIRED = object()  # a _SCHEMA row with no default
 
 _ALL = _TASKS + ("ablate",)
 _FORECASTING = ("forecast", "fewshot", "zeroshot", "ablate")
+_WINDOWED = _FORECASTING + ("imputation", "anomaly")  # the tasks that read a lookback
 _ONE_DATASET = tuple(t for t in _ALL if t != "zeroshot")  # zeroshot names source and target
 
 # One row per run-config key: (dotted path, type, default or _REQUIRED, tasks
@@ -262,10 +270,9 @@ _SCHEMA = (
     ("zeroshot.metric", str, "smape", ("zeroshot",)),
     ("weights", str, None, _ALL),
     ("revin_eps", float, 1e-5, _ALL),
-    ("window.lookback", int, _REQUIRED, _ALL),
+    ("window.lookback", int, _REQUIRED, _WINDOWED),
     ("window.horizon", int, _REQUIRED, _FORECASTING),
-    ("window.horizon", int, 0, ("imputation", "classification", "anomaly")),
-    ("window.stride", int, 1, _ALL),
+    ("window.stride", int, 1, _FORECASTING),
     ("patch.patch_len", int, _REQUIRED, _ALL),
     ("patch.stride", int, _REQUIRED, _ALL),
     ("backbone.n_layers", int, _REQUIRED, _ALL),
@@ -336,6 +343,8 @@ def _resolve(cfg, task: str | None) -> dict:
             expected, ok = _KINDS[kind]
             if not (ok(node) or (node is None and default is None)):
                 raise ConfigError(f"{where}: expected {expected}, got {node!r}")
+            if kind is float:
+                node = float(node)  # 1 and 1.0 are one value, with one hash
         resolved[path] = node
     if resolved["revin_eps"] < 0:
         raise ConfigError("config: revin_eps must be nonnegative")
@@ -349,7 +358,7 @@ def _run_config(args, task: str | None) -> dict:
     command-line override.  It is the whole description of the run, and the
     report's config hash is taken over it."""
     v = _resolve(_load_config(args.config), task)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # analyze similarity takes no --seed
         v["train.seed"] = args.seed
     if args.weights:
         v["weights"] = args.weights
@@ -366,9 +375,9 @@ def _kwargs(v: dict, section: str) -> dict:
 
 def _build_parts(v: dict):
     """Typed run configs and the weight path; a value the constructors reject
-    is a ConfigError."""
+    is a ConfigError.  The window spec is None unless the task forecasts."""
     try:
-        wspec = WindowSpec(**_kwargs(v, "window"))
+        wspec = WindowSpec(**_kwargs(v, "window")) if v["task"] in _FORECASTING else None
         patch = PatchConfig(**_kwargs(v, "patch"))
         base = BackboneConfig(
             **_kwargs(v, "backbone"), patch_len=patch.patch_len, head_in=1, head_out=1
@@ -472,7 +481,7 @@ def _cmd_task(args) -> int:
         report, stores = run_imputation(
             dataset,
             v["imputation.mask_ratios"],
-            wspec.lookback,
+            v["window.lookback"],
             base,
             tcfg,
             patch,
@@ -489,7 +498,7 @@ def _cmd_task(args) -> int:
         report, store = run_anomaly(
             dataset,
             v["anomaly.quantile"],
-            wspec.lookback,
+            v["window.lookback"],
             base,
             tcfg,
             patch,
@@ -564,7 +573,7 @@ def _cmd_pca_attn(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
-    rng = seeded_rng(args.seed if args.seed is not None else 0)
+    rng = seeded_rng(args.seed)
     held = 0
     results = []
     for _ in range(args.trials):
@@ -580,7 +589,7 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    rng = seeded_rng(args.seed if args.seed is not None else 0)
+    rng = seeded_rng(args.seed)
     d = args.d
     mu = rng.normal(d)
     mu /= np.linalg.norm(mu)
@@ -602,7 +611,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_sgd_rate(args) -> int:
-    rows = sgd_rate_experiment(args.sigmas, args.eps, args.seed if args.seed is not None else 0)
+    rows = sgd_rate_experiment(args.sigmas, args.eps, args.seed)
     out = _outdir(args)
     _emit_json({"eps": args.eps, "rows": rows}, out, args, "sgd_rate")
     for row in rows:

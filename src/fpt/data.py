@@ -4,7 +4,7 @@ Datasets are immutable after load.  CSV files must be UTF-8 with one header
 row, an optional leading timestamp column (ISO-8601 or integer index, used
 only for an ordering check) and finite decimal value columns; missing cells
 are rejected rather than imputed.  A JSON manifest maps dataset names to
-file paths plus frequency/split/label metadata.
+file paths plus split/label metadata.
 """
 
 from __future__ import annotations
@@ -20,29 +20,6 @@ import numpy as np
 
 from .errors import FormatError, InsufficientData, InvalidInput
 from .rng import RandomStream
-
-FREQUENCIES = (
-    "yearly",
-    "quarterly",
-    "monthly",
-    "weekly",
-    "daily",
-    "hourly",
-    "minutely",
-    "unknown",
-)
-
-# Seasonal-naive lags per frequency, M-competition convention.
-SEASONAL_PERIOD_BY_FREQ = {
-    "yearly": 1,
-    "quarterly": 4,
-    "monthly": 12,
-    "weekly": 1,
-    "daily": 7,
-    "hourly": 24,
-    "minutely": 1,
-    "unknown": 1,
-}
 
 _TIMESTAMP_HEADERS = {"date", "time", "timestamp", "datetime"}
 
@@ -100,7 +77,7 @@ class ImputationMask:
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
-    """A multivariate series with frequency, split and label metadata.
+    """A multivariate series with split and label metadata.
 
     ``labels`` is either one integer per channel (label_kind="series",
     classification corpora store one sample series per channel) or one
@@ -109,8 +86,6 @@ class TimeSeriesDataset:
 
     name: str
     values: np.ndarray  # (T, C) float64
-    frequency: str = "unknown"
-    seasonal_period: int | None = None
     labels: np.ndarray | None = None
     label_kind: str | None = None  # "series" | "timestep" | None
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -121,8 +96,6 @@ class TimeSeriesDataset:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise InvalidInput(f"values must be (T, C) with T,C >= 1, got {v.shape}")
         object.__setattr__(self, "values", v)
-        if self.frequency not in FREQUENCIES:
-            raise InvalidInput(f"unknown frequency {self.frequency!r}")
         if self.labels is not None:
             lab = np.asarray(self.labels)
             object.__setattr__(self, "labels", lab)
@@ -138,11 +111,6 @@ class TimeSeriesDataset:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    def effective_seasonal_period(self) -> int:
-        if self.seasonal_period is not None:
-            return self.seasonal_period
-        return SEASONAL_PERIOD_BY_FREQ[self.frequency]
 
     def split_bounds(self) -> SplitBounds:
         if self.bounds is not None:
@@ -164,10 +132,10 @@ class CsvSchema:
     With timestamp_column=None the first column is auto-detected as a
     timestamp when its header is one of {date, time, timestamp, datetime}
     (case-insensitive) or its values parse as ISO-8601 but not as numbers.
+    Every other column but the label column holds values.
     """
 
     timestamp_column: str | None = None
-    value_columns: tuple[str, ...] | None = None
     label_column: str | None = None
 
 
@@ -189,14 +157,7 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
     header = [h.strip() for h in header]
 
     ts_col = _resolve_timestamp_column(header, rows, schema)
-    candidates = [h for h in header if h != ts_col and h != schema.label_column]
-    if schema.value_columns is not None:
-        missing = [c for c in schema.value_columns if c not in header]
-        if missing:
-            raise FormatError(f"{path}: value columns not found: {missing}")
-        value_cols = list(schema.value_columns)
-    else:
-        value_cols = candidates
+    value_cols = [h for h in header if h != ts_col and h != schema.label_column]
     if not value_cols:
         raise FormatError(f"{path}: no value columns")
 
@@ -320,20 +281,12 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
     )
     ds = load_csv(csv_path, schema, name=name)
     split = SplitSpec(*entry["split"]) if "split" in entry else SplitSpec()
-    frequency = entry.get("frequency", "unknown")
     labels = ds.labels
     label_kind = ds.label_kind
     if "labels" in entry:  # per-channel labels (classification corpora)
         labels = np.asarray(entry["labels"], dtype=np.int64)
         label_kind = "series"
-    return replace(
-        ds,
-        frequency=frequency,
-        seasonal_period=entry.get("seasonal_period"),
-        split=split,
-        labels=labels,
-        label_kind=label_kind,
-    )
+    return replace(ds, split=split, labels=labels, label_kind=label_kind)
 
 
 def make_windows(

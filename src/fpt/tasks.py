@@ -308,14 +308,24 @@ def _base_metadata(task, dataset, tcfg, **extra) -> dict:
 # runners
 
 
-def _train_forecast(dataset, wspec, base_cfg, tcfg, patch, weights, eps):
-    cfg = _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
+def _forecast_config(base_cfg, patch, wspec) -> BackboneConfig:
+    """The backbone config of a forecasting run, whose horizon must be >= 1."""
+    if wspec.horizon < 1:
+        raise InvalidInput("forecasting needs a positive horizon")
+    return _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
+
+
+def _train_mse(dataset, wspec, cfg, tcfg, patch, weights, eps):
+    """Train ``tcfg.ablation``'s setup on the training split with MSE loss
+    (forecast or reconstruction, as ``wspec.horizon`` says), early-stopping
+    on validation.  Returns (trained store, initial setup, history); the
+    setup's store is untouched by training."""
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
     train = _samples(dataset, wspec, patch, eps, "train")
     val = _samples(dataset, wspec, patch, eps, "val")
     store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
-    return store, setup.cfg, history
+    return store, setup, history
 
 
 def run_forecast(
@@ -330,13 +340,10 @@ def run_forecast(
     """Train on the training split, early-stop on validation, report
     MSE/MAE on the test split (original units), plus a repeat-last
     baseline in the metadata."""
-    if wspec.horizon < 1:
-        raise InvalidInput("forecasting needs a positive horizon")
-    store, cfg, history = _train_forecast(
-        dataset, wspec, base_cfg, tcfg, patch, weights, revin_eps
-    )
+    cfg = _forecast_config(base_cfg, patch, wspec)
+    store, setup, history = _train_mse(dataset, wspec, cfg, tcfg, patch, weights, revin_eps)
     test = _samples(dataset, wspec, patch, revin_eps, "test")
-    preds = _predict_denorm(store, cfg, test)
+    preds = _predict_denorm(store, setup.cfg, test)
     naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
     report = MetricReport(
         metadata=_base_metadata(
@@ -382,7 +389,6 @@ def run_zero_shot(
     metric: str = "smape",
     weights=None,
     revin_eps: float = 1e-5,
-    target_wspec: WindowSpec | None = None,
 ) -> tuple[MetricReport, ParameterStore]:
     """Train on the source dataset; evaluate the target test split with zero
     parameter updates.  The parameter hash is recorded before and after
@@ -390,14 +396,11 @@ def run_zero_shot(
     metric_fns = {"smape": smape, "mape": mape, "nd": nd, "mse": mse, "mae": mae}
     if metric not in metric_fns:
         raise InvalidInput(f"metric must be one of {sorted(metric_fns)}")
-    if target_wspec is not None and target_wspec != wspec:
-        raise InvalidInput("source and target window specs must match")
-    store, cfg, history = _train_forecast(
-        source, wspec, base_cfg, tcfg, patch, weights, revin_eps
-    )
+    cfg = _forecast_config(base_cfg, patch, wspec)
+    store, setup, history = _train_mse(source, wspec, cfg, tcfg, patch, weights, revin_eps)
     hash_before = param_hash(store)
     test = _samples(target, wspec, patch, revin_eps, "test")
-    preds = _predict_denorm(store, cfg, test)
+    preds = _predict_denorm(store, setup.cfg, test)
     hash_after = param_hash(store)
     naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
     values = {
@@ -579,11 +582,7 @@ def run_anomaly(
     stride = max(1, lookback // 8) if stride is None else stride
     wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
-    rng = seeded_rng(tcfg.seed)
-    setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    train = _samples(dataset, wspec, patch, revin_eps, "train")
-    val = _samples(dataset, wspec, patch, revin_eps, "val")
-    store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
+    store, setup, history = _train_mse(dataset, wspec, cfg, tcfg, patch, weights, revin_eps)
 
     bounds = dataset.split_bounds()
     train_err = _reconstruction_errors(
@@ -632,27 +631,21 @@ def run_ablation_suite(
     Also records the maximum step-0 prediction divergence between the fpt
     and no_freeze arms, which share identical initial parameters.
     """
-    cfg = _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
+    cfg = _forecast_config(base_cfg, patch, wspec)
     report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg))
     test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[: min(8, test.count)]
     if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
-        # one read of the container serves each pretrained arm's probe and run
+        # one read of the container serves every pretrained arm
         weights = _pretrained(weights, cfg)
     step0: dict[str, np.ndarray] = {}
     for arm in arms:
         arm_tcfg = replace(tcfg, ablation=arm)
         arm_weights = weights if arm in _PRETRAINED_ARMS else None
-        setup = make_ablation(arm, cfg, seeded_rng(arm_tcfg.seed).child(1), arm_weights)
+        store, setup, _ = _train_mse(dataset, wspec, cfg, arm_tcfg, patch, arm_weights, revin_eps)
         step0[arm] = predict(setup.store, setup.cfg, probe)
-        arm_report, _ = run_forecast(dataset, wspec, base_cfg, arm_tcfg, patch, arm_weights, revin_eps)
-        report.add_row(
-            arm,
-            {
-                "MSE": arm_report.metric("MSE", f"O={wspec.horizon}"),
-                "MAE": arm_report.metric("MAE", f"O={wspec.horizon}"),
-            },
-        )
+        preds = _predict_denorm(store, setup.cfg, test)
+        report.add_row(arm, {"MSE": mse(test.targets, preds), "MAE": mae(test.targets, preds)})
     if "fpt" in step0 and "no_freeze" in step0:
         report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
             np.abs(step0["fpt"] - step0["no_freeze"]).max()
@@ -677,5 +670,6 @@ def synthetic_pretrain(
     values = donor_values(length, n_channels, rng, noise=noise)
     donor = TimeSeriesDataset(name="synthetic-donor", values=values)
     donor_tcfg = replace(tcfg, ablation="no_pretrain")
-    _, store = run_forecast(donor, wspec, base_cfg, donor_tcfg, patch)
+    cfg = _forecast_config(base_cfg, patch, wspec)
+    store, _, _ = _train_mse(donor, wspec, cfg, donor_tcfg, patch, None, eps=1e-5)
     return store

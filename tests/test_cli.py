@@ -395,6 +395,56 @@ def _leaf(config: dict, path: str) -> tuple[dict, str]:
     return config, key
 
 
+# A value for every required _SCHEMA row; the manifest is written per test.
+_REQUIRED_VALUES = {
+    "zeroshot.source": "sine",
+    "zeroshot.target": "shifted",
+    "window.lookback": 48,
+    "window.horizon": 12,
+    "patch.patch_len": 8,
+    "patch.stride": 4,
+    "backbone.n_layers": 1,
+    "backbone.d_model": 16,
+    "backbone.n_heads": 2,
+    "backbone.d_ff": 32,
+    "train.epochs": 0,
+    "train.batch_size": 64,
+    "train.learning_rate": 0.001,
+    "imputation.mask_ratios": [0.5],
+    "fewshot.percent": 0.5,
+}
+_TASK_DATASET = {"classification": "waves", "anomaly": "spiky"}
+
+
+def _write_task_datasets(tmp) -> Path:
+    """The workspace manifest plus a classification and an anomaly dataset,
+    so every task has a dataset to run on."""
+    from fpt.synthetic import classification_values
+
+    _, _, config = _make_workspace(tmp)
+    manifest = Path(config["dataset"]["manifest"])
+    entries = json.loads(manifest.read_text())
+    values, labels = classification_values(40, 64, seeded_rng(1))
+    write_series_csv(tmp / "waves.csv", values)
+    entries["waves"] = {"path": "waves.csv", "split": [0.6, 0.2, 0.2], "labels": labels.tolist()}
+    spiky, spikes = sinusoid(600, 24.0), np.zeros(600, dtype=np.int64)
+    spiky[550], spikes[550] = spiky[550] + 8.0, 1
+    write_series_csv(tmp / "spiky.csv", spiky, labels=spikes)
+    entries["spiky"] = {"path": "spiky.csv", "label_column": "label"}
+    write_manifest(manifest, entries)
+    return manifest
+
+
+def _task_hash(tmp, task: str, config, out: str) -> tuple[int, str | None]:
+    """The exit code of one task run and its report's config hash."""
+    cfg_path = tmp / f"{out}.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [_TASK_COMMAND[task], "--config", str(cfg_path), "--output", str(tmp / out)]
+    code = main(argv + ["--synthetic-pretrain"] * (task == "ablate"))
+    report = tmp / out / ("ablation.json" if task == "ablate" else "report.json")
+    return code, json.loads(report.read_text())["metadata"]["config_hash"] if code == 0 else None
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize(
         "path, kind, task",
@@ -453,6 +503,26 @@ class TestConfigSchema:
         tmp, cfg_path, _ = workspace
         assert _run_task(tmp, cfg_path, "forecast", []) == 2
         assert _error_lines(capsys) == ["error: ConfigError: config: expected an object, got list"]
+
+    @pytest.mark.parametrize("task", _TASK_COMMAND)
+    def test_unread_keys_change_nothing(self, tmp_path, task):
+        """A config holding only the rows a task resolves runs, and an
+        ill-typed value under every other row's key changes neither the
+        exit code nor the config hash: the task reads none of them."""
+        manifest = _write_task_datasets(tmp_path)
+        values = {**_REQUIRED_VALUES, "dataset.manifest": str(manifest)}
+        values["dataset.name"] = _TASK_DATASET.get(task, "sine")
+        minimal, unread = {}, {}
+        for path, kind, default, tasks in _SCHEMA:
+            if task not in tasks:
+                node, key = _leaf(unread, path)
+                node[key] = _ILL_TYPED[kind]
+            elif default is _REQUIRED:
+                node, key = _leaf(minimal, path)
+                node[key] = values[path]
+        first = _task_hash(tmp_path, task, minimal, "minimal")
+        assert first[0] == 0
+        assert _task_hash(tmp_path, task, _with(minimal, unread), "unread") == first
 
     def test_null_is_not_a_default_unless_the_default_is_null(self, workspace, capsys):
         tmp, cfg_path, config = workspace
@@ -606,6 +676,10 @@ _SAME_HASH = {
     "rerun": (("train", {}), ("train", {})),
     "default-spelled-out": (("train", {"revin_eps": 1e-5}), ("train", {})),
     "eval-is-train-at-0-epochs-fpt": (("eval", {}), ("train", {"train": {"ablation": "fpt"}})),
+    "float-written-as-integer": (
+        ("fewshot", {"fewshot": {"percent": 1}}),
+        ("fewshot", {"fewshot": {"percent": 1.0}}),
+    ),
 }
 _OTHER_HASH = {
     "fewshot-percent": (
@@ -794,6 +868,27 @@ class TestArgumentHandling:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {argv[-2]}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxent", "--q", "0.5", "--g", "0.5", "--seed", "3"],
+            ["maxent", "--q", "0.5", "--g", "0.5", "--weights", "w"],
+            ["pca-attn", "--x", "x.csv", "--m", "2", "--seed", "3"],
+            ["pca-attn", "--x", "x.csv", "--m", "2", "--weights", "w"],
+            ["jacobian", "--weights", "w"],
+            ["convergence", "--weights", "w"],
+            ["sgd-rate", "--weights", "w"],
+            ["similarity", "--config", "run.json", "--seed", "3"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_flag_the_analysis_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"unrecognized arguments: {argv[-2]}" in err
 
     @pytest.mark.parametrize("eps", ["0", "-0.001", "nan"])
     def test_sgd_rate_nonpositive_eps_exits_2(self, tmp_path, capsys, eps):

@@ -86,10 +86,16 @@ class TestManifest:
             },
         )
         ds = load_from_manifest(tmp_path / "manifest.json", "mine")
-        assert ds.frequency == "hourly"
-        assert ds.effective_seasonal_period() == 24
         assert ds.split == SplitSpec(0.5, 0.25, 0.25)
         assert ds.label_kind == "series" and list(ds.labels) == [1]
+
+    def test_unread_keys_are_ignored(self, tmp_path):
+        """Nothing reads a frequency or seasonal period, so any value loads."""
+        write_series_csv(tmp_path / "series.csv", np.arange(40.0)[:, None])
+        entry = {"path": "series.csv", "frequency": "fortnightly", "seasonal_period": "x"}
+        write_manifest(tmp_path / "manifest.json", {"mine": entry})
+        ds = load_from_manifest(tmp_path / "manifest.json", "mine")
+        assert ds.values.shape == (40, 1)
 
     def test_unknown_name(self, tmp_path):
         write_manifest(tmp_path / "m.json", {})

@@ -435,14 +435,6 @@ class TestZeroShot:
         )
         assert report.metric("SMAPE", "O=12") < report.metadata["baseline"]["SMAPE"]
 
-    def test_incompatible_windows_rejected(self):
-        ds = _sine_ds()
-        with pytest.raises(InvalidInput):
-            run_zero_shot(
-                ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH,
-                target_wspec=WindowSpec(24, 12, 1),
-            )
-
     def test_unknown_metric(self):
         ds = _sine_ds()
         with pytest.raises(InvalidInput):
