@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -347,35 +347,64 @@ class Batch:
     mask: np.ndarray | None = None
 
 
+# The step kernels below write into buffers they own, with the operands and
+# order of the plain expression in their docstring, so the bits match it.
 def _gelu(u):
-    t = np.tanh(_GELU_K * (u + _GELU_C * (u * u * u)))
-    return 0.5 * u * (1.0 + t), t
+    """``t = tanh(K * (u + C * (u * u * u)))``, ``0.5 * u * (1 + t)``."""
+    s = u * u
+    s *= u
+    s *= _GELU_C
+    s += u
+    s *= _GELU_K
+    t = np.tanh(s)
+    g = u * 0.5
+    g *= np.add(t, 1.0, out=s)
+    return g, t
 
 
 def _gelu_bwd(dg, u, t):
-    dt = _GELU_K * (1.0 + 3.0 * _GELU_C * u * u) * (1.0 - t * t)
-    return dg * (0.5 * (1.0 + t) + 0.5 * u * dt)
+    """``dg * (0.5 * (1 + t) + 0.5 * u * (K * (1 + 3C * u * u) * (1 - t * t)))``."""
+    dt = u * (3.0 * _GELU_C)
+    dt *= u
+    dt += 1.0
+    dt *= _GELU_K
+    s = t * t
+    dt *= np.subtract(1.0, s, out=s)
+    dt *= np.multiply(u, 0.5, out=s)
+    dt += np.multiply(np.add(t, 1.0, out=s), 0.5, out=s)
+    dt *= dg
+    return dt
 
 
 def _ln_bwd(dy, cache):
+    """``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
+    ``dxhat = dy * gamma``, plus the gamma and beta gradients."""
     xhat, inv, gamma = cache
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
+    d = dy.shape[-1]
+    tmp = dy * xhat
+    dgamma = tmp.sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * gamma
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d  # np.mean's own steps
+    m2 = np.add.reduce(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True) / d
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
-def _mm(a, w):
-    """``a @ w`` for a (..., k) stack and a (k, e) weight as one (rows, k) GEMM.
+def _mm(a, w, b=None):
+    """``a @ w`` (``+ b``, added in place) for a (..., k) stack and a (k, e)
+    weight as one (rows, k) GEMM.
 
     numpy runs a stacked ``@`` as one small GEMM per leading index; folding
     the leading axes into the row axis hands BLAS a single large product.
     """
-    return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+    out = (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+    if b is not None:
+        out += b
+    return out
 
 
 def _wgrad(a, b):
@@ -395,20 +424,19 @@ def _merge_heads(x):
 
 
 def _attn_fwd(x, p, prefix, cfg):
-    wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
-    bq, bk, bv, bo = (p[prefix + "attn.b" + s] for s in "qkvo")
-    q = _mm(x, wq) + bq
-    k = _mm(x, wk) + bk
-    v = _mm(x, wv) + bv
-    qh, kh, vh = (_split_heads(a, cfg.n_heads) for a in (q, k, v))
+    qh, kh, vh = (
+        _split_heads(_mm(x, p[prefix + "attn.w" + s], p[prefix + "attn.b" + s]), cfg.n_heads)
+        for s in "qkv"
+    )
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    z = (qh @ kh.swapaxes(-1, -2)) * scale
+    z = qh @ kh.swapaxes(-1, -2)
+    z *= scale
     if cfg.causal:
         n = z.shape[-1]
-        z = z + np.triu(np.full((n, n), _NEG_INF), k=1)
+        z += np.triu(np.full((n, n), _NEG_INF), k=1)
     probs = softmax_last(z)
     ctx = _merge_heads(probs @ vh)
-    out = _mm(ctx, wo) + bo
+    out = _mm(ctx, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
     cache = (x, qh, kh, vh, probs, ctx, scale)
     return out, cache
 
@@ -416,24 +444,29 @@ def _attn_fwd(x, p, prefix, cfg):
 def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     x, qh, kh, vh, probs, ctx, scale = cache
     wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
-    _accum(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
-    _accum(grads, wanted, prefix + "attn.bo", lambda: dout.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
+    _set_grad(grads, wanted, prefix + "attn.bo", lambda: dout.sum(axis=(0, 1)))
     dctx = _split_heads(_mm(dout, wo.T), cfg.n_heads)
     dprobs = dctx @ vh.swapaxes(-1, -2)
     dvh = probs.swapaxes(-1, -2) @ dctx
-    dz = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dqh = (dz @ kh) * scale
-    dkh = (dz.swapaxes(-1, -2) @ qh) * scale
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dz = np.multiply(dprobs, probs, out=dprobs)  # probs * (dprobs - sum(dprobs * probs))
+    dqh, dkh = dz @ kh, dz.swapaxes(-1, -2) @ qh
+    dqh *= scale
+    dkh *= scale
     dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
     for nm, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        _accum(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
-        _accum(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
-    return _mm(dq, wq.T) + _mm(dk, wk.T) + _mm(dv, wv.T)
+        _set_grad(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
+        _set_grad(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
+    dx = _mm(dq, wq.T)
+    dx += _mm(dk, wk.T)
+    dx += _mm(dv, wv.T)
+    return dx
 
 
-def _accum(grads, wanted, name, fn):
+def _set_grad(grads, wanted, name, fn):
     if wanted is None or name in wanted:
-        grads[name] = grads.get(name, 0.0) + fn()
+        grads[name] = fn()
 
 
 def _pca_attention_out(x, m):
@@ -459,14 +492,14 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
     else:
         attn_out, attn_cache = _pca_attention_out(a1, pca_m), None
     attn_out, attn_mask = dropout(attn_out)
-    h = h + attn_out
+    h = np.add(attn_out, h, out=attn_out)  # a new h; the trace keeps the old one
     if not keep:  # free the attention buffers before the MLP; bounds eval-chunk peak memory
         ln1_cache = attn_cache = None
     a2, ln2_cache = layer_norm_last(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"], LN_EPS)
-    u = _mm(a2, p[prefix + "mlp.w1"]) + p[prefix + "mlp.b1"]
+    u = _mm(a2, p[prefix + "mlp.w1"], p[prefix + "mlp.b1"])
     g, tanh_cache = _gelu(u)
-    mlp_out, mlp_mask = dropout(_mm(g, p[prefix + "mlp.w2"]) + p[prefix + "mlp.b2"])
-    h = h + mlp_out
+    mlp_out, mlp_mask = dropout(_mm(g, p[prefix + "mlp.w2"], p[prefix + "mlp.b2"]))
+    h = np.add(mlp_out, h, out=mlp_out)
     if not keep:
         return h, None
     return h, (ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask)
@@ -496,9 +529,11 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
         if drop_p == 0.0:
             return a, None
         mask = (dropout_rng.uniform(a.shape) >= drop_p).astype(np.float64) / (1.0 - drop_p)
-        return a * mask, mask
+        a *= mask  # every dropped array is a fresh buffer of this pass
+        return a, mask
 
-    emb = _mm(x, p["input_embedding.w"]) + p["input_embedding.b"] + p["pos_embedding"][:n]
+    emb = _mm(x, p["input_embedding.w"], p["input_embedding.b"])
+    emb += p["pos_embedding"][:n]
     h, emb_mask = dropout(emb)
     trace, caches = [h], []
     for i in range(cfg.n_layers):
@@ -616,50 +651,50 @@ def loss_and_grads(
         raise NumericalFailure(f"non-finite loss value {value!r} (loss={loss})")
 
     grads: dict[str, np.ndarray] = {}
-    _accum(grads, wanted, "output_head.w", lambda: flat.T @ dout)
-    _accum(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
+    _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
+    _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
     dflat = dout @ p["output_head.w"].T
     if cfg.head_mode == "flatten":
         dy = dflat.reshape(y.shape)
     else:
         dy = np.repeat(dflat[:, None, :], y.shape[1], axis=1) / y.shape[1]
     dh, dgamma, dbeta = _ln_bwd(dy, lnf_cache)
-    _accum(grads, wanted, "ln_f.gamma", lambda: dgamma)
-    _accum(grads, wanted, "ln_f.beta", lambda: dbeta)
+    _set_grad(grads, wanted, "ln_f.gamma", lambda: dgamma)
+    _set_grad(grads, wanted, "ln_f.beta", lambda: dbeta)
 
     for i in reversed(range(cfg.n_layers)):
         prefix = f"blocks.{i}."
         ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = caches[i]
         dmlp_out = dh if mlp_mask is None else dh * mlp_mask
-        _accum(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
-        _accum(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
+        _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
+        _set_grad(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
         dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
         du = _gelu_bwd(dg, u, tanh_cache)
-        _accum(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
-        _accum(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
+        _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
+        _set_grad(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
         da2 = _mm(du, p[prefix + "mlp.w1"].T)
         dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
-        _accum(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
-        _accum(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
-        dh = dh + dh_ln2
+        _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
+        _set_grad(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
+        dh += dh_ln2
         dattn_out = dh if attn_mask is None else dh * attn_mask
         da1 = _attn_bwd(dattn_out, attn_cache, p, prefix, cfg, grads, wanted)
         dh_ln1, dgamma, dbeta = _ln_bwd(da1, ln1_cache)
-        _accum(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
-        _accum(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
-        dh = dh + dh_ln1
+        _set_grad(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
+        _set_grad(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
+        dh += dh_ln1
 
     if emb_mask is not None:
         dh = dh * emb_mask
-    _accum(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
-    _accum(grads, wanted, "input_embedding.b", lambda: dh.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
+    _set_grad(grads, wanted, "input_embedding.b", lambda: dh.sum(axis=(0, 1)))
 
     def dpos():
         g_full = np.zeros_like(p["pos_embedding"])
         g_full[: x.shape[1]] = dh.sum(axis=0)
         return g_full
 
-    _accum(grads, wanted, "pos_embedding", dpos)
+    _set_grad(grads, wanted, "pos_embedding", dpos)
     return value, grads
 
 
@@ -668,12 +703,16 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam optimizer state; beta1, beta2 and eps are the ``_ADAM_*`` constants."""
+    """Adam optimizer state; beta1, beta2 and eps are the ``_ADAM_*`` constants.
+
+    ``m`` and ``v`` are float64 vectors over the trainable tensors, flattened
+    and concatenated in store order; None before the first step.
+    """
 
     lr: float
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -682,29 +721,42 @@ def adam_step(
     state: AdamState,
     trainable: frozenset[str],
 ) -> ParameterStore:
-    """One Adam update on the trainable set; frozen tensors are shared as-is."""
+    """One Adam update on the trainable set; frozen tensors are shared as-is.
+
+    One pass over the trainable tensors, flattened in store order, runs
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``w - lr*mhat /
+    (sqrt(vhat) + eps)`` element by element; a tensor missing from ``grads``
+    has a zero gradient.  The new trainable tensors view one fresh buffer.
+    """
     state.t += 1
-    t = state.t
-    out = ParameterStore()
-    for name, arr in store.items():
-        if name not in trainable:
-            out[name] = arr
-            continue
-        g = grads.get(name)
-        g = np.zeros(arr.shape) if g is None else np.asarray(g, dtype=np.float64)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros(arr.shape, dtype=np.float64)
-            v = np.zeros(arr.shape, dtype=np.float64)
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / (1.0 - _ADAM_BETA1**t)
-        vhat = v / (1.0 - _ADAM_BETA2**t)
-        updated = arr.astype(np.float64) - state.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-        out[name] = updated.astype(arr.dtype)
+    names = [n for n in store if n in trainable]
+    if not names:
+        return ParameterStore(store)
+    w = np.concatenate([store[n].ravel() for n in names], dtype=np.float64)
+    g = np.concatenate(
+        [np.ravel(grads[n]) if n in grads else np.zeros(store[n].size) for n in names],
+        dtype=np.float64,
+    )
+    if state.m is None:
+        state.m, state.v = np.zeros_like(w), np.zeros_like(w)
+    tmp = g * (1.0 - _ADAM_BETA2)
+    tmp *= g
+    state.v *= _ADAM_BETA2
+    state.v += tmp
+    state.m *= _ADAM_BETA1
+    state.m += np.multiply(g, 1.0 - _ADAM_BETA1, out=g)
+    step = np.divide(state.m, 1.0 - _ADAM_BETA1**state.t, out=g)  # mhat
+    step *= state.lr
+    vhat = np.divide(state.v, 1.0 - _ADAM_BETA2**state.t, out=tmp)
+    step /= np.add(np.sqrt(vhat, out=vhat), _ADAM_EPS, out=vhat)
+    w -= step
+    kinds = {store[n].dtype for n in names}
+    flat = w.astype(kinds.pop(), copy=False) if len(kinds) == 1 else w
+    out, lo = ParameterStore(store), 0
+    for n in names:
+        a = store[n]
+        out[n] = flat[lo : lo + a.size].reshape(a.shape).astype(a.dtype, copy=False)
+        lo += a.size
     return out
 
 

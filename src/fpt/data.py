@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InsufficientData, InvalidInput
+from .errors import FormatError, InsufficientData, InvalidInput, IoError
 from .rng import RandomStream
 
 _TIMESTAMP_HEADERS = {"date", "time", "timestamp", "datetime"}
@@ -145,13 +145,17 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
     path = Path(path)
     if not path.exists():
         raise FormatError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        rows = list(reader)
+            rows = list(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:  # a directory, no read permission
+        raise IoError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     header = [h.strip() for h in header]
@@ -183,7 +187,7 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
         raw = [row[col_index[schema.label_column]].strip() for row in rows]
         try:
             labels = np.array([int(float(x)) for x in raw], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # "x", "nan"; "inf", "1e400"
             raise FormatError(f"{path}: unparseable label: {exc}") from None
         label_kind = "timestep"
 
@@ -256,7 +260,7 @@ def load_manifest(path) -> dict:
             manifest = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"manifest {path} must map names to entries")

@@ -32,9 +32,10 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def softmax_last(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max-subtraction; no input checks."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -52,12 +53,14 @@ def layer_norm_last(x: np.ndarray, gamma, beta, eps: float):
     Returns (gamma * xhat + beta, (xhat, 1 / sqrt(var + eps), gamma)); the
     second item is what the backbone's backward pass reads.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    d = x.shape[-1]  # add.reduce / d is np.mean without its Python wrapper
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv, gamma)
 
 
 def layer_norm(v, gamma, beta, eps: float) -> np.ndarray:

@@ -12,8 +12,11 @@ from fpt.backbone import (
     Batch,
     FreezeMask,
     _gelu,
+    _gelu_bwd,
+    _ln_bwd,
     _mm,
     _wgrad,
+    adam_step,
     backward_and_step,
     expected_shapes,
     forward,
@@ -26,6 +29,7 @@ from fpt.backbone import (
     save_weights,
 )
 from fpt.errors import FormatError, InvalidInput, NumericalFailure, ShapeError
+from fpt.numerics import layer_norm_last, softmax_last
 from fpt.rng import seeded_rng
 
 
@@ -354,6 +358,163 @@ class TestKernels:
         whole = predict(store, cfg, tokens)
         chunks = [predict(store, cfg, tokens[lo : lo + 128]) for lo in range(0, 700, 128)]
         assert np.abs(whole - np.concatenate(chunks)).max() <= 1e-12
+
+
+# Plain-expression references for the in-place step kernels: each kernel must
+# match its expression bit for bit, so the trained weights do not move.
+
+
+def _ref_gelu(u):
+    t = np.tanh(_GELU_K * (u + _GELU_C * (u * u * u)))
+    return 0.5 * u * (1.0 + t), t
+
+
+def _ref_gelu_bwd(dg, u, t):
+    dt = _GELU_K * (1.0 + 3.0 * _GELU_C * u * u) * (1.0 - t * t)
+    return dg * (0.5 * (1.0 + t) + 0.5 * u * dt)
+
+
+def _ref_layer_norm(x, gamma, beta, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
+
+
+def _ref_ln_bwd(dy, cache):
+    xhat, inv, gamma = cache
+    axes = tuple(range(dy.ndim - 1))
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
+
+
+def _ref_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_adam(store, grads, state, trainable, lr):
+    """The per-tensor Adam loop; ``state`` is {"t": int, "m": {}, "v": {}}."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    t = state["t"]
+    out = {}
+    for name, arr in store.items():
+        if name not in trainable:
+            out[name] = arr
+            continue
+        g = grads.get(name)
+        g = np.zeros(arr.shape) if g is None else np.asarray(g, dtype=np.float64)
+        m = state["m"].get(name, np.zeros(arr.shape))
+        v = state["v"].get(name, np.zeros(arr.shape))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        state["m"][name], state["v"][name] = m, v
+        mhat = m / (1.0 - b1**t)
+        vhat = v / (1.0 - b2**t)
+        updated = arr.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
+        out[name] = updated.astype(arr.dtype)
+    return out
+
+
+# (B, tokens, d_model) and (B, tokens, d_ff) of the c09 forecasting config,
+# and a tiny shape.
+_KERNEL_SHAPES = [(64, 11, 64), (64, 11, 128), (2, 3, 5)]
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+class TestBitwiseKernels:
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+    def test_gelu_and_its_backward(self, shape):
+        rng = seeded_rng(40)
+        u, dg = rng.normal(shape, scale=3.0), rng.normal(shape)
+        u_before = u.copy()
+        g, t = _gelu(u)
+        assert _same((g, t), _ref_gelu(u))
+        assert np.array_equal(_gelu_bwd(dg, u, t), _ref_gelu_bwd(dg, u, t))
+        assert np.array_equal(u, u_before)
+
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+    def test_layer_norm_and_its_backward(self, shape):
+        rng = seeded_rng(41)
+        x, dy = rng.normal(shape, scale=2.0) + 0.5, rng.normal(shape)
+        gamma, beta = rng.normal(shape[-1:]) + 1.0, rng.normal(shape[-1:])
+        y, cache = layer_norm_last(x, gamma, beta, 1e-5)
+        y_ref, cache_ref = _ref_layer_norm(x, gamma, beta, 1e-5)
+        assert np.array_equal(y, y_ref) and _same(cache, cache_ref)
+        dy_before = dy.copy()
+        assert _same(_ln_bwd(dy, cache), _ref_ln_bwd(dy, cache_ref))
+        assert np.array_equal(dy, dy_before)
+
+    @pytest.mark.parametrize("shape", [(64, 4, 11, 11), (2, 3, 5)])
+    def test_softmax(self, shape):
+        z = seeded_rng(42).normal(shape, scale=4.0)
+        z_before = z.copy()
+        assert np.array_equal(softmax_last(z), _ref_softmax(z))
+        assert np.array_equal(z, z_before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_matches_the_per_tensor_loop(self, dtype):
+        cfg = tiny_backbone(head_in=3 * 16, head_out=5)
+        store = init_random(cfg, seeded_rng(43), dtype=dtype)
+        trainable = FreezeMask.default_fpt(store).trainable
+        rng = seeded_rng(44)
+        state, ref_state = AdamState(lr=1e-2), {"t": 0, "m": {}, "v": {}}
+        ref, beta0 = store, store["ln_f.beta"]
+        for _ in range(5):
+            grads = {
+                n: rng.normal(a.shape) for n, a in store.items() if n != "ln_f.beta"
+            }
+            grads_before = {n: g.copy() for n, g in grads.items()}
+            new = adam_step(store, grads, state, trainable)
+            ref = _ref_adam(ref, grads, ref_state, trainable, 1e-2)
+            assert all(_same((new[n],), (ref[n],)) and new[n].dtype == dtype for n in ref)
+            assert all(new[n] is store[n] for n in store if n not in trainable)
+            assert _same(grads.values(), grads_before.values())
+            store = new
+        assert np.array_equal(store["ln_f.beta"], beta0)  # trainable, but never given a gradient
+        flat = [n for n in store if n in trainable]
+        assert np.array_equal(state.m, np.concatenate([ref_state["m"][n].ravel() for n in flat]))
+        assert np.array_equal(state.v, np.concatenate([ref_state["v"][n].ravel() for n in flat]))
+        frozen = adam_step(store, grads, state, frozenset())
+        assert state.t == 6 and all(frozen[n] is store[n] for n in store)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_steps_write_into_no_store_or_batch(self, dtype, dropout):
+        """In-place kernels touch only their own buffers: not the input store,
+        not the caller's float64 tokens, not a store an earlier step returned
+        (the early-stopping fit keeps its best store by reference)."""
+        cfg = BackboneConfig(
+            n_layers=2, d_model=64, n_heads=4, d_ff=128, max_tokens=64,
+            patch_len=16, head_in=11 * 64, head_out=24, dropout=dropout,
+        )
+        rng = seeded_rng(45)
+        store = init_random(cfg, rng.child(1), dtype=dtype)
+        batch = Batch(tokens=rng.normal((64, 11, 16)), targets=rng.normal((64, 24)))
+        tokens_before = batch.tokens.copy()
+        mask, state = FreezeMask.all_trainable(store), AdamState(lr=1e-3)
+        hashes = [param_hash(store)]
+        stores = [store]
+        for step in range(3):
+            _, store = backward_and_step(
+                store, cfg, batch, "mse", state, mask, dropout_rng=seeded_rng(50 + step)
+            )
+            stores.append(store)
+            hashes.append(param_hash(store))
+        assert [param_hash(s) for s in stores] == hashes
+        assert len(set(hashes)) == len(hashes)
+        assert np.array_equal(batch.tokens, tokens_before)
 
 
 class TestTrainingStep:

@@ -175,6 +175,23 @@ class TestTrainCommand:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0], err
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("config", "ConfigError: config"),
+            ("manifest", "FormatError: manifest"),
+            ("csv", "FormatError:"),
+        ],
+    )
+    def test_non_utf8_input_exits_2(self, workspace, capsys, kind, message):
+        tmp, cfg_path, _ = workspace
+        target = {"config": cfg_path, "manifest": tmp / "manifest.json", "csv": tmp / "sine.csv"}
+        raw = target[kind].read_bytes()
+        target[kind].write_bytes(raw[:1] + b"\xff" + raw[1:])
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "o")]) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1 and message in errors[0] and "utf-8" in errors[0], errors
+
     def test_eval_uses_saved_weights(self, workspace):
         tmp, cfg_path, _ = workspace
         out = tmp / "out"

@@ -14,7 +14,7 @@ from fpt.data import (
     make_windows,
     random_mask,
 )
-from fpt.errors import FormatError, InsufficientData, InvalidInput
+from fpt.errors import FormatError, InsufficientData, InvalidInput, IoError
 from fpt.rng import seeded_rng
 from fpt.synthetic import write_manifest, write_series_csv
 
@@ -59,12 +59,23 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="strictly increasing"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["inf", "1e400", "nan", "x"])
+    def test_unparseable_label_rejected(self, tmp_path, label):
+        # int(float("inf")) raises OverflowError, not ValueError
+        path = _write(tmp_path, "h.csv", f"a,label\n1,0\n2,{label}\n3,0\n")
+        with pytest.raises(FormatError, match="unparseable label"):
+            load_csv(path, CsvSchema(label_column="label"))
+
     def test_label_column(self, tmp_path):
         path = _write(tmp_path, "g.csv", "a,label\n1,0\n2,1\n3,0\n")
         ds = load_csv(path, CsvSchema(label_column="label"))
         assert ds.n_channels == 1
         assert np.array_equal(ds.labels, [0, 1, 0])
         assert ds.label_kind == "timestep"
+
+    def test_unreadable_path_is_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            load_csv(tmp_path)  # exists, but is a directory
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
