@@ -5,8 +5,7 @@ rank-m attention matrix built from top eigenpairs and its objective value,
 a spectral-norm bound on the self-attention Jacobian audited against finite
 differences, the concentration of attention outputs around the token mean,
 an SGD conditioning/rate experiment for the linear readout, the solvable
-one-dimensional maximum-entropy dual, and token-similarity profiling with
-weight-mixing sweeps.
+one-dimensional maximum-entropy dual, and token-similarity profiling.
 """
 
 from __future__ import annotations
@@ -17,14 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import (
-    BackboneConfig,
-    FreezeMask,
-    ParameterStore,
-    forward,
-    init_random,
-    mix_weights,
-)
 from .errors import InvalidInput, NumericalFailure, RankDeficient
 from .numerics import (
     EigenDecomposition,
@@ -34,7 +25,7 @@ from .numerics import (
     spectral_norm,
     sym_eig,
 )
-from .rng import RandomStream
+from .rng import RandomStream, seeded_rng
 
 SIMILARITY_BINS = 20
 
@@ -235,7 +226,10 @@ def attention_map(x, a) -> np.ndarray:
 
 
 def scale_to_spectral_norm(a, target: float) -> np.ndarray:
-    """Rescale a matrix so its spectral norm is at most ``target``."""
+    """Rescale a matrix so its spectral norm is at most ``target``, a finite
+    number >= 0."""
+    if not (math.isfinite(target) and target >= 0):
+        raise InvalidInput(f"target spectral norm must be finite and >= 0, got {target}")
     a = check_matrix(a, "matrix")
     norm = spectral_norm(a)
     if norm <= target or norm == 0.0:
@@ -306,8 +300,11 @@ def attention_mean_convergence(
     token over all of them with logits x_0 W_q W_k^T x_i / sqrt(d), and
     records the sup-norm distance between the value-mixed output and
     mu W_v, averaged over trials.  Returns the least-squares slope of
-    log(error) against log(n).
+    log(error) against log(n).  sigma must be finite and >= 0; sigma 0 is
+    the zero-variance control, whose errors are rounding noise.
     """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
     mu = np.asarray(mu, dtype=np.float64).ravel()
     d = mu.size
     wq = check_matrix(wq, "wq")
@@ -460,8 +457,6 @@ def sgd_rate_experiment(
     ``replicates`` independent sample streams; the median step count damps
     crossing-time jitter so the 1/sigma scaling is visible.
     """
-    from .rng import seeded_rng
-
     rows = []
     for sigma in sigmas:
         g, y = conditioned_least_squares_problem(sigma, seeded_rng(seed))
@@ -529,59 +524,3 @@ def batch_layer_similarity(trace_batch) -> list[float]:
             raise InvalidInput("each layer needs (B>=1, n>=2, d) token outputs")
         means.append(float(_pair_cosines(x).mean()))
     return means
-
-
-def mixed_weights_similarity_sweep(
-    pretrained: ParameterStore,
-    cfg: BackboneConfig,
-    dataset,
-    wspec,
-    patch,
-    ratios,
-    rng: RandomStream,
-    finetune_steps: int = 50,
-    learning_rate: float = 1e-3,
-    batch_size: int = 64,
-    eval_batch: int = 16,
-    revin_eps: float = 1e-5,
-    mode: str = "replace",
-) -> list[dict]:
-    """Mix pretrained frozen blocks with random weights at several ratios;
-    after a brief fine-tune of the trainable group, record each layer's
-    token similarity on a fixed eval batch and the test MSE.
-    """
-    from .tasks import (  # runner plumbing; imported here to keep layering one-way
-        AblationSetup,
-        TrainConfig,
-        _derive_config,
-        _eval_loss,
-        _fit,
-        _samples,
-    )
-
-    ratios = [float(r) for r in ratios]
-    if any(not 0.0 <= r <= 1.0 for r in ratios):
-        raise InvalidInput("ratios must lie in [0, 1]")
-    derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
-    random_store = init_random(derived_cfg, rng.child(1))
-    train = _samples(dataset, wspec, patch, revin_eps, "train")
-    test = _samples(dataset, wspec, patch, revin_eps, "test")
-    probe = test.tokens[: min(eval_batch, test.count)]
-    tcfg = TrainConfig(
-        epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
-    )
-    rows = []
-    for i, ratio in enumerate(ratios):
-        mixed = mix_weights(pretrained, random_store, ratio, rng.child(10 + i), mode=mode)
-        setup = AblationSetup(mixed, FreezeMask.default_fpt(mixed), derived_cfg)
-        store, _ = _fit(setup, train, None, tcfg, "mse", rng.child(100 + i), max_steps=finetune_steps)
-        _, trace = forward(store, derived_cfg, probe)
-        rows.append(
-            {
-                "ratio": ratio,
-                "similarity": batch_layer_similarity(trace),
-                "mse": _eval_loss(store, derived_cfg, test, "mse"),
-            }
-        )
-    return rows
-

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One process per invocation: reads a JSON run config, executes the selected
-runner or analysis, and writes JSON reports with CSV mirrors under the
-output directory.  A report's ``config_hash`` is the SHA-256 of the run's
-resolved config (``_run_config``).  Reruns with the same config and seed
-produce identical bytes apart from the timestamp field, which is not hashed.
+One process per invocation: reads a JSON run config or analysis flags,
+executes the selected runner or analysis, and writes its JSON (with a CSV
+mirror where it has a table) under the output directory through one writer,
+``_write``.  Every JSON carries ``metadata.timestamp`` and
+``metadata.config_hash`` (see ``_config_hash``).  Reruns with the same
+inputs produce identical bytes apart from the timestamp, which is not hashed.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 """
@@ -12,13 +13,12 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
 import hashlib
-import io
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .analysis import (
     batch_layer_similarity,
     jacobian_bound_check,
     maxent_dual_solve,
-    mixed_weights_similarity_sweep,
     optimal_pca_attention,
     scale_to_spectral_norm,
     sgd_rate_experiment,
@@ -45,13 +44,14 @@ from .errors import (
     NumericalFailure,
     RankDeficient,
 )
-from .metrics import MetricReport
+from .metrics import csv_text
 from .preprocess import PatchConfig
 from .rng import seeded_rng
 from .tasks import (
     TrainConfig,
     _derive_config,
     _samples,
+    mixed_weights_similarity_sweep,
     run_ablation_suite,
     run_anomaly,
     run_classification,
@@ -66,6 +66,15 @@ from .tasks import (
 _NUMERICAL_ERRORS = (NumericalFailure, RankDeficient, DegenerateScale)
 
 _TASKS = ("forecast", "imputation", "classification", "anomaly", "fewshot", "zeroshot")
+
+# The task of each command other than train, eval and ablate
+_COMMAND_TASKS = {
+    "impute": "imputation",
+    "classify": "classification",
+    "anomaly": "anomaly",
+    "fewshot": "fewshot",
+    "zeroshot": "zeroshot",
+}
 
 
 def main(argv=None) -> int:
@@ -303,7 +312,10 @@ _SCHEMA = (
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite float or an integer within float range: JSON parsers accept
+    ``NaN`` and ``Infinity``, which no run config key can mean."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 _KINDS = {
@@ -396,144 +408,128 @@ def _load_dataset(v: dict, name: str | None = None):
         raise ConfigError(f"manifest {manifest}: {exc}") from None
 
 
+# The analyses that write no CSV table beside their JSON
+_JSON_ONLY = ("maxent", "pca-attn", "jacobian", "sgd-rate")
+
+
+def _stem(args) -> tuple[str, bool]:
+    """The command's output stem and whether it writes a CSV table."""
+    if args.command == "analyze":
+        return args.subcommand.replace("-", "_"), args.subcommand not in _JSON_ONLY
+    return ("ablation" if args.command == "ablate" else "report"), True
+
+
 def _outdir(args) -> Path:
+    """The --output directory, once nothing the command writes there exists
+    (unless --overwrite): ``<stem>.json``, its CSV table, ``model/`` for a
+    task that trains and ``donor/`` under --synthetic-pretrain.  Commands
+    call it before they load data or train."""
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--output {out} is not a directory")
+    stem, has_table = _stem(args)
+    names = [f"{stem}.json"] + [f"{stem}.csv"] * has_table
+    if args.command in ("train", *_COMMAND_TASKS):
+        names.append("model")
+    if getattr(args, "synthetic_pretrain", False):
+        names.append("donor")
+    for name in names:
+        if (out / name).exists() and not args.overwrite:
+            raise ConfigError(f"{out / name} exists; pass --overwrite to replace it")
     return out
 
 
-def _write_text(path: Path, content: str, overwrite: bool) -> None:
-    if path.exists() and not overwrite:
-        raise ConfigError(f"{path} exists; pass --overwrite to replace it")
-    path.write_text(content, encoding="utf-8")
-
-
-def _emit_report(report: MetricReport, v: dict, out: Path, args, stem: str = "report") -> None:
-    """Write a run's report; ``v`` is the run's config from ``_run_config``."""
-    report.metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
-    report.metadata["config_hash"] = hashlib.sha256(
-        json.dumps(v, sort_keys=True).encode()
-    ).hexdigest()
-    _write_text(out / f"{stem}.json", report.to_json() + "\n", args.overwrite)
-    _write_text(out / f"{stem}.csv", report.to_csv(), args.overwrite)
-    print(report.to_csv(), end="")
-
-
-def _emit_json(obj: dict, out: Path, args, stem: str) -> None:
-    _write_text(
-        out / f"{stem}.json", json.dumps(obj, indent=2, sort_keys=True) + "\n", args.overwrite
+def _write(args, obj: dict, v: dict | None = None, table: list | None = None) -> str:
+    """The one writer of command output: stamps ``metadata.timestamp`` and
+    ``metadata.config_hash`` into ``obj``, writes it as ``<stem>.json`` and,
+    where the command has a table, ``table`` (a header row, then rows) as
+    ``<stem>.csv``; returns the CSV text.  The hash is the SHA-256 of a
+    task's resolved config ``v`` from ``_run_config``, or of an analysis's
+    subcommand and flags apart from --output and --overwrite, with ``v`` in
+    place of the --config path where it reads one."""
+    if args.command == "analyze":
+        unhashed = ("command", "func", "output", "overwrite")
+        flags = {k: x for k, x in vars(args).items() if k not in unhashed}
+        v = flags if v is None else {**flags, "config": v}
+    obj.setdefault("metadata", {}).update(
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        config_hash=hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest(),
     )
-
-
-def _emit_csv(header: list, rows: list, out: Path, args, stem: str) -> str:
-    """Write a header and rows as CSV; returns the text written."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _write_text(out / f"{stem}.csv", buf.getvalue(), args.overwrite)
-    return buf.getvalue()
+    out, (stem, has_table) = Path(args.output), _stem(args)
+    out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    (out / f"{stem}.json").write_text(text, encoding="utf-8")
+    if not has_table:
+        return ""
+    text = csv_text(table)
+    (out / f"{stem}.csv").write_text(text, encoding="utf-8")
+    return text
 
 
 # ---------------------------------------------------------------------------
 # task commands
 
 
-_COMMAND_TASKS = {
-    "impute": "imputation",
-    "classify": "classification",
-    "anomaly": "anomaly",
-    "fewshot": "fewshot",
-    "zeroshot": "zeroshot",
-}
-
-
 def _cmd_task(args) -> int:
     v = _run_config(args, _COMMAND_TASKS.get(args.command))
     task, eps = v["task"], v["revin_eps"]
     wspec, patch, base, tcfg, weights = _build_parts(v)
-    out = _outdir(args)
     if args.command == "eval" and weights is None:
         raise MissingWeights("eval requires --weights (or config.weights)")
+    out = _outdir(args)
 
+    # every runner takes these five by the same names
+    run = dict(base_cfg=base, tcfg=tcfg, patch=patch, weights=weights, revin_eps=eps)
     # zeroshot trains on its source dataset and scores its target
     dataset = _load_dataset(v, v["zeroshot.source"] if task == "zeroshot" else None)
     if task == "forecast":
-        report, store = run_forecast(dataset, wspec, base, tcfg, patch, weights, eps)
+        report, store = run_forecast(dataset, wspec, **run)
     elif task == "fewshot":
-        report, store = run_few_shot(
-            dataset,
-            v["fewshot.percent"],
-            wspec,
-            base,
-            tcfg,
-            patch,
-            weights,
-            eps,
-            position=v["fewshot.position"],
-        )
+        percent, position = v["fewshot.percent"], v["fewshot.position"]
+        report, store = run_few_shot(dataset, percent, wspec, position=position, **run)
     elif task == "zeroshot":
         target = _load_dataset(v, v["zeroshot.target"])
-        report, store = run_zero_shot(
-            dataset, target, wspec, base, tcfg, patch, v["zeroshot.metric"], weights, eps
-        )
+        report, store = run_zero_shot(dataset, target, wspec, metric=v["zeroshot.metric"], **run)
     elif task == "imputation":
-        report, stores = run_imputation(
-            dataset,
-            v["imputation.mask_ratios"],
-            v["window.lookback"],
-            base,
-            tcfg,
-            patch,
-            weights,
-            eps,
-            stride=v["imputation.stride"],
-        )
+        ratios, stride = v["imputation.mask_ratios"], v["imputation.stride"]
+        report, stores = run_imputation(dataset, ratios, v["window.lookback"], stride=stride, **run)
         store = next(iter(stores.values()))
     elif task == "classification":
-        report, store = run_classification(
-            dataset, base, tcfg, patch, weights, eps, n_classes=v["classification.n_classes"]
-        )
+        report, store = run_classification(dataset, n_classes=v["classification.n_classes"], **run)
     else:
+        quantile, lookback = v["anomaly.quantile"], v["window.lookback"]
         report, store = run_anomaly(
             dataset,
-            v["anomaly.quantile"],
-            v["window.lookback"],
-            base,
-            tcfg,
-            patch,
+            quantile,
+            lookback,
             point_adjust=v["anomaly.point_adjust"],
-            weights=weights,
-            revin_eps=eps,
             stride=v["anomaly.stride"],
+            **run,
         )
 
-    _emit_report(report, v, out, args)
+    print(_write(args, asdict(report), v, report.table()), end="")
     if args.command != "eval":
-        model_dir = out / "model"
-        if model_dir.exists() and not args.overwrite:
-            raise ConfigError(f"{model_dir} exists; pass --overwrite to replace it")
-        save_weights(store, model_dir)
+        save_weights(store, out / "model")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     v = _run_config(args, "ablate")
     wspec, patch, base, tcfg, weights = _build_parts(v)
+    if weights is None and not args.synthetic_pretrain:
+        raise MissingWeights(
+            "ablate needs --weights or --synthetic-pretrain to obtain donor weights"
+        )
     out = _outdir(args)
     if weights is None:
-        if not args.synthetic_pretrain:
-            raise MissingWeights(
-                "ablate needs --weights or --synthetic-pretrain to obtain donor weights"
-            )
         store = synthetic_pretrain(base, wspec, patch, tcfg, **_kwargs(v, "donor"))
-        save_weights(store, out / "donor")
         weights = out / "donor"
+        save_weights(store, weights)
     dataset = _load_dataset(v)
     report = run_ablation_suite(
         dataset, wspec, base, tcfg, patch, weights, revin_eps=v["revin_eps"]
     )
-    _emit_report(report, v, out, args, stem="ablation")
+    print(_write(args, asdict(report), v, report.table()), end="")
     return 0
 
 
@@ -542,37 +538,30 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_maxent(args) -> int:
+    _outdir(args)
     lam = maxent_dual_solve(args.q, args.g)
-    out = _outdir(args)
-    _emit_json({"q": args.q, "g": args.g, "lambda_star": lam}, out, args, "maxent")
+    _write(args, {"q": args.q, "g": args.g, "lambda_star": lam})
     print(f"lambda_star = {lam:.9f}")
     return 0
 
 
 def _cmd_pca_attn(args) -> int:
+    _outdir(args)
     try:
         x = np.loadtxt(args.x, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read pattern matrix {args.x}: {exc}") from None
     sol = optimal_pca_attention(x, args.m)
     tail = float(np.sum(sol.eigen.eigenvalues[args.m :]))
-    out = _outdir(args)
-    _emit_json(
-        {
-            "m": args.m,
-            "objective": sol.objective,
-            "eigenvalue_tail": tail,
-            "eigenvalues": [float(v) for v in sol.eigen.eigenvalues],
-        },
-        out,
-        args,
-        "pca_attn",
-    )
+    obj = {"m": args.m, "objective": sol.objective, "eigenvalue_tail": tail}
+    obj["eigenvalues"] = [float(v) for v in sol.eigen.eigenvalues]
+    _write(args, obj)
     print(f"objective = {sol.objective:.9f} (eigenvalue tail {tail:.9f})")
     return 0
 
 
 def _cmd_jacobian(args) -> int:
+    _outdir(args)
     rng = seeded_rng(args.seed)
     held = 0
     results = []
@@ -582,13 +571,15 @@ def _cmd_jacobian(args) -> int:
         res = jacobian_bound_check(x, a)
         held += int(res.holds)
         results.append({"lhs": res.lhs, "rhs": res.rhs, "holds": res.holds})
-    out = _outdir(args)
-    _emit_json({"trials": args.trials, "held": held, "results": results}, out, args, "jacobian")
+    _write(args, {"trials": args.trials, "held": held, "results": results})
     print(f"holds: {held}/{args.trials}")
     return 0 if held == args.trials else 3
 
 
 def _cmd_convergence(args) -> int:
+    _outdir(args)
+    if args.sigma == 0:
+        raise InvalidInput("sigma must be > 0: at sigma 0 the errors are rounding noise")
     rng = seeded_rng(args.seed)
     d = args.d
     mu = rng.normal(d)
@@ -597,23 +588,19 @@ def _cmd_convergence(args) -> int:
     wk = rng.normal((d, d), scale=1.0 / np.sqrt(d))
     wv = rng.normal((d, d), scale=1.0 / np.sqrt(d))
     res = attention_mean_convergence(mu, args.sigma, wq, wk, wv, args.n_grid, args.trials, rng)
-    out = _outdir(args)
-    _emit_json(
-        {"sigma": args.sigma, "slope": res.slope, "points": [list(p) for p in res.points]},
-        out,
+    _write(
         args,
-        "convergence",
+        {"sigma": args.sigma, "slope": res.slope, "points": [list(p) for p in res.points]},
+        table=[["n", "mean_error"]] + [[n, repr(e)] for n, e in res.points],
     )
-    rows = [[n, repr(e)] for n, e in res.points]
-    _emit_csv(["n", "mean_error"], rows, out, args, "convergence")
     print(f"slope = {res.slope:.4f}")
     return 0
 
 
 def _cmd_sgd_rate(args) -> int:
+    _outdir(args)
     rows = sgd_rate_experiment(args.sigmas, args.eps, args.seed)
-    out = _outdir(args)
-    _emit_json({"eps": args.eps, "rows": rows}, out, args, "sgd_rate")
+    _write(args, {"eps": args.eps, "rows": rows})
     for row in rows:
         print(f"sigma={row['sigma']}: steps={row['steps']}")
     return 0
@@ -626,6 +613,7 @@ def _load_model(args, needs: str):
     wspec, patch, base, tcfg, weights = _build_parts(v)
     if weights is None:
         raise MissingWeights(f"{needs} requires --weights")
+    _outdir(args)
     derived = _derive_config(base, patch, wspec.lookback, wspec.horizon)
     store = load_weights(weights, derived)
     return v, wspec, patch, base, tcfg, derived, store, _load_dataset(v)
@@ -637,10 +625,12 @@ def _cmd_similarity(args) -> int:
     probe = samples.tokens[: min(args.eval_batch, samples.count)]
     _, trace = forward(store, derived, probe, mode=args.mode, pca_m=args.pca_m)
     sims = batch_layer_similarity(trace)
-    out = _outdir(args)
-    _emit_json({"mode": args.mode, "similarity": sims}, out, args, "similarity")
-    rows = [[i, repr(s)] for i, s in enumerate(sims)]
-    _emit_csv(["layer", "mean_cosine_similarity"], rows, out, args, "similarity")
+    _write(
+        args,
+        {"mode": args.mode, "similarity": sims},
+        v,
+        [["layer", "mean_cosine_similarity"]] + [[i, repr(s)] for i, s in enumerate(sims)],
+    )
     print(", ".join(f"{s:.4f}" for s in sims))
     return 0
 
@@ -661,12 +651,10 @@ def _cmd_mix_sweep(args) -> int:
         revin_eps=v["revin_eps"],
         mode=args.mix_mode,
     )
-    out = _outdir(args)
-    _emit_json({"rows": rows}, out, args, "mix_sweep")
     n_layers = len(rows[0]["similarity"]) if rows else 0
     header = ["ratio", "mse"] + [f"layer{i}" for i in range(n_layers)]
     table = [[r["ratio"], repr(r["mse"])] + [repr(s) for s in r["similarity"]] for r in rows]
-    print(_emit_csv(header, table, out, args, "mix_sweep"), end="")
+    print(_write(args, {"rows": rows}, v, [header] + table), end="")
     return 0
 
 

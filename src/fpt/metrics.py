@@ -137,6 +137,13 @@ def _segments(binary: np.ndarray):
     return out
 
 
+def csv_text(table) -> str:
+    """Rows of cells as CSV text, one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    return buf.getvalue()
+
+
 @dataclass
 class MetricReport:
     """Named metric values by scope, plus run metadata.
@@ -179,14 +186,16 @@ class MetricReport:
             allow_nan=True,
         )
 
-    def to_csv(self) -> str:
+    def table(self) -> list[list]:
+        """A header row (scope, then the metric names) and one row per scope."""
         names = sorted({k for r in self.rows for k in r["metrics"]})
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["scope"] + names)
-        for r in self.rows:
-            w.writerow([r["scope"]] + [repr(r["metrics"].get(n, float("nan"))) for n in names])
-        return buf.getvalue()
+        return [["scope"] + names] + [
+            [r["scope"]] + [repr(r["metrics"].get(n, float("nan"))) for n in names]
+            for r in self.rows
+        ]
+
+    def to_csv(self) -> str:
+        return csv_text(self.table())
 
     @staticmethod
     def from_json(text: str) -> "MetricReport":

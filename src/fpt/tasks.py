@@ -1,5 +1,6 @@
 """End-to-end task runners: forecasting, imputation, classification,
-anomaly detection, few-shot and zero-shot transfer, plus the ablation arms.
+anomaly detection, few-shot and zero-shot transfer, plus the ablation arms
+and the weight-mixing sweep.
 
 Every runner is a pure function of (dataset, configuration, seed): all
 randomness flows from one seeded stream, channels of a multivariate series
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import batch_layer_similarity
 from .backbone import (
     AdamState,
     BackboneConfig,
@@ -23,9 +25,11 @@ from .backbone import (
     ParameterStore,
     _loss_and_dout,
     backward_and_step,
+    forward,
     gpt0_config,
     init_random,
     load_weights,
+    mix_weights,
     param_hash,
     predict,
     validate_store,
@@ -628,11 +632,12 @@ def run_ablation_suite(
 ) -> MetricReport:
     """Run every ablation arm on one forecasting setup and tabulate MSE/MAE.
 
-    Also records the maximum step-0 prediction divergence between the fpt
-    and no_freeze arms, which share identical initial parameters.
+    Also records each arm's training history, keyed by its row's scope, and
+    the maximum step-0 prediction divergence between the fpt and no_freeze
+    arms, which share identical initial parameters.
     """
     cfg = _forecast_config(base_cfg, patch, wspec)
-    report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg))
+    report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg, history={}))
     test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[: min(8, test.count)]
     if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
@@ -642,9 +647,12 @@ def run_ablation_suite(
     for arm in arms:
         arm_tcfg = replace(tcfg, ablation=arm)
         arm_weights = weights if arm in _PRETRAINED_ARMS else None
-        store, setup, _ = _train_mse(dataset, wspec, cfg, arm_tcfg, patch, arm_weights, revin_eps)
+        store, setup, history = _train_mse(
+            dataset, wspec, cfg, arm_tcfg, patch, arm_weights, revin_eps
+        )
         step0[arm] = predict(setup.store, setup.cfg, probe)
         preds = _predict_denorm(store, setup.cfg, test)
+        report.metadata["history"][arm] = history
         report.add_row(arm, {"MSE": mse(test.targets, preds), "MAE": mae(test.targets, preds)})
     if "fpt" in step0 and "no_freeze" in step0:
         report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
@@ -673,3 +681,50 @@ def synthetic_pretrain(
     cfg = _forecast_config(base_cfg, patch, wspec)
     store, _, _ = _train_mse(donor, wspec, cfg, donor_tcfg, patch, None, eps=1e-5)
     return store
+
+
+def mixed_weights_similarity_sweep(
+    pretrained: ParameterStore,
+    cfg: BackboneConfig,
+    dataset,
+    wspec,
+    patch,
+    ratios,
+    rng: RandomStream,
+    finetune_steps: int = 50,
+    learning_rate: float = 1e-3,
+    batch_size: int = 64,
+    eval_batch: int = 16,
+    revin_eps: float = 1e-5,
+    mode: str = "replace",
+) -> list[dict]:
+    """Mix pretrained frozen blocks with random weights at several ratios;
+    after a brief fine-tune of the trainable group, record each layer's
+    token similarity on a fixed eval batch and the test MSE.
+    """
+    ratios = [float(r) for r in ratios]
+    if any(not 0.0 <= r <= 1.0 for r in ratios):
+        raise InvalidInput("ratios must lie in [0, 1]")
+    derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
+    random_store = init_random(derived_cfg, rng.child(1))
+    train = _samples(dataset, wspec, patch, revin_eps, "train")
+    test = _samples(dataset, wspec, patch, revin_eps, "test")
+    probe = test.tokens[: min(eval_batch, test.count)]
+    tcfg = TrainConfig(
+        epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
+    )
+    rows = []
+    for i, ratio in enumerate(ratios):
+        mixed = mix_weights(pretrained, random_store, ratio, rng.child(10 + i), mode=mode)
+        setup = AblationSetup(mixed, FreezeMask.default_fpt(mixed), derived_cfg)
+        store, _ = _fit(setup, train, None, tcfg, "mse", rng.child(100 + i), max_steps=finetune_steps)
+        _, trace = forward(store, derived_cfg, probe)
+        rows.append(
+            {
+                "ratio": ratio,
+                "similarity": batch_layer_similarity(trace),
+                "mse": _eval_loss(store, derived_cfg, test, "mse"),
+            }
+        )
+    return rows
+

@@ -1,9 +1,12 @@
+import ast
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpt.analysis
 from conftest import tiny_backbone
 from fpt.analysis import (
     attention_map,
@@ -15,7 +18,6 @@ from fpt.analysis import (
     conditioned_least_squares_problem,
     jacobian_bound_check,
     maxent_dual_solve,
-    mixed_weights_similarity_sweep,
     optimal_pca_attention,
     scale_to_spectral_norm,
     sgd_conditioning_check,
@@ -28,6 +30,7 @@ from fpt.numerics import sym_eig
 from fpt.preprocess import PatchConfig
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid
+from fpt.tasks import mixed_weights_similarity_sweep
 
 
 class TestTokenSimilarity:
@@ -393,3 +396,40 @@ class TestMixSweep:
             pretrained, base, ds, wspec, patch, [0.0], seeded_rng(34), finetune_steps=5
         )
         assert a == b
+
+
+def _imported_modules(tree) -> set[str]:
+    """Every module an ``fpt`` module's imports name, relative ones resolved
+    against the ``fpt`` package; ``from fpt import tasks`` names fpt.tasks."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["fpt" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_analysis_imports_nothing_from_tasks_or_cli():
+    """analysis sits below the runners and the CLI, in function bodies too."""
+    tree = ast.parse(Path(fpt.analysis.__file__).read_text(encoding="utf-8"))
+    imported = _imported_modules(tree)
+    assert "fpt.numerics" in imported  # the walk sees the module's own imports
+    above = {"fpt.tasks", "fpt.cli"}
+    assert not {n for n in imported if n in above or n.startswith(tuple(f"{m}." for m in above))}
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_convergence_rejects_non_finite_or_negative_sigma(sigma):
+    rng = seeded_rng(0)
+    w = np.eye(4)
+    with pytest.raises(InvalidInput, match="sigma"):
+        attention_mean_convergence(np.ones(4), sigma, w, w, w, [16, 64, 256], 2, rng)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -1.0])
+def test_spectral_norm_target_must_be_finite_and_nonnegative(target):
+    with pytest.raises(InvalidInput, match="target"):
+        scale_to_spectral_norm(np.eye(3), target)

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fpt
-from fpt import tasks
+from fpt import cli, tasks
 from fpt.cli import _REQUIRED, _SCHEMA, main
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid, write_manifest, write_series_csv
@@ -102,6 +103,27 @@ class TestTrainCommand:
             == 0
         )
         assert _strip_timestamp(out / "report.json") == first
+
+    def test_existing_model_dir_refused_before_any_output(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        out = tmp / "out"
+        (out / "model").mkdir(parents=True)
+        assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert _error_lines(capsys) == [
+            f"error: ConfigError: {out / 'model'} exists; pass --overwrite to replace it"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == ["model"]
+
+    def test_rerun_refused_before_data_is_loaded(self, workspace, monkeypatch):
+        tmp, cfg_path, _ = workspace
+        out = tmp / "out"
+        assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 0
+
+        def no_load(*args):
+            raise AssertionError("a refused run loaded data")
+
+        monkeypatch.setattr(cli, "load_from_manifest", no_load)
+        assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 2
 
     def test_config_error_messages(self, workspace, capsys):
         tmp, cfg_path, config = workspace
@@ -508,6 +530,10 @@ class TestConfigSchema:
             ("ablate", {"donor": 3}),
             ("ablate", {"donor": {"length": "x"}}),
             ("ablate", {"donor": {"n_channels": 0}}),
+            ("forecast", {"revin_eps": math.nan}),
+            ("forecast", {"revin_eps": math.inf}),
+            ("ablate", {"donor": {"noise": math.nan}}),
+            ("imputation", {"imputation": {"mask_ratios": [0.5, math.nan]}}),
         ],
         ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
     )
@@ -515,6 +541,13 @@ class TestConfigSchema:
         tmp, cfg_path, config = workspace
         assert _run_task(tmp, cfg_path, task, _with(config, updates)) == 2
         assert len(_error_lines(capsys)) == 1
+
+    def test_integer_beyond_float_range_exits_2(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        config = _with(config, {"train": {"learning_rate": 2**1024}})
+        assert _run_task(tmp, cfg_path, "forecast", config) == 2
+        errors = _error_lines(capsys)
+        assert errors[0].startswith("error: ConfigError: config.train.learning_rate: expected")
 
     def test_non_object_config_exits_2(self, workspace, capsys):
         tmp, cfg_path, _ = workspace
@@ -680,6 +713,24 @@ class TestTaskCommands:
             assert all(np.isfinite(v) for v in row["metrics"].values())
         assert report["metadata"]["step0_divergence_fpt_vs_no_freeze"] == 0.0
         assert (out / "donor" / "manifest.json").exists()
+
+    def test_ablate_rerun_leaves_the_donor_untouched(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        out = tmp / "abl"
+        argv = ["ablate", "--config", str(cfg_path), "--synthetic-pretrain", "--output", str(out)]
+        config["train"]["epochs"] = 1
+        config["donor"] = {"length": 512, "n_channels": 1}
+        cfg_path.write_text(json.dumps(config))
+        assert main(argv) == 0
+        donor = (out / "donor" / "weights.bin").read_bytes()
+        config["donor"]["length"] = 640  # a different donor, were it trained
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert _error_lines(capsys) == [
+            f"error: ConfigError: {out / 'ablation.json'} exists; pass --overwrite to replace it"
+        ]
+        assert (out / "donor" / "weights.bin").read_bytes() == donor
 
     def test_ablate_without_weights_exits_2(self, workspace, capsys):
         tmp, cfg_path, _ = workspace
@@ -865,6 +916,106 @@ class TestAnalyzeCommands:
         assert [row["ratio"] for row in obj["rows"]] == [0.0, 1.0]
 
 
+# Every command's flags beyond --output, with {config}, {model} and {x}
+# standing for inputs the ``stamped_inputs`` fixture writes.
+_EVERY_COMMAND = {
+    **{command: [command, "--config", "{config}"] for command in _TASK_COMMAND.values()},
+    "eval": ["eval", "--config", "{config}", "--weights", "{model}"],
+    "ablate": ["ablate", "--config", "{config}", "--synthetic-pretrain"],
+    "maxent": ["analyze", "maxent", "--q", "0.5", "--g", "0.5"],
+    "pca-attn": ["analyze", "pca-attn", "--x", "{x}", "--m", "2"],
+    "jacobian": ["analyze", "jacobian", "--n", "3", "--d", "2", "--trials", "2"],
+    "convergence": ["analyze", "convergence", "--n-grid", "16,64,256", "--trials", "5"],
+    "sgd-rate": ["analyze", "sgd-rate", "--sigmas", "1", "--eps", "0.01"],
+    "similarity": ["analyze", "similarity", "--config", "{config}", "--weights", "{model}"],
+    "mix-sweep": [
+        "analyze", "mix-sweep", "--config", "{config}", "--weights", "{model}",
+        "--ratios", "0,1", "--finetune-steps", "1",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def stamped_inputs(tmp_path_factory):
+    """Run configs at 0 epochs for every task, a saved model and a pattern
+    matrix; returns a function from a command's name to its argv."""
+    tmp = tmp_path_factory.mktemp("stamped")
+    _write_task_datasets(tmp)
+    config = json.loads((tmp / "run.json").read_text())
+    for sections in _TASK_SECTIONS.values():
+        config.update(sections)
+    config["train"]["epochs"] = 0
+    config["donor"] = {"length": 256, "n_channels": 1}
+    for command, dataset in (("classify", "waves"), ("anomaly", "spiky")):
+        named = _with(config, {"dataset": {"name": dataset}})
+        (tmp / f"{command}.json").write_text(json.dumps(named))
+    (tmp / "run.json").write_text(json.dumps(config))
+    np.savetxt(tmp / "x.csv", seeded_rng(3).normal((12, 4)), delimiter=",")
+    assert main(["train", "--config", str(tmp / "run.json"), "--output", str(tmp / "out")]) == 0
+
+    def argv(command: str) -> list[str]:
+        path = tmp / f"{command}.json"
+        fields = {
+            "config": str(path if path.exists() else tmp / "run.json"),
+            "model": str(tmp / "out" / "model"),
+            "x": str(tmp / "x.csv"),
+        }
+        return [arg.format(**fields) for arg in _EVERY_COMMAND[command]]
+
+    return argv
+
+
+def _stamped_json(out: Path) -> dict:
+    (path,) = out.glob("*.json")
+    return json.loads(path.read_text())
+
+
+class TestOutputMetadata:
+    """One writer stamps every command's JSON with a timestamp and a config hash."""
+
+    @pytest.mark.parametrize("command", _EVERY_COMMAND)
+    def test_every_json_is_stamped(self, stamped_inputs, tmp_path, command):
+        assert main(stamped_inputs(command) + ["--output", str(tmp_path)]) == 0
+        metadata = _stamped_json(tmp_path)["metadata"]
+        assert metadata["timestamp"].endswith("+00:00")
+        assert len(metadata["config_hash"]) == 64 and int(metadata["config_hash"], 16) >= 0
+        json_only = command in ("maxent", "pca-attn", "jacobian", "sgd-rate")
+        assert len(list(tmp_path.glob("*.csv"))) == (0 if json_only else 1)
+
+    @pytest.mark.parametrize(
+        "command, changed",
+        [
+            ("maxent", ["--g", "0.25"]),
+            ("jacobian", ["--seed", "1"]),
+            ("convergence", ["--sigma", "0.2"]),
+            ("similarity", ["--mode", "pca", "--pca-m", "2"]),
+        ],
+    )
+    def test_analyze_hash_follows_the_flags(self, stamped_inputs, tmp_path, command, changed):
+        argv = stamped_inputs(command)
+        runs = [argv, argv, argv + changed]
+        for i, run in enumerate(runs):
+            assert main(run + ["--output", str(tmp_path / str(i))]) == 0
+        first, again, other = (_stamped_json(tmp_path / str(i)) for i in range(3))
+        first["metadata"].pop("timestamp"), again["metadata"].pop("timestamp")
+        assert first == again
+        assert other["metadata"]["config_hash"] != first["metadata"]["config_hash"]
+
+    def test_analyze_hash_covers_the_resolved_config(self, stamped_inputs, tmp_path):
+        argv = stamped_inputs("similarity")
+        config = json.loads(Path(argv[3]).read_text())
+        config["revin_eps"] = 1e-3
+        (tmp_path / "other.json").write_text(json.dumps(config))
+        argv_other = argv[:3] + [str(tmp_path / "other.json")] + argv[4:]
+        (tmp_path / "same.json").write_text(Path(argv[3]).read_text())
+        argv_moved = argv[:3] + [str(tmp_path / "same.json")] + argv[4:]
+        hashes = []
+        for i, run in enumerate((argv, argv_moved, argv_other)):
+            assert main(run + ["--output", str(tmp_path / str(i))]) == 0
+            hashes.append(_stamped_json(tmp_path / str(i))["metadata"]["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
+
 class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
@@ -912,6 +1063,30 @@ class TestArgumentHandling:
         argv = ["analyze", "sgd-rate", "--eps", eps, "--output", str(tmp_path)]
         assert main(argv) == 2
         message = f"error: InvalidInput: eps must be positive, got {float(eps)}"
+        assert _error_lines(capsys) == [message]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--sigma", "nan"],
+            ["convergence", "--sigma", "inf"],
+            ["convergence", "--sigma", "0"],
+            ["convergence", "--sigma", "-1"],
+            ["jacobian", "--a-norm", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_analysis_of_something_else_exits_2(self, tmp_path, capsys, argv):
+        assert main(["analyze", *argv, "--trials", "2", "--output", str(tmp_path)]) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1 and errors[0].startswith("error: InvalidInput:"), errors
+        assert not list(tmp_path.iterdir())
+
+    def test_output_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("x")
+        argv = ["analyze", "maxent", "--q", "0.5", "--g", "0.5"]
+        assert main(argv + ["--output", str(tmp_path / "taken")]) == 2
+        message = f"error: ConfigError: --output {tmp_path / 'taken'} is not a directory"
         assert _error_lines(capsys) == [message]
 
     def test_pca_rank_beyond_width_exits_2(self, workspace, capsys):

@@ -19,6 +19,7 @@ from fpt.tasks import (
     _samples,
     _tile_starts,
     make_ablation,
+    run_ablation_suite,
     run_anomaly,
     run_classification,
     run_few_shot,
@@ -439,3 +440,17 @@ class TestZeroShot:
         ds = _sine_ds()
         with pytest.raises(InvalidInput):
             run_zero_shot(ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="rmsle")
+
+
+class TestAblationSuite:
+    def test_keeps_each_arms_history_by_scope(self):
+        """Each arm's history is the one its forecast run records."""
+        arms = ("no_pretrain", "gpt0")
+        tcfg = _tcfg(epochs=2)
+        report = run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), tcfg, PATCH, None, arms)
+        assert [r["scope"] for r in report.rows] == [*arms, "avg"]
+        assert list(report.metadata["history"]) == list(arms)
+        for arm in arms:
+            arm_tcfg = replace(tcfg, ablation=arm)
+            alone, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), arm_tcfg, PATCH)
+            assert report.metadata["history"][arm] == alone.metadata["history"]
