@@ -186,35 +186,48 @@ def bruteforce_rank_m_objective(
         raise InvalidInput(f"rank m={m} must be in [1, {d}]")
     s = xc.T @ xc
     eye = np.eye(d)
+    s2 = -2.0 * s
 
     u = rng.normal((restarts, d, m), scale=0.3)
     v = rng.normal((restarts, d, m), scale=0.3)
     uv = np.concatenate([u, v], axis=2)  # U | V per restart
+    u, v, vt = uv[..., :m], uv[..., m:], uv[..., m:].swapaxes(1, 2)  # follow uv's copyto
     lr = np.full(restarts, init_lr)
 
     def objective(uv):
         # ||X (I - A^T S)||_F^2 = sum(M * (S M)) with M = I - V U^T S: all d x d
-        mm = eye - uv[..., m:] @ uv[..., :m].swapaxes(1, 2) @ s
-        return np.sum(mm * (s @ mm), axis=(1, 2))
+        mm = eye - uv[..., m:] @ uv[..., :m].swapaxes(-1, -2) @ s
+        return np.add.reduce(mm * (s @ mm), axis=(-2, -1))
 
+    # Each pass stacks two tries of the 40-try halving, lr and lr/2 (exact),
+    # and the first that does not raise the objective wins; else on at lr/4.
+    halves = np.array([[1.0], [0.5]])
+    g, cand = np.empty_like(uv), np.empty((2,) + uv.shape)
+    step, accept = np.empty((2, restarts)), np.empty((2, restarts), dtype=bool)
+    pending = np.empty(restarts, dtype=bool)
+    step4, acc4 = step[..., None, None], accept[..., None, None]
     obj = objective(uv)
     for _ in range(steps):
-        u, v = uv[..., :m], uv[..., m:]
-        g_a = -2.0 * s @ (eye - s @ u @ v.swapaxes(1, 2)) @ s
-        g = np.concatenate([g_a @ v, g_a.swapaxes(1, 2) @ u], axis=2)
-        pending = np.ones(restarts, dtype=bool)
-        for _ in range(40):
-            cand = uv - lr[:, None, None] * g
+        g_a = s2 @ (eye - s @ u @ vt) @ s
+        np.matmul(g_a, v, out=g[..., :m])
+        np.matmul(g_a.swapaxes(1, 2), u, out=g[..., m:])
+        pending.fill(True)
+        for _ in range(20):
+            np.multiply(lr, halves, out=step)
+            np.subtract(uv, np.multiply(step4, g, out=cand), out=cand)
             cand_obj = objective(cand)
-            accept = pending & (cand_obj <= obj)
-            np.copyto(uv, cand, where=accept[:, None, None])
-            np.copyto(obj, cand_obj, where=accept)
-            pending &= ~accept
+            np.less_equal(cand_obj, obj, out=accept)
+            np.logical_and(accept, pending, out=accept)
+            np.greater(accept[1], accept[0], out=accept[1])  # try 2 only where try 1 failed
+            for k in range(2):
+                np.copyto(uv, cand[k], where=acc4[k])
+                np.copyto(obj, cand_obj[k], where=accept[k])
+                np.logical_xor(pending, accept[k], out=pending)
+                np.multiply(lr, 0.5, out=lr, where=pending)
             if not pending.any():
                 break
-            lr[pending] *= 0.5
-        lr[~pending] *= 1.2
-        np.clip(lr, 1e-12, 10.0 * init_lr, out=lr)
+        np.multiply(lr, 1.2, out=lr, where=np.logical_not(pending, out=pending))
+        np.minimum(np.maximum(lr, 1e-12, out=lr), 10.0 * init_lr, out=lr)
     return float(obj.min())
 
 

@@ -22,6 +22,7 @@ from .errors import FormatError, InsufficientData, InvalidInput, IoError
 from .rng import RandomStream
 
 _TIMESTAMP_HEADERS = {"date", "time", "timestamp", "datetime"}
+_BINARY_LABELS = {0.0: 0, 1.0: 1}  # a per-timestep label cell's value -> label
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,21 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
     if not rows:
         raise FormatError(f"{path}: no data rows")
     header = [h.strip() for h in header]
+    col_index = {h: i for i, h in enumerate(header)}
+    if len(col_index) != len(header):
+        repeated = next(h for i, h in enumerate(header) if col_index[h] != i)
+        raise FormatError(f"{path}: column header {repeated!r} is repeated")
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
 
     ts_col = _resolve_timestamp_column(header, rows, schema)
     value_cols = [h for h in header if h != ts_col and h != schema.label_column]
     if not value_cols:
         raise FormatError(f"{path}: no value columns")
 
-    col_index = {h: i for i, h in enumerate(header)}
     values = np.empty((len(rows), len(value_cols)), dtype=np.float64)
     for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
         for c, colname in enumerate(value_cols):
             cell = row[col_index[colname]].strip()
             values[r, c] = _parse_cell(cell, path, r + 2, colname)
@@ -184,11 +189,15 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
     if schema.label_column is not None:
         if schema.label_column not in col_index:
             raise FormatError(f"{path}: label column {schema.label_column!r} not found")
-        raw = [row[col_index[schema.label_column]].strip() for row in rows]
-        try:
-            labels = np.array([int(float(x)) for x in raw], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:  # "x", "nan"; "inf", "1e400"
-            raise FormatError(f"{path}: unparseable label: {exc}") from None
+        labels = np.empty(len(rows), dtype=np.int64)
+        for r, row in enumerate(rows):
+            cell = row[col_index[schema.label_column]].strip()
+            try:  # "2", "0.7", "nan" and "x" all miss
+                labels[r] = _BINARY_LABELS[float(cell)]
+            except (ValueError, KeyError):
+                raise FormatError(
+                    f"{path}: unparseable label {cell!r} at row {r + 2}: expected 0 or 1"
+                ) from None
         label_kind = "timestep"
 
     return TimeSeriesDataset(
@@ -236,18 +245,27 @@ def _resolve_timestamp_column(header, rows, schema: CsvSchema):
         return None
 
 
+def _timestamp_key(cell: str, path, rownum: int) -> tuple[str, float | datetime]:
+    """A timestamp cell's kind (number, naive or offset-aware ISO-8601) and
+    sort key; only keys of one kind compare."""
+    try:
+        return "a number", float(cell)
+    except ValueError:
+        pass
+    try:
+        key = datetime.fromisoformat(cell)
+    except ValueError:
+        raise FormatError(f"{path}: unparseable timestamp {cell!r} at row {rownum}") from None
+    return ("a naive" if key.tzinfo is None else "an offset-aware") + " time", key
+
+
 def _check_monotone_timestamps(raw: list[str], path) -> None:
-    keys = []
-    for i, cell in enumerate(raw):
-        try:
-            keys.append(float(cell))
-            continue
-        except ValueError:
-            pass
-        try:
-            keys.append(datetime.fromisoformat(cell))
-        except ValueError:
-            raise FormatError(f"{path}: unparseable timestamp {cell!r} at row {i + 2}") from None
+    kinds, keys = zip(*(_timestamp_key(cell, path, i + 2) for i, cell in enumerate(raw)))
+    for i, kind in enumerate(kinds):
+        if kind != kinds[0]:
+            raise FormatError(
+                f"{path}: timestamp {raw[i]!r} at row {i + 2} is {kind}, row 2 holds {kinds[0]}"
+            )
     for i in range(1, len(keys)):
         if not keys[i] > keys[i - 1]:
             raise FormatError(f"{path}: timestamps not strictly increasing at row {i + 2}")
@@ -274,8 +292,10 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
     if name not in manifest:
         raise FormatError(f"dataset {name!r} not in manifest {manifest_path}")
     entry = manifest[name]
-    if "path" not in entry:
-        raise FormatError(f"manifest entry {name!r} lacks a path")
+    if not isinstance(entry, dict):
+        raise FormatError(f"manifest entry {name!r} must be an object, got {type(entry).__name__}")
+    if not isinstance(entry.get("path"), str):
+        raise FormatError(f"manifest entry {name!r} needs a string path")
     csv_path = Path(entry["path"])
     if not csv_path.is_absolute():
         csv_path = manifest_path.parent / csv_path
@@ -288,7 +308,14 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
     labels = ds.labels
     label_kind = ds.label_kind
     if "labels" in entry:  # per-channel labels (classification corpora)
-        labels = np.asarray(entry["labels"], dtype=np.int64)
+        labels = entry["labels"]
+        if not isinstance(labels, list) or not all(
+            type(c) is int and 0 <= c < 2**63 for c in labels
+        ):
+            raise FormatError(
+                f"manifest entry {name!r}: labels must be a list of non-negative integers"
+            )
+        labels = np.asarray(labels, dtype=np.int64)
         label_kind = "series"
     return replace(ds, split=split, labels=labels, label_kind=label_kind)
 

@@ -501,6 +501,8 @@ def run_classification(
     n_classes = inferred if n_classes is None else n_classes
     if n_classes < 2 or len(np.unique(labels)) < 2:
         raise InvalidInput("classification needs at least two classes present")
+    if inferred > n_classes:
+        raise InvalidInput(f"label {inferred - 1} is out of range for n_classes {n_classes}")
     length = dataset.n_steps
     cfg = _derive_config(base_cfg, patch, length, head_out=n_classes, head_mode="pool")
     norm, _, _ = normalize_windows(dataset.values.T, revin_eps)  # (C, T) rows = samples

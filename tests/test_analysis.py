@@ -215,6 +215,56 @@ def _residual_oracle(x, m, rng, restarts=10, steps=1500, init_lr=1e-2):
     return float(obj.min())
 
 
+def _loop_oracle(x, m, rng, restarts=10, steps=1500, init_lr=1e-2):
+    """The oracle as one backtracking try per loop turn, the form the
+    two-tries-per-pass loop of bruteforce_rank_m_objective must match bit
+    for bit.  Returns the objective and the most tries any step took."""
+    xc = x - x.mean(axis=0, keepdims=True)
+    d = xc.shape[1]
+    s = xc.T @ xc
+    eye = np.eye(d)
+    u = rng.normal((restarts, d, m), scale=0.3)
+    v = rng.normal((restarts, d, m), scale=0.3)
+    uv = np.concatenate([u, v], axis=2)
+    lr = np.full(restarts, init_lr)
+
+    def objective(uv):
+        mm = eye - uv[..., m:] @ uv[..., :m].swapaxes(1, 2) @ s
+        return np.sum(mm * (s @ mm), axis=(1, 2))
+
+    obj = objective(uv)
+    most_tries = 0
+    for _ in range(steps):
+        u, v = uv[..., :m], uv[..., m:]
+        g_a = -2.0 * s @ (eye - s @ u @ v.swapaxes(1, 2)) @ s
+        g = np.concatenate([g_a @ v, g_a.swapaxes(1, 2) @ u], axis=2)
+        pending = np.ones(restarts, dtype=bool)
+        for tries in range(1, 41):
+            cand = uv - lr[:, None, None] * g
+            cand_obj = objective(cand)
+            accept = pending & (cand_obj <= obj)
+            np.copyto(uv, cand, where=accept[:, None, None])
+            np.copyto(obj, cand_obj, where=accept)
+            pending &= ~accept
+            if not pending.any():
+                break
+            lr[pending] *= 0.5
+        most_tries = max(most_tries, tries)
+        lr[~pending] *= 1.2
+        np.clip(lr, 1e-12, 10.0 * init_lr, out=lr)
+    return float(obj.min()), most_tries
+
+
+def _c03_trials():
+    """The c03 suite's ten trials: (x, m, the stream the oracle draws from)."""
+    rng = seeded_rng(31)
+    for trial in range(10):
+        stream = rng.child(trial)
+        d = 2 + stream.integers(5)
+        n = d + 1 + stream.integers(16 - d)
+        yield stream.normal((n, d)), 1 + stream.integers(d), stream
+
+
 class TestBruteforceOracle:
     def test_zero_steps_is_best_initial_draw(self):
         x = seeded_rng(14).normal((9, 4))
@@ -224,6 +274,24 @@ class TestBruteforceOracle:
         expected = min(attention_objective(x, u[r] @ v[r].T) for r in range(6))
         got = bruteforce_rank_m_objective(x, 2, seeded_rng(15), restarts=6, steps=0)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_bitwise_matches_parent_loop(self):
+        cases = [(x, m, s, {"steps": 1500}) for x, m, s in _c03_trials()]
+        x = seeded_rng(19).normal((7, 3))
+        cases += [
+            (x, 2, seeded_rng(20), {"steps": 0}),
+            (x, 2, seeded_rng(21), {"restarts": 1, "steps": 300}),
+            (x, 3, seeded_rng(22), {"steps": 300}),  # m == d
+            (1e3 * x, 2, seeded_rng(23), {"steps": 60, "init_lr": 1.0}),  # 40 tries fail
+        ]
+        most_tries = 0
+        for i, (x, m, stream, kw) in enumerate(cases):
+            x_before = x.copy()
+            ref, tries = _loop_oracle(x, m, copy.deepcopy(stream), **kw)
+            most_tries = max(most_tries, tries)
+            assert bruteforce_rank_m_objective(x, m, stream, **kw) == ref, i
+            assert np.array_equal(x, x_before), i
+        assert most_tries == 40  # the fall-through passes and their exit ran
 
     def test_matches_residual_form_on_c03_trials(self):
         rng = seeded_rng(31)  # the c03 suite's trial streams

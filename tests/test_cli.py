@@ -346,6 +346,79 @@ class TestWeightContainerFuzz:
         assert errors[0].startswith("error: NumericalFailure:")
 
 
+def _stamped_rows(n: int) -> list[list[str]]:
+    """Rows of an hourly series: an ISO-8601 stamp, a value and a 0/1 label."""
+    values = sinusoid(n, 24.0)
+    stamps = [f"2020-01-{1 + i // 24:02d}T{i % 24:02d}:00:00" for i in range(n)]
+    return [[stamps[i], repr(float(values[i])), str(int(i % 97 == 50))] for i in range(n)]
+
+
+class TestIngestionFuzz:
+    """Malformed CSVs and manifest entries read through the CLI: each exits 2
+    with one ``error:`` line, never a traceback or a silently misread column."""
+
+    @pytest.fixture
+    def ingest(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        config["dataset"] = {"manifest": str(tmp / "fuzz.json"), "name": "d"}
+        config["train"]["epochs"] = 1
+        cfg_path.write_text(json.dumps(config))
+
+        def run(command: str, header: str, rows: list[list[str]], entry) -> list[str]:
+            lines = [header] + [",".join(row) for row in rows]
+            (tmp / "d.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_manifest(tmp / "fuzz.json", {"d": entry})
+            argv = [command, "--config", str(cfg_path), "--output", str(tmp / "o")]
+            code = main(argv + ["--overwrite"])
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code == 2 and len(errors) == 1, (code, err)
+            assert errors[0].startswith("error: FormatError:"), errors
+            return errors
+
+        return run
+
+    _ANOMALY = {"path": "d.csv", "label_column": "label"}
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [(0, "2020-01-09T08:00:00+00:00"), (0, "200"), (2, "2"), (2, "-1"), (2, "0.7")],
+        ids=["naive-and-offset-stamps", "number-among-iso-stamps", "label-2", "label--1",
+             "label-0.7"],
+    )
+    def test_bad_cell_exits_2(self, ingest, column, cell):
+        rows = _stamped_rows(400)
+        rows[200][column] = cell
+        (error,) = ingest("anomaly", "t,x,label", rows, self._ANOMALY)
+        assert "row 202" in error
+
+    def test_blank_first_row_exits_2(self, ingest):
+        """The timestamp check reads the first row's first cell."""
+        (error,) = ingest("anomaly", "t,x,label", [[]] + _stamped_rows(400), self._ANOMALY)
+        assert "row 2 has 0 cells" in error
+
+    def test_repeated_value_header_exits_2(self, ingest):
+        rows = [[s, v, v, label] for s, v, label in _stamped_rows(400)]
+        (error,) = ingest("anomaly", "t,x,x,label", rows, self._ANOMALY)
+        assert "'x' is repeated" in error
+
+    @pytest.mark.parametrize("entry", [5, {"path": 5}], ids=json.dumps)
+    def test_malformed_manifest_entry_exits_2(self, ingest, entry):
+        ingest("anomaly", "t,x,label", _stamped_rows(400), entry)
+
+    @pytest.mark.parametrize(
+        "labels", [["a", 1, 0, 1], [0.7, 1, 0, 1], [True, 1, 0, 1], [-1, 1, 0, 1], "0101"],
+        ids=json.dumps,
+    )
+    def test_non_integer_class_labels_exit_2(self, ingest, labels):
+        from fpt.synthetic import classification_values
+
+        values, _ = classification_values(4, 64, seeded_rng(1))
+        rows = [[repr(float(c)) for c in row] for row in values]
+        entry = {"path": "d.csv", "split": [0.5, 0.25, 0.25], "labels": labels}
+        ingest("classify", "a,b,c,d", rows, entry)
+
+
 def _has_mallopt() -> bool:
     return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
 

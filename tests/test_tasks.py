@@ -295,6 +295,15 @@ class TestClassification:
         with pytest.raises(InvalidInput):
             run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
 
+    @pytest.mark.parametrize("top", [2, 5], ids=["train-label", "test-label"])
+    def test_label_beyond_n_classes_rejected(self, top):
+        ds = self._corpus(n_series=20, length=64)
+        labels = ds.labels.copy()
+        labels[-1 if top == 5 else 0] = top  # the last series is a test sample
+        ds = TimeSeriesDataset(name="w", values=ds.values, labels=labels, label_kind="series")
+        with pytest.raises(InvalidInput, match=f"label {top} is out of range for n_classes 2"):
+            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=2)
+
     def test_unlabeled_rejected(self):
         ds = TimeSeriesDataset(name="none", values=seeded_rng(72).normal((64, 10)))
         with pytest.raises(InvalidInput):
