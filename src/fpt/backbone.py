@@ -330,13 +330,16 @@ def mix_weights(
 
 @dataclass
 class Batch:
-    """One training/eval batch.
+    """Model-ready rows: the one record of a training, evaluation or
+    minibatch split.
 
     tokens: (B, n_tokens, patch_len).  For regression losses ``targets``
     is (B, head_out) and optional per-sample ``out_scale``/``out_mean``
     map the head output back to original units before the loss; ``mask``
     (1 = scored) restricts the loss to chosen output coordinates.  For
-    cross-entropy, ``labels`` holds integer classes.
+    cross-entropy, ``labels`` holds integer classes.  ``last`` is each
+    row's last raw input value, the forecast of the repeat-last baselines;
+    the loss never reads it.
     """
 
     tokens: np.ndarray
@@ -345,6 +348,11 @@ class Batch:
     out_scale: np.ndarray | None = None
     out_mean: np.ndarray | None = None
     mask: np.ndarray | None = None
+    last: np.ndarray | None = None
+
+    def rows(self, idx) -> "Batch":
+        """The rows ``idx`` selects, in every field that is set."""
+        return Batch(**{k: None if a is None else a[idx] for k, a in vars(self).items()})
 
 
 # The step kernels below write into buffers they own, with the operands and
@@ -578,11 +586,26 @@ def _head_fwd(y, p, cfg):
     return flat @ p["output_head.w"] + p["output_head.b"], flat
 
 
+# Windows per ``forward`` call in ``predict``.  Each chunk runs the backbone
+# as (chunk * n_tokens)-row GEMMs; larger chunks raise peak memory without
+# running faster.
+_EVAL_CHUNK = 128
+
+
 def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
-    """Forward plus the output head; returns (B, head_out)."""
+    """Forward plus the output head; returns (B, head_out).
+
+    Runs ``_EVAL_CHUNK`` windows per forward pass, so peak memory does not
+    grow with B.
+    """
     p = _f64(store)
-    y, _ = forward(p, cfg, tokens)
-    return _head_fwd(y[None] if y.ndim == 2 else y, p, cfg)[0]
+    x = np.atleast_1d(tokens)
+    if x.ndim == 2:
+        x = x[None]
+    chunks = range(0, max(len(x), 1), _EVAL_CHUNK)  # an empty batch still has a shape
+    return np.concatenate(
+        [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
+    )
 
 
 def _loss_and_dout(out, batch: Batch, loss: str):

@@ -621,8 +621,7 @@ def _load_model(args, needs: str):
 
 def _cmd_similarity(args) -> int:
     v, wspec, patch, _, _, derived, store, dataset = _load_model(args, "similarity analysis")
-    samples = _samples(dataset, wspec, patch, v["revin_eps"], "test")
-    probe = samples.tokens[: min(args.eval_batch, samples.count)]
+    probe = _samples(dataset, wspec, patch, v["revin_eps"], "test").tokens[: args.eval_batch]
     _, trace = forward(store, derived, probe, mode=args.mode, pca_m=args.pca_m)
     sims = batch_layer_similarity(trace)
     _write(

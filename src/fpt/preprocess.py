@@ -83,13 +83,18 @@ def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
     """Standardize each row of a (batch, length) array by its own mean and
     variance; rows with zero variance and eps=0 map to all-zeros.
 
-    Returns (normalized, means, std_effs) with per-row statistics.
+    Returns (normalized, means, std_effs) with per-row statistics.  A row
+    whose variance overflows float64 raises ``InvalidInput``.
     """
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 2:
         raise InvalidInput("normalize_windows expects a (batch, length) array")
-    means = w.mean(axis=1)
-    stds = np.sqrt(w.var(axis=1) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = w.mean(axis=1)
+        stds = np.sqrt(w.var(axis=1) + eps)
+    bad = np.count_nonzero(~np.isfinite(stds))
+    if bad:
+        raise InvalidInput(f"{bad} of {len(w)} windows have a variance that overflows float64")
     safe = np.where(stds == 0.0, 1.0, stds)
     out = (w - means[:, None]) / safe[:, None]
     out[stds == 0.0] = 0.0

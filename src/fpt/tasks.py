@@ -50,12 +50,6 @@ from .synthetic import donor_values
 ABLATION_ARMS = ("fpt", "no_freeze", "no_pretrain", "no_pretrain_freeze", "gpt0")
 _PRETRAINED_ARMS = ("fpt", "no_freeze")  # the arms that start from supplied weights
 
-# Windows per evaluation ``predict`` call.  Each chunk runs the backbone as
-# (chunk * n_tokens)-row GEMMs; larger chunks raise peak memory without
-# running faster.
-_EVAL_CHUNK = 128
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
@@ -125,38 +119,14 @@ def make_ablation(
 # sample preparation
 
 
-@dataclass
-class Samples:
-    """Model-ready arrays for one split (all channels concatenated).
-
-    Regression splits carry targets and revin statistics; classification
-    splits carry only tokens and labels.
-    """
-
-    tokens: np.ndarray  # (B, n_patches, P)
-    targets: np.ndarray | None = None  # (B, out) raw units
-    scale: np.ndarray | None = None  # (B,) revin divisors
-    mean: np.ndarray | None = None  # (B,) revin means
-    last: np.ndarray | None = None  # (B,) last observed input value (naive baseline)
-    mask: np.ndarray | None = None  # (B, out) 1 = scored coordinate
-    labels: np.ndarray | None = None  # (B,) integer classes
-
-    @property
-    def count(self) -> int:
-        return self.tokens.shape[0]
-
-    def batch(self, idx) -> Batch:
-        def take(a):
-            return None if a is None else a[idx]
-
-        return Batch(
-            tokens=self.tokens[idx],
-            targets=take(self.targets),
-            labels=take(self.labels),
-            out_scale=take(self.scale),
-            out_mean=take(self.mean),
-            mask=take(self.mask),
-        )
+def _batch(windows, patch: PatchConfig, eps: float, observed=None, **fields) -> Batch:
+    """Model rows of raw (N, L) windows: each window normalized by its own
+    statistics, the entries where ``observed`` is 0 zeroed, then patched
+    into tokens.  ``fields`` (targets, labels, mask, last) ride along."""
+    norm, mu, sd = normalize_windows(windows, eps)
+    if observed is not None:
+        norm = norm * observed
+    return Batch(tokens=patchify_windows(norm, patch), out_scale=sd, out_mean=mu, **fields)
 
 
 def _samples(
@@ -167,7 +137,7 @@ def _samples(
     split: str,
     mask_counts: int | None = None,
     mask_rng: RandomStream | None = None,
-) -> Samples:
+) -> Batch:
     """Every channel's windows of one split as univariate samples, all of
     channel 0's windows first, then channel 1's, and so on.
 
@@ -179,27 +149,18 @@ def _samples(
     inputs, outs = make_windows(dataset, wspec, split)
     x = inputs.transpose(2, 0, 1).reshape(-1, wspec.lookback)
     targets = outs.transpose(2, 0, 1).reshape(-1, wspec.horizon) if wspec.horizon else x
-    norm, mu, sd = normalize_windows(x, eps)
-    loss_mask = None
-    if mask_counts is not None:
-        shape = (wspec.lookback, 1)
-        observed = np.stack(
-            [
-                mask_with_count(shape, mask_counts, mask_rng.child(ci).child(wi))[:, 0]
-                for ci in range(dataset.n_channels)
-                for wi in range(inputs.shape[0])
-            ]
-        )
-        norm = norm * observed
-        loss_mask = 1.0 - observed
-    return Samples(
-        tokens=patchify_windows(norm, patch),
-        targets=targets,
-        scale=sd,
-        mean=mu,
-        last=x[:, -1].copy(),  # a view would keep every raw window alive
-        mask=loss_mask,
+    last = x[:, -1].copy()  # a view would keep every raw window alive
+    if mask_counts is None:
+        return _batch(x, patch, eps, targets=targets, last=last)
+    shape = (wspec.lookback, 1)
+    observed = np.stack(
+        [
+            mask_with_count(shape, mask_counts, mask_rng.child(ci).child(wi))[:, 0]
+            for ci in range(dataset.n_channels)
+            for wi in range(inputs.shape[0])
+        ]
     )
+    return _batch(x, patch, eps, observed, targets=targets, last=last, mask=1.0 - observed)
 
 
 def _derive_config(
@@ -226,33 +187,28 @@ def _derive_config(
 
 
 def _outputs(store, cfg, tokens) -> np.ndarray:
-    """Head outputs for every row, ``_EVAL_CHUNK`` windows per ``predict`` call.
-
-    Raises ``NumericalFailure`` when any output is non-finite, so no score
-    or report is built from it.
-    """
-    chunks = range(0, max(len(tokens), 1), _EVAL_CHUNK)  # an empty split still has a shape
-    out = np.concatenate([predict(store, cfg, tokens[lo : lo + _EVAL_CHUNK]) for lo in chunks])
+    """Head outputs for every row; raises ``NumericalFailure`` when any is
+    non-finite, so no score or report is built from it."""
+    out = predict(store, cfg, tokens)
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
         raise NumericalFailure(f"model output holds {bad} non-finite values")
     return out
 
 
-def _eval_loss(store, cfg, samples: Samples, loss: str) -> float:
+def _eval_loss(store, cfg, split: Batch, loss: str) -> float:
     """The training loss over the whole split, without gradients."""
-    out = _outputs(store, cfg, samples.tokens)
-    return _loss_and_dout(out, samples.batch(slice(None)), loss)[0]
+    return _loss_and_dout(_outputs(store, cfg, split.tokens), split, loss)[0]
 
 
-def _predict_denorm(store, cfg, samples: Samples) -> np.ndarray:
-    return _outputs(store, cfg, samples.tokens) * samples.scale[:, None] + samples.mean[:, None]
+def _predict_denorm(store, cfg, split: Batch) -> np.ndarray:
+    return _outputs(store, cfg, split.tokens) * split.out_scale[:, None] + split.out_mean[:, None]
 
 
 def _fit(
     setup: AblationSetup,
-    train: Samples,
-    val: Samples | None,
+    train: Batch,
+    val: Batch | None,
     tcfg: TrainConfig,
     loss: str,
     rng: RandomStream,
@@ -266,19 +222,19 @@ def _fit(
     """
     store, cfg = setup.store, setup.cfg
     opt = AdamState(lr=tcfg.learning_rate)
-    validate = val is not None and val.count > 0
+    validate = val is not None and len(val.tokens) > 0
     best_store, best_val, strikes = store, math.inf, 0
     history: dict[str, list[float]] = {"train_first_epoch": [], "val": []}
     steps = 0
     for epoch in range(tcfg.epochs):
-        order = rng.child(epoch).permutation(train.count)
-        for lo in range(0, train.count, tcfg.batch_size):
+        order = rng.child(epoch).permutation(len(train.tokens))
+        for lo in range(0, len(order), tcfg.batch_size):
             if steps >= max_steps:
                 break
             idx = order[lo : lo + tcfg.batch_size]
             drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
             value, store = backward_and_step(
-                store, cfg, train.batch(idx), loss, opt, setup.mask, dropout_rng=drop_rng
+                store, cfg, train.rows(idx), loss, opt, setup.mask, dropout_rng=drop_rng
             )
             if epoch == 0:
                 history["train_first_epoch"].append(value)
@@ -330,6 +286,14 @@ def _train_mse(dataset, wspec, cfg, tcfg, patch, weights, eps):
     val = _samples(dataset, wspec, patch, eps, "val")
     store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
     return store, setup, history
+
+
+def _reconstruction_setup(base_cfg, patch, lookback, stride):
+    """Window spec and backbone config of a reconstruction run; the stride
+    defaults to an eighth of the lookback."""
+    stride = max(1, lookback // 8) if stride is None else stride
+    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
+    return wspec, _derive_config(base_cfg, patch, lookback, head_out=lookback)
 
 
 def run_forecast(
@@ -449,9 +413,7 @@ def run_imputation(
     ratios = tuple(float(r) for r in ratios)
     if not ratios or not all(0.0 < r < 1.0 for r in ratios):
         raise InvalidInput("mask ratios must lie in (0, 1)")
-    stride = max(1, lookback // 8) if stride is None else stride
-    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
-    cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
+    wspec, cfg = _reconstruction_setup(base_cfg, patch, lookback, stride)
     report = MetricReport(
         metadata=_base_metadata(
             "imputation",
@@ -476,7 +438,7 @@ def run_imputation(
         truth = test.targets[scored]
         preds = _predict_denorm(store, setup.cfg, test)[scored]
         # mean-imputation baseline: predict the window mean at masked points
-        window_means = np.repeat(test.mean[:, None], lookback, axis=1)[scored]
+        window_means = np.repeat(test.out_mean[:, None], lookback, axis=1)[scored]
         report.metadata["baseline"][f"ratio={ratio}"] = {"MSE": mse(truth, window_means)}
         report.metadata["history"][f"ratio={ratio}"] = history
         report.add_row(f"ratio={ratio}", {"MSE": mse(truth, preds), "MAE": mae(truth, preds)})
@@ -505,15 +467,12 @@ def run_classification(
         raise InvalidInput(f"label {inferred - 1} is out of range for n_classes {n_classes}")
     length = dataset.n_steps
     cfg = _derive_config(base_cfg, patch, length, head_out=n_classes, head_mode="pool")
-    norm, _, _ = normalize_windows(dataset.values.T, revin_eps)  # (C, T) rows = samples
-    tokens = patchify_windows(norm, patch)
-    n = tokens.shape[0]
+    series = _batch(dataset.values.T, patch, revin_eps, labels=labels)  # (C, T): a row per series
+    n = len(series.tokens)
     n_train = int(math.floor(dataset.split.train * n))
     n_val = int(math.floor(dataset.split.val * n))
     cuts = (0, n_train, n_train + n_val, n)
-    train, val, test = (
-        Samples(tokens=tokens[lo:hi], labels=labels[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
-    )
+    train, val, test = (series.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
     rng = seeded_rng(tcfg.seed)
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
     store, history = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
@@ -526,7 +485,7 @@ def run_classification(
             dataset,
             tcfg,
             n_classes=n_classes,
-            n_test=test.count,
+            n_test=len(test.labels),
             history=history,
         )
     )
@@ -555,9 +514,7 @@ def _reconstruction_errors(
     # (channels * windows, lookback): every tile of every channel at once
     idx = np.asarray(starts)[:, None] + np.arange(lookback)
     windows = dataset.values[idx].transpose(2, 0, 1).reshape(-1, lookback)
-    norm, mu, sd = normalize_windows(windows, eps)
-    samples = Samples(tokens=patchify_windows(norm, patch), scale=sd, mean=mu)
-    err = (_predict_denorm(store, cfg, samples) - windows) ** 2
+    err = (_predict_denorm(store, cfg, _batch(windows, patch, eps)) - windows) ** 2
     err = err.reshape(dataset.n_channels, len(starts), lookback)
     acc = np.zeros((hi - lo, dataset.n_channels))
     for wi, start in enumerate(starts):
@@ -585,9 +542,7 @@ def run_anomaly(
         raise InvalidInput("quantile must be in (0, 1)")
     if dataset.labels is None or dataset.label_kind != "timestep":
         raise InvalidInput("anomaly detection needs one binary label per timestep")
-    stride = max(1, lookback // 8) if stride is None else stride
-    wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
-    cfg = _derive_config(base_cfg, patch, lookback, head_out=lookback)
+    wspec, cfg = _reconstruction_setup(base_cfg, patch, lookback, stride)
     store, setup, history = _train_mse(dataset, wspec, cfg, tcfg, patch, weights, revin_eps)
 
     bounds = dataset.split_bounds()
@@ -641,7 +596,7 @@ def run_ablation_suite(
     cfg = _forecast_config(base_cfg, patch, wspec)
     report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg, history={}))
     test = _samples(dataset, wspec, patch, revin_eps, "test")
-    probe = test.tokens[: min(8, test.count)]
+    probe = test.tokens[:8]
     if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
         # one read of the container serves every pretrained arm
         weights = _pretrained(weights, cfg)
@@ -711,7 +666,7 @@ def mixed_weights_similarity_sweep(
     random_store = init_random(derived_cfg, rng.child(1))
     train = _samples(dataset, wspec, patch, revin_eps, "train")
     test = _samples(dataset, wspec, patch, revin_eps, "test")
-    probe = test.tokens[: min(eval_batch, test.count)]
+    probe = test.tokens[:eval_batch]
     tcfg = TrainConfig(
         epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
     )

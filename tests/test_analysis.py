@@ -1,12 +1,12 @@
 import ast
 import copy
+import importlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fpt.analysis
 from conftest import tiny_backbone
 from fpt.analysis import (
     attention_map,
@@ -480,11 +480,13 @@ def _imported_modules(tree) -> set[str]:
     return names
 
 
-def test_analysis_imports_nothing_from_tasks_or_cli():
-    """analysis sits below the runners and the CLI, in function bodies too."""
-    tree = ast.parse(Path(fpt.analysis.__file__).read_text(encoding="utf-8"))
-    imported = _imported_modules(tree)
-    assert "fpt.numerics" in imported  # the walk sees the module's own imports
+@pytest.mark.parametrize("module", ["fpt.analysis", "fpt.backbone", "fpt.preprocess"])
+def test_analysis_imports_nothing_from_tasks_or_cli(module):
+    """analysis, the backbone with its row record, and preprocessing sit
+    below the runners and the CLI, in function bodies too."""
+    path = importlib.import_module(module).__file__
+    imported = _imported_modules(ast.parse(Path(path).read_text(encoding="utf-8")))
+    assert "fpt.errors" in imported  # the walk sees the module's own imports
     above = {"fpt.tasks", "fpt.cli"}
     assert not {n for n in imported if n in above or n.startswith(tuple(f"{m}." for m in above))}
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,29 @@ class TestKernels:
         whole = predict(store, cfg, tokens)
         chunks = [predict(store, cfg, tokens[lo : lo + 128]) for lo in range(0, 700, 128)]
         assert np.abs(whole - np.concatenate(chunks)).max() <= 1e-12
+
+    def test_predict_memory_is_bounded_by_its_chunks(self):
+        """At the c09 shape, one predict call on 2,000 windows peaks within
+        2x of a 128-window call and equals the 128-row calls concatenated."""
+        cfg = BackboneConfig(
+            n_layers=2, d_model=64, n_heads=4, d_ff=128, max_tokens=64,
+            patch_len=16, head_in=11 * 64, head_out=24,
+        )
+        store = init_random(cfg, seeded_rng(46))
+        tokens = seeded_rng(47).normal((2000, 11, 16))
+
+        def traced(rows):
+            tracemalloc.start()
+            try:
+                return predict(store, cfg, rows), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, peak = traced(tokens)
+        _, chunk_peak = traced(tokens[:128])
+        assert peak <= 2 * chunk_peak, (peak, chunk_peak)
+        chunks = [predict(store, cfg, tokens[lo : lo + 128]) for lo in range(0, 2000, 128)]
+        assert np.array_equal(whole, np.concatenate(chunks))
 
 
 # Plain-expression references for the in-place step kernels: each kernel must

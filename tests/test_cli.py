@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,25 @@ class TestIngestionFuzz:
         rows = [[repr(float(c)) for c in row] for row in values]
         entry = {"path": "d.csv", "split": [0.5, 0.25, 0.25], "labels": labels}
         ingest("classify", "a,b,c,d", rows, entry)
+
+
+def test_window_variance_beyond_float64_exits_2(workspace, capsys):
+    """Finite values whose squares overflow float64 (about 1e160) are an
+    input error: exit 2 with one ``error:`` line and no numpy warning."""
+    tmp, cfg_path, config = workspace
+    rows = [[t, repr(float(v) * 1e160), label] for t, v, label in _stamped_rows(400)]
+    lines = ["t,x,label"] + [",".join(row) for row in rows]
+    (tmp / "d.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_manifest(tmp / "big.json", {"d": {"path": "d.csv", "label_column": "label"}})
+    config["dataset"] = {"manifest": str(tmp / "big.json"), "name": "d"}
+    config["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["anomaly", "--config", str(cfg_path), "--output", str(tmp / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: InvalidInput:"), (code, err)
+    assert not caught, [str(w.message) for w in caught]
 
 
 def _has_mallopt() -> bool:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_backbone
-from fpt import tasks
-from fpt.backbone import gpt0_config, init_random, param_hash, predict
+from fpt import backbone, tasks
+from fpt.backbone import forward, gpt0_config, init_random, param_hash, predict
 from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, make_windows, mask_with_count
 from fpt.errors import InvalidInput, MissingWeights
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
@@ -103,7 +103,7 @@ class TestSamples:
 
     @staticmethod
     def _per_channel(ds, wspec, eps, split, mask_counts=None, mask_rng=None):
-        parts = {k: [] for k in ("tokens", "targets", "scale", "mean", "last", "mask")}
+        parts = {k: [] for k in ("tokens", "targets", "out_scale", "out_mean", "last", "mask")}
         for ci in range(ds.n_channels):
             inputs, outs = make_windows(replace(ds, values=ds.values[:, ci : ci + 1]), wspec, split)
             x = inputs[:, :, 0]
@@ -120,8 +120,8 @@ class TestSamples:
                 parts["mask"].append(1.0 - observed)
             parts["tokens"].append(patchify_windows(norm, PATCH))
             parts["targets"].append(outs[:, :, 0] if wspec.horizon else x)
-            parts["scale"].append(sd)
-            parts["mean"].append(mu)
+            parts["out_scale"].append(sd)
+            parts["out_mean"].append(mu)
             parts["last"].append(x[:, -1])
         return {k: np.concatenate(v) if v else None for k, v in parts.items()}
 
@@ -210,6 +210,19 @@ class TestForecast:
         report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=2), PATCH)
         assert np.isfinite(report.metric("MSE", "O=12"))
 
+    def test_baseline_repeats_each_windows_last_input(self):
+        """The metadata baseline forecasts every test window's last input
+        value over the horizon, channel 0's windows first."""
+        rng = seeded_rng(61)
+        values = np.stack([sinusoid(400, 24.0), 5.0 * sinusoid(400, 7.0) + 2.0], axis=1)
+        ds = TimeSeriesDataset(name="two", values=values + rng.normal((400, 2), scale=0.1))
+        report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
+        inputs, outs = make_windows(ds, WSPEC, "test")
+        naive = inputs[:, -1, :].T.reshape(-1, 1)  # channel-major rows
+        err = outs.transpose(2, 0, 1).reshape(-1, WSPEC.horizon) - naive
+        want = {"MSE": float(np.mean(err**2)), "MAE": float(np.mean(np.abs(err)))}
+        assert report.metadata["baseline"] == want
+
 
 class TestImputation:
     def test_table_shape_and_masked_metrics(self):
@@ -276,12 +289,12 @@ class TestClassification:
     def test_test_split_scored_in_eval_chunks(self, monkeypatch):
         rows = []
 
-        def counting_predict(store, cfg, tokens):
+        def counting_forward(store, cfg, tokens, **kw):
             rows.append(len(tokens))
-            return predict(store, cfg, tokens)
+            return forward(store, cfg, tokens, **kw)
 
-        monkeypatch.setattr(tasks, "predict", counting_predict)
-        monkeypatch.setattr(tasks, "_EVAL_CHUNK", 8)
+        monkeypatch.setattr(backbone, "forward", counting_forward)
+        monkeypatch.setattr(backbone, "_EVAL_CHUNK", 8)
         ds = self._corpus(n_series=60, length=64)  # 12 test series
         report, _ = run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
         assert report.metadata["n_test"] > 8
