@@ -457,12 +457,20 @@ def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     dctx = _split_heads(_mm(dout, wo.T), cfg.n_heads)
     dprobs = dctx @ vh.swapaxes(-1, -2)
     dvh = probs.swapaxes(-1, -2) @ dctx
+    del dctx
     dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
     dz = np.multiply(dprobs, probs, out=dprobs)  # probs * (dprobs - sum(dprobs * probs))
+    del dprobs
     dqh, dkh = dz @ kh, dz.swapaxes(-1, -2) @ qh
+    del dz
     dqh *= scale
     dkh *= scale
-    dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
+    dq = _merge_heads(dqh)
+    del dqh
+    dk = _merge_heads(dkh)
+    del dkh
+    dv = _merge_heads(dvh)
+    del dvh
     for nm, dmat in (("q", dq), ("k", dk), ("v", dv)):
         _set_grad(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
         _set_grad(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
@@ -513,15 +521,55 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
     return h, (ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask)
 
 
+def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
+    """Backward of one ``_block`` from the gradient ``dh`` of its output;
+    returns the gradient of its input (``dh`` itself, added into).
+
+    ``cache`` is the block's tape, popped by the caller, so this frame holds
+    the only reference to it and every buffer goes right after its last read.
+    """
+    ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = cache
+    del cache
+    dmlp_out = dh if mlp_mask is None else dh * mlp_mask
+    _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
+    del g, mlp_mask
+    _set_grad(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
+    dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
+    del dmlp_out
+    du = _gelu_bwd(dg, u, tanh_cache)
+    del u, tanh_cache, dg
+    _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
+    _set_grad(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
+    da2 = _mm(du, p[prefix + "mlp.w1"].T)
+    del a2, du
+    dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
+    del da2, ln2_cache
+    _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
+    _set_grad(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
+    dh += dh_ln2
+    del dh_ln2
+    dattn_out = dh if attn_mask is None else dh * attn_mask
+    del attn_mask
+    da1 = _attn_bwd(dattn_out, attn_cache, p, prefix, cfg, grads, wanted)
+    del dattn_out, attn_cache
+    dh_ln1, dgamma, dbeta = _ln_bwd(da1, ln1_cache)
+    del da1, ln1_cache
+    _set_grad(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
+    _set_grad(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
+    dh += dh_ln1
+    return dh
+
+
 def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=False):
     """Embedding -> blocks -> final LayerNorm on the float64 store ``p``.
 
     Tokens are (B, n, patch_len) or one (n, patch_len) sample.  Returns
-    (y, trace, tape): the final-LN output (B, n, d_model), every layer's
-    token outputs starting with the embedding, and -- only when ``keep`` --
-    the (tokens, embedding dropout mask, block caches, final-LN cache) tape
-    of the backward pass.  ``pca_m`` swaps attention for its rank-``pca_m``
-    PCA projection; dropout fires only when ``dropout_rng`` is given.
+    (y, trace, tape): the final-LN output (B, n, d_model), then either
+    every layer's token outputs starting with the embedding (tape None) or,
+    when ``keep``, the (tokens, embedding dropout mask, block caches,
+    final-LN cache) tape of the backward pass (trace None).  ``pca_m`` swaps
+    attention for its rank-``pca_m`` PCA projection; dropout fires only when
+    ``dropout_rng`` is given.
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim == 2:
@@ -543,11 +591,13 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
     emb = _mm(x, p["input_embedding.w"], p["input_embedding.b"])
     emb += p["pos_embedding"][:n]
     h, emb_mask = dropout(emb)
-    trace, caches = [h], []
+    trace, caches = (None, []) if keep else ([h], None)
     for i in range(cfg.n_layers):
         h, cache = _block(h, p, f"blocks.{i}.", cfg, pca_m, dropout, keep)
-        trace.append(h)
-        caches.append(cache)
+        if keep:
+            caches.append(cache)
+        else:
+            trace.append(h)
     y, lnf_cache = layer_norm_last(h, p["ln_f.gamma"], p["ln_f.beta"], LN_EPS)
     return y, trace, (x, emb_mask, caches, lnf_cache) if keep else None
 
@@ -661,7 +711,10 @@ def loss_and_grads(
 
     ``wanted`` restricts which parameter gradients are materialized (None
     computes every tensor's gradient).  Dropout fires only when a stream is
-    supplied and cfg.dropout > 0, with masks drawn deterministically.
+    supplied and cfg.dropout > 0, with masks drawn deterministically.  The
+    backward pass frees the tape as it reads it: each block's cache is
+    popped as that block's backward starts and every buffer is dropped after
+    its last read, so live memory falls through the pass instead of rising.
     """
     p = _f64(store)
     y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
@@ -670,6 +723,7 @@ def loss_and_grads(
     out, flat = _head_fwd(y, p, cfg)
 
     value, dout = _loss_and_dout(out, batch, loss)
+    del out
     if not np.isfinite(value):
         raise NumericalFailure(f"non-finite loss value {value!r} (loss={loss})")
 
@@ -677,35 +731,19 @@ def loss_and_grads(
     _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
     _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
     dflat = dout @ p["output_head.w"].T
+    shape = y.shape
+    del dout, flat, y
     if cfg.head_mode == "flatten":
-        dy = dflat.reshape(y.shape)
+        dy = dflat.reshape(shape)
     else:
-        dy = np.repeat(dflat[:, None, :], y.shape[1], axis=1) / y.shape[1]
+        dy = np.repeat(dflat[:, None, :], shape[1], axis=1) / shape[1]
     dh, dgamma, dbeta = _ln_bwd(dy, lnf_cache)
+    del dflat, dy, lnf_cache
     _set_grad(grads, wanted, "ln_f.gamma", lambda: dgamma)
     _set_grad(grads, wanted, "ln_f.beta", lambda: dbeta)
 
     for i in reversed(range(cfg.n_layers)):
-        prefix = f"blocks.{i}."
-        ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = caches[i]
-        dmlp_out = dh if mlp_mask is None else dh * mlp_mask
-        _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
-        _set_grad(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
-        dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
-        du = _gelu_bwd(dg, u, tanh_cache)
-        _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
-        _set_grad(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
-        da2 = _mm(du, p[prefix + "mlp.w1"].T)
-        dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
-        _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
-        _set_grad(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
-        dh += dh_ln2
-        dattn_out = dh if attn_mask is None else dh * attn_mask
-        da1 = _attn_bwd(dattn_out, attn_cache, p, prefix, cfg, grads, wanted)
-        dh_ln1, dgamma, dbeta = _ln_bwd(da1, ln1_cache)
-        _set_grad(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
-        _set_grad(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
-        dh += dh_ln1
+        dh = _block_bwd(dh, caches.pop(), p, f"blocks.{i}.", cfg, grads, wanted)
 
     if emb_mask is not None:
         dh = dh * emb_mask

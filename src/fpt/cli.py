@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "config" in run_flags:
             p.add_argument("--config", required=True, help="JSON run configuration")
         if "seed" in run_flags:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         if "weights" in run_flags:
             p.add_argument("--weights", default=None, help="weight container directory")
         p.add_argument("--output", default="fpt_out", help="directory for emitted files")
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--a-norm", type=float, default=1.0, help="spectral-norm cap for A")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=_cmd_jacobian)
 
@@ -191,14 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--n-grid", type=_comma_list(int), default="16,64,256,1024")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=_cmd_convergence)
 
     p = asub.add_parser("sgd-rate", help="SGD step counts vs feature conditioning")
     p.add_argument("--sigmas", type=_comma_list(float), default="1,0.1,0.01")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=_cmd_sgd_rate)
 
@@ -242,6 +242,18 @@ def _int_at_least(low: int):
         return int(text)
 
     return parse
+
+
+# Every seed a random stream keys on: a stream keeps the low 64 bits of its
+# seed, so a seed outside this range would run as another seed in it.
+_SEEDS = range(2**64)
+
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, a decimal integer in ``_SEEDS``."""
+    if not text.isdigit() or int(text) not in _SEEDS:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +370,9 @@ def _resolve(cfg, task: str | None) -> dict:
             if kind is float:
                 node = float(node)  # 1 and 1.0 are one value, with one hash
         resolved[path] = node
+    if resolved["train.seed"] not in _SEEDS:
+        seed = resolved["train.seed"]
+        raise ConfigError(f"config.train.seed: expected an integer in [0, 2**64), got {seed}")
     if resolved["revin_eps"] < 0:
         raise ConfigError("config: revin_eps must be nonnegative")
     if task in _FORECASTING and resolved["window.horizon"] < 1:

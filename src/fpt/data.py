@@ -390,6 +390,20 @@ def mask_with_count(shape: tuple[int, int], n_masked: int, rng: RandomStream) ->
     return flat.reshape(steps, channels)
 
 
+def window_masks(
+    n_channels: int, n_windows: int, steps: int, n_masked: int, rng: RandomStream
+) -> np.ndarray:
+    """(n_channels * n_windows, steps) binary masks, channel-major: row
+    ``c * n_windows + w`` is ``mask_with_count((steps, 1), n_masked,
+    rng.child(c).child(w))[:, 0]``, with every row drawn in one pass."""
+    if not 0 <= n_masked <= steps:
+        raise InvalidInput(f"cannot mask {n_masked} of {steps} cells")
+    order = rng.child_permutations(n_channels, n_windows, steps).reshape(-1, steps)
+    mask = np.ones(order.shape)
+    np.put_along_axis(mask, order[:, :n_masked], 0.0, axis=1)
+    return mask
+
+
 def random_mask(shape: tuple[int, int], ratio: float, rng: RandomStream) -> ImputationMask:
     """Mask round(ratio * cells) positions uniformly without replacement."""
     if not 0.0 < ratio < 1.0:

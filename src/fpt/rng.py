@@ -25,6 +25,21 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _words(key, lo: int, n: int) -> np.ndarray:
+    """Draws ``lo .. lo + n - 1`` of the stream keyed ``key``, along a new
+    last axis when ``key`` is a uint64 array of keys."""
+    idx = np.arange(lo, lo + n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64(np.asarray(key)[..., None] + idx * _GOLDEN)
+
+
+def _child_key(key, index):
+    """Key of ``child(index)`` of the stream keyed ``key``; broadcasts over
+    uint64 arrays of keys and indices."""
+    with np.errstate(over="ignore"):
+        return _mix64(key ^ _mix64(index + _GOLDEN))
+
+
 class RandomStream:
     """Seeded deterministic stream of uniforms, gaussians and permutations."""
 
@@ -41,10 +56,8 @@ class RandomStream:
         if n < 0:
             raise ValueError("draw count must be nonnegative")
         lo = self._count + 1
-        idx = np.arange(lo, lo + n, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + idx * _GOLDEN)
+        return _words(self._key, lo, n)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform float64 draws in [low, high); 53-bit mantissa resolution."""
@@ -93,10 +106,16 @@ class RandomStream:
         The child key is ``mix64(key ^ mix64(index + GOLDEN))``, which lands
         child streams on orbits disjoint from the parent's counter walk.
         """
-        with np.errstate(over="ignore"):
-            tag = _mix64(np.uint64((int(index) & _MASK64)) + _GOLDEN)
-            key = _mix64(np.uint64(self._key ^ tag))
-        return RandomStream(int(key))
+        return RandomStream(int(_child_key(self._key, np.uint64(int(index) & _MASK64))))
+
+    def child_permutations(self, rows: int, cols: int, n: int) -> np.ndarray:
+        """(rows, cols, n) array whose ``[i, j]`` row is
+        ``self.child(i).child(j).permutation(n)``, drawn in one pass."""
+        keys = _child_key(
+            _child_key(self._key, np.arange(rows, dtype=np.uint64))[:, None],
+            np.arange(cols, dtype=np.uint64),
+        )
+        return np.argsort(_words(keys, 1, n), axis=-1, kind="stable")
 
 
 def _as_shape(shape) -> tuple:

@@ -39,7 +39,7 @@ from .data import (
     WindowSpec,
     few_shot_subset,
     make_windows,
-    mask_with_count,
+    window_masks,
 )
 from .errors import InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
@@ -152,13 +152,8 @@ def _samples(
     last = x[:, -1].copy()  # a view would keep every raw window alive
     if mask_counts is None:
         return _batch(x, patch, eps, targets=targets, last=last)
-    shape = (wspec.lookback, 1)
-    observed = np.stack(
-        [
-            mask_with_count(shape, mask_counts, mask_rng.child(ci).child(wi))[:, 0]
-            for ci in range(dataset.n_channels)
-            for wi in range(inputs.shape[0])
-        ]
+    observed = window_masks(
+        dataset.n_channels, inputs.shape[0], wspec.lookback, mask_counts, mask_rng
     )
     return _batch(x, patch, eps, observed, targets=targets, last=last, mask=1.0 - observed)
 

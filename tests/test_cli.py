@@ -627,6 +627,8 @@ class TestConfigSchema:
             ("forecast", {"revin_eps": math.inf}),
             ("ablate", {"donor": {"noise": math.nan}}),
             ("imputation", {"imputation": {"mask_ratios": [0.5, math.nan]}}),
+            ("forecast", {"train": {"seed": 2**64}}),
+            ("forecast", {"train": {"seed": -1}}),
         ],
         ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
     )
@@ -1120,6 +1122,8 @@ class TestArgumentHandling:
             ["similarity", "--config", "run.json", "--eval-batch", "-1"],
             ["jacobian", "--trials", "0"],
             ["mix-sweep", "--config", "run.json", "--finetune-steps", "-1"],
+            ["mix-sweep", "--config", "run.json", "--seed", "-1"],
+            ["jacobian", "--seed", str(2**64)],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )

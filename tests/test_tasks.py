@@ -7,7 +7,14 @@ import pytest
 from conftest import tiny_backbone
 from fpt import backbone, tasks
 from fpt.backbone import forward, gpt0_config, init_random, param_hash, predict
-from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, make_windows, mask_with_count
+from fpt.data import (
+    SplitSpec,
+    TimeSeriesDataset,
+    WindowSpec,
+    make_windows,
+    mask_with_count,
+    window_masks,
+)
 from fpt.errors import InvalidInput, MissingWeights
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
@@ -141,6 +148,23 @@ class TestSamples:
         want = self._per_channel(ds, wspec, 1e-5, split, mask_counts=12, mask_rng=seeded_rng(8))
         for key, value in want.items():
             np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
+
+    @pytest.mark.parametrize("n_masked", [0, 1, 12, 96])
+    def test_window_masks_match_per_window_draws(self, n_masked):
+        """All masks drawn in one pass equal the per-window draws from each
+        window's own child stream."""
+        rng = seeded_rng(9)
+        got = window_masks(8, 150, 96, n_masked, rng)
+        want = np.stack(
+            [
+                mask_with_count((96, 1), n_masked, rng.child(ci).child(wi))[:, 0]
+                for ci in range(8)
+                for wi in range(150)
+            ]
+        )
+        assert got.shape == want.shape and (got == want).all()
+        with pytest.raises(InvalidInput):
+            window_masks(1, 1, 4, 5, rng)
 
 
 class TestMakeAblation:
