@@ -7,6 +7,15 @@ records every layer's token outputs; the backward pass is hand-written
 reverse mode and matches central finite differences to ~1e-4 relative in
 float64, which the test suite checks tensor by tensor.
 
+The pass computes in the store's own dtype (its common dtype when tensors
+differ): tokens, dropout masks, every buffer of the backward tape and the
+backward pass itself.  A float32 store, the default, moves half the bytes
+of a float64 one; a float64 store computes in float64 throughout.  The loss
+and its gradient on the head output are taken in float64, and that gradient
+enters the backward pass scaled by a power of two (loss scaling), so
+targets far outside float32's range still train; the weight gradients come
+back unscaled in float64.
+
 One pass (``_blocks``) runs embedding -> blocks -> final LayerNorm for
 ``forward``, ``predict`` and ``loss_and_grads`` alike, so the block that is
 audited is the block that is trained.  It keeps the per-layer caches of the
@@ -441,7 +450,7 @@ def _attn_fwd(x, p, prefix, cfg):
     z *= scale
     if cfg.causal:
         n = z.shape[-1]
-        z += np.triu(np.full((n, n), _NEG_INF), k=1)
+        z += np.triu(np.full((n, n), _NEG_INF, dtype=z.dtype), k=1)
     probs = softmax_last(z)
     ctx = _merge_heads(probs @ vh)
     out = _mm(ctx, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
@@ -486,18 +495,24 @@ def _set_grad(grads, wanted, name, fn):
 
 
 def _pca_attention_out(x, m):
-    """Project token-centered inputs onto their top-m principal components."""
+    """Project token-centered inputs onto their top-m principal components.
+
+    The eigensolver works in float64; its components are cast back to
+    ``x.dtype``, so the projection stays in the dtype of the pass.
+    """
     d = x.shape[-1]
     if not 1 <= m <= d:
         raise InvalidInput(f"pca rank m={m} must be in [1, {d}]")
     xc = x - x.mean(axis=1, keepdims=True)
-    vecs = sym_eig(xc.swapaxes(-1, -2) @ xc).eigenvectors[..., :m]
+    vecs = sym_eig(xc.swapaxes(-1, -2) @ xc).eigenvectors[..., :m].astype(x.dtype, copy=False)
     return xc @ vecs @ vecs.swapaxes(-1, -2)
 
 
-def _f64(store: ParameterStore) -> ParameterStore:
-    """The store in float64; tensors already in float64 are not copied."""
-    return ParameterStore({k: v.astype(np.float64, copy=False) for k, v in store.items()})
+def _compute_store(store: ParameterStore) -> ParameterStore:
+    """The store in its common dtype, the dtype the pass computes in;
+    tensors already in it are not copied."""
+    dtype = np.result_type(*store.values())
+    return ParameterStore({k: v.astype(dtype, copy=False) for k, v in store.items()})
 
 
 def _block(h, p, prefix, cfg, pca_m, dropout, keep):
@@ -561,7 +576,9 @@ def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
 
 
 def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=False):
-    """Embedding -> blocks -> final LayerNorm on the float64 store ``p``.
+    """Embedding -> blocks -> final LayerNorm on the store ``p``, which
+    ``_compute_store`` has cast to one dtype; tokens, dropout masks and every
+    buffer are in that dtype.
 
     Tokens are (B, n, patch_len) or one (n, patch_len) sample.  Returns
     (y, trace, tape): the final-LN output (B, n, d_model), then either
@@ -571,7 +588,7 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
     attention for its rank-``pca_m`` PCA projection; dropout fires only when
     ``dropout_rng`` is given.
     """
-    x = np.asarray(tokens, dtype=np.float64)
+    x = np.asarray(tokens, dtype=p["input_embedding.w"].dtype)
     if x.ndim == 2:
         x = x[None]
     if x.ndim != 3 or x.shape[-1] != cfg.patch_len:
@@ -584,7 +601,7 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
     def dropout(a):
         if drop_p == 0.0:
             return a, None
-        mask = (dropout_rng.uniform(a.shape) >= drop_p).astype(np.float64) / (1.0 - drop_p)
+        mask = (dropout_rng.uniform(a.shape) >= drop_p).astype(a.dtype) / (1.0 - drop_p)
         a *= mask  # every dropped array is a fresh buffer of this pass
         return a, mask
 
@@ -615,13 +632,14 @@ def forward(
     d_model); ``trace`` lists every layer's token outputs starting with the
     embedding output (n_layers + 1 entries).  mode="pca" replaces each
     attention sublayer's output with the rank-``pca_m`` principal-component
-    projection of its (token-centered) inputs.
+    projection of its (token-centered) inputs.  The outputs are in the
+    store's dtype.
     """
     if mode not in ("softmax", "pca"):
         raise InvalidInput("mode must be 'softmax' or 'pca'")
     if (mode == "pca") != (pca_m is not None):
         raise InvalidInput("pca_m must be given exactly when mode='pca'")
-    y, trace, _ = _blocks(_f64(store), cfg, tokens, pca_m=pca_m)
+    y, trace, _ = _blocks(_compute_store(store), cfg, tokens, pca_m=pca_m)
     if np.ndim(tokens) == 2:
         return y[0], [t[0] for t in trace]
     return y, trace
@@ -633,7 +651,7 @@ def _head_fwd(y, p, cfg):
         flat = y.reshape(b, n * d)
     else:
         flat = y.mean(axis=1)
-    return flat @ p["output_head.w"] + p["output_head.b"], flat
+    return _mm(flat, p["output_head.w"], p["output_head.b"]), flat
 
 
 # Windows per ``forward`` call in ``predict``.  Each chunk runs the backbone
@@ -643,12 +661,13 @@ _EVAL_CHUNK = 128
 
 
 def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
-    """Forward plus the output head; returns (B, head_out).
+    """Forward plus the output head; returns (B, head_out) in the store's
+    dtype.
 
     Runs ``_EVAL_CHUNK`` windows per forward pass, so peak memory does not
     grow with B.
     """
-    p = _f64(store)
+    p = _compute_store(store)
     x = np.atleast_1d(tokens)
     if x.ndim == 2:
         x = x[None]
@@ -659,6 +678,9 @@ def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
 
 
 def _loss_and_dout(out, batch: Batch, loss: str):
+    """The loss value and its gradient ``dout`` with respect to the head
+    output ``out``, both in float64 whatever the dtype of ``out``."""
+    out = np.asarray(out, dtype=np.float64)
     if loss == "cross_entropy":
         if batch.labels is None:
             raise InvalidInput("cross_entropy needs integer labels")
@@ -699,6 +721,22 @@ def _loss_and_dout(out, batch: Batch, loss: str):
     return value, dout
 
 
+def _scaled_dout(out, batch: Batch, loss: str):
+    """(value, dout, k): the float64 loss of ``_loss_and_dout`` and its
+    ``dout`` times 2**-k in the dtype of ``out``, with k from ``np.frexp``
+    so that max|dout| lands in [0.5, 1).
+
+    The backward pass is linear in ``dout``, so scaling the weight gradients
+    by 2**k undoes this exactly unless a value underflows; a float32 pass
+    then trains on losses whose gradient overflows float32.
+    """
+    value, dout = _loss_and_dout(out, batch, loss)
+    if not np.isfinite(value):
+        raise NumericalFailure(f"non-finite loss value {value!r} (loss={loss})")
+    k = int(np.frexp(np.abs(dout).max(initial=0.0))[1])
+    return value, np.ldexp(dout, -k).astype(out.dtype, copy=False), k
+
+
 def loss_and_grads(
     store: ParameterStore,
     cfg: BackboneConfig,
@@ -707,30 +745,29 @@ def loss_and_grads(
     wanted: frozenset[str] | None = None,
     dropout_rng: RandomStream | None = None,
 ):
-    """Forward, loss and reverse-mode gradients in float64.
+    """Forward, loss and reverse-mode gradients; returns (value, grads).
 
-    ``wanted`` restricts which parameter gradients are materialized (None
-    computes every tensor's gradient).  Dropout fires only when a stream is
+    The forward and backward passes run in the store's dtype and the loss in
+    float64 (``_scaled_dout``); the gradients are float64.  ``wanted``
+    restricts which parameter gradients are materialized (None computes
+    every tensor's gradient).  Dropout fires only when a stream is
     supplied and cfg.dropout > 0, with masks drawn deterministically.  The
     backward pass frees the tape as it reads it: each block's cache is
     popped as that block's backward starts and every buffer is dropped after
     its last read, so live memory falls through the pass instead of rising.
     """
-    p = _f64(store)
+    p = _compute_store(store)
     y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
         p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
     )
     out, flat = _head_fwd(y, p, cfg)
-
-    value, dout = _loss_and_dout(out, batch, loss)
+    value, dout, k = _scaled_dout(out, batch, loss)
     del out
-    if not np.isfinite(value):
-        raise NumericalFailure(f"non-finite loss value {value!r} (loss={loss})")
 
     grads: dict[str, np.ndarray] = {}
-    _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
+    _set_grad(grads, wanted, "output_head.w", lambda: _wgrad(flat, dout))
     _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
-    dflat = dout @ p["output_head.w"].T
+    dflat = _mm(dout, p["output_head.w"].T)
     shape = y.shape
     del dout, flat, y
     if cfg.head_mode == "flatten":
@@ -756,7 +793,7 @@ def loss_and_grads(
         return g_full
 
     _set_grad(grads, wanted, "pos_embedding", dpos)
-    return value, grads
+    return value, {n: np.ldexp(g, k, dtype=np.float64) for n, g in grads.items()}
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8

@@ -7,7 +7,9 @@ mirror where it has a table) under the output directory through one writer,
 ``metadata.config_hash`` (see ``_config_hash``).  Reruns with the same
 inputs produce identical bytes apart from the timestamp, which is not hashed.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
+which includes any floating-point overflow, invalid operation or division
+by zero (``_guarded``).
 """
 
 from __future__ import annotations
@@ -85,10 +87,25 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        return _guarded(args.func, args)
     except FptError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
+
+
+def _guarded(func, args) -> int:
+    """Run one command with floating-point overflow, invalid operations and
+    division by zero raising, as ``NumericalFailure``.
+
+    Underflow stays ignored: the causal softmax mask underflows by design.
+    Code that expects one of these and checks its result (the data stage,
+    the random streams) opts out locally with its own ``np.errstate``.
+    """
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return func(args)
+        except FloatingPointError as exc:
+            raise NumericalFailure(f"floating-point {exc}") from None
 
 
 # glibc mallopt parameters (malloc.h)

@@ -1,10 +1,13 @@
 """Dense linear algebra and differentiation oracles.
 
-All routines compute in float64, take immutable inputs, and hold no shared
-state, so they are safe to call concurrently.  The eigensolver is LAPACK
-``eigh`` behind one checked wrapper; like every BLAS-backed product here,
-its results repeat bit for bit on the same machine, numpy build and BLAS
-kernel, not across them.
+The checked routines (``softmax_rows``, ``layer_norm``, ``sym_eig``,
+``spectral_norm``, ``finite_diff_grad``) compute in float64.  The unchecked
+kernels ``softmax_last`` and ``layer_norm_last`` compute in their input's
+dtype; inside the backbone that is the weight store's.  All take immutable
+inputs and hold no shared state, so they are safe to call concurrently.
+The eigensolver is LAPACK ``eigh`` behind one checked wrapper; like every
+BLAS-backed product here, its results repeat bit for bit on the same
+machine, numpy build and BLAS kernel, not across them.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_backbone
+from fpt import backbone
 from fpt.backbone import (
     _GELU_C,
     _GELU_K,
@@ -13,14 +14,14 @@ from fpt.backbone import (
     Batch,
     FreezeMask,
     _blocks,
-    _f64,
+    _compute_store,
     _gelu,
     _gelu_bwd,
     _head_fwd,
     _ln_bwd,
-    _loss_and_dout,
     _merge_heads,
     _mm,
+    _scaled_dout,
     _set_grad,
     _split_heads,
     _wgrad,
@@ -228,6 +229,11 @@ class TestMixWeights:
         assert np.allclose(mixed[name], expect.astype(np.float32))
 
 
+# A float32 store computes in float32: 32 ulps at 1.0 on the O(1)
+# final-LayerNorm outputs, where 2e-7 to 5e-7 is typical
+_F32_TOL = 32 * np.finfo(np.float32).eps
+
+
 class TestForward:
     def test_single_token_zero_weights_path(self):
         cfg = tiny_backbone(n_layers=2)
@@ -258,15 +264,22 @@ class TestForward:
         with pytest.raises(InvalidInput):
             forward(store, cfg, np.zeros((5, cfg.patch_len)))
 
-    def test_permutation_equivariance(self):
+    @staticmethod
+    def _permutation_gap(dtype):
         cfg = tiny_backbone()
-        store = init_random(cfg, seeded_rng(4))
+        store = init_random(cfg, seeded_rng(4), dtype=dtype)
         store["pos_embedding"] = np.zeros_like(store["pos_embedding"])
         tokens = seeded_rng(5).normal((6, cfg.patch_len))
         out, _ = forward(store, cfg, tokens)
         perm = seeded_rng(6).permutation(6)
         out_perm, _ = forward(store, cfg, tokens[perm])
-        assert np.abs(out_perm - out[perm]).max() <= 1e-12
+        return np.abs(out_perm - out[perm]).max()
+
+    def test_permutation_equivariance(self):
+        assert self._permutation_gap(np.float64) <= 1e-12
+
+    def test_permutation_equivariance_float32(self):
+        assert self._permutation_gap(np.float32) <= _F32_TOL
 
     def test_causal_masking_changes_output(self):
         cfg = tiny_backbone()
@@ -276,9 +289,10 @@ class TestForward:
         out_causal, _ = forward(store, tiny_backbone(causal=True), tokens)
         assert np.abs(out - out_causal).max() > 1e-8
 
-    def test_pca_attention_full_rank_matches_centering(self):
+    @staticmethod
+    def _pca_centering_gap(dtype):
         cfg = tiny_backbone(n_layers=1)
-        store = init_random(cfg, seeded_rng(7))
+        store = init_random(cfg, seeded_rng(7), dtype=dtype)
         tokens = seeded_rng(8).normal((1, 6, cfg.patch_len))
         out_pca, trace_pca = forward(store, cfg, tokens, mode="pca", pca_m=cfg.d_model)
 
@@ -298,7 +312,13 @@ class TestForward:
         gelu = 0.5 * u * (1 + np.tanh(np.sqrt(2 / np.pi) * (u + 0.044715 * u**3)))
         h = h + gelu @ p["blocks.0.mlp.w2"] + p["blocks.0.mlp.b2"]
         expect = ln(h, p["ln_f.gamma"], p["ln_f.beta"])
-        assert np.abs(out_pca[0] - expect).max() <= 1e-8
+        return np.abs(out_pca[0] - expect).max()
+
+    def test_pca_attention_full_rank_matches_centering(self):
+        assert self._pca_centering_gap(np.float64) <= 1e-8
+
+    def test_pca_attention_full_rank_matches_centering_float32(self):
+        assert self._pca_centering_gap(np.float32) <= _F32_TOL
 
     def test_batch_trace_matches_rows_alone(self):
         cfg = tiny_backbone()
@@ -576,12 +596,12 @@ def _ref_attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
 
 
 def _ref_loss_and_grads(store, cfg, batch, loss, wanted=None, dropout_rng=None):
-    p = _f64(store)
+    p = _compute_store(store)
     y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
         p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
     )
     out, flat = _head_fwd(y, p, cfg)
-    value, dout = _loss_and_dout(out, batch, loss)
+    value, dout, k = _scaled_dout(out, batch, loss)
     grads = {}
     _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
     _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
@@ -625,7 +645,7 @@ def _ref_loss_and_grads(store, cfg, batch, loss, wanted=None, dropout_rng=None):
         return g_full
 
     _set_grad(grads, wanted, "pos_embedding", dpos)
-    return value, grads
+    return value, {n: np.ldexp(g, k, dtype=np.float64) for n, g in grads.items()}
 
 
 def _c09_step_inputs(dtype=np.float32, **over):
@@ -655,7 +675,7 @@ class TestBackwardTape:
             finally:
                 tracemalloc.stop()
 
-        forward_peak = peak(lambda: _blocks(_f64(store), cfg, batch.tokens, keep=True))
+        forward_peak = peak(lambda: _blocks(_compute_store(store), cfg, batch.tokens, keep=True))
         step_peak = peak(lambda: loss_and_grads(store, cfg, batch, "mse"))
         assert step_peak <= 1.15 * forward_peak, (step_peak, forward_peak)
 
@@ -674,6 +694,61 @@ class TestBackwardTape:
         assert value == ref_value
         assert sorted(grads) == sorted(ref_grads) == sorted(mask.trainable)
         assert all(np.array_equal(grads[n], ref_grads[n]) for n in grads)
+
+
+def _arrays(obj):
+    """Every array in a nest of tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestComputeDtype:
+    """A float32 store runs forward and backward in float32; only the loss
+    and the gradients it returns are float64."""
+
+    def test_tape_is_in_the_store_dtype(self):
+        cfg, store, batch = _c09_step_inputs(dropout=0.1, causal=True)
+        _, _, tape = _blocks(
+            _compute_store(store), cfg, batch.tokens, dropout_rng=seeded_rng(1), keep=True
+        )
+        dtypes = [a.dtype for a in _arrays(tape)]
+        assert len(dtypes) > 20 and set(dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("mode, pca_m", [("softmax", None), ("pca", 4)])
+    def test_forward_trace_is_in_the_store_dtype(self, mode, pca_m):
+        cfg = tiny_backbone()
+        store = init_random(cfg, seeded_rng(2))
+        out, trace = forward(store, cfg, seeded_rng(3).normal((4, 6, cfg.patch_len)), mode, pca_m)
+        assert [a.dtype for a in (out, *trace)] == [np.float32] * (cfg.n_layers + 2)
+
+    def test_predict_is_in_the_store_dtype(self):
+        cfg = tiny_backbone(head_in=3 * 16, head_out=5)
+        store = init_random(cfg, seeded_rng(5))
+        assert predict(store, cfg, seeded_rng(6).normal((7, 3, cfg.patch_len))).dtype == np.float32
+
+    def test_every_gemm_operand_is_in_the_store_dtype(self, monkeypatch):
+        """``out_scale`` and ``out_mean`` are float64; none of it may reach
+        the GEMMs, which would run in mixed dtypes."""
+        cfg, store, batch = _c09_step_inputs(dropout=0.1)
+        rng = seeded_rng(62)
+        batch.out_scale, batch.out_mean = rng.uniform(64, 0.5, 2.0), rng.normal(64)
+        seen = []
+        for name in ("_mm", "_wgrad"):
+            real = getattr(backbone, name)
+
+            def spy(*args, real=real, name=name):
+                seen.append((name, [a.dtype for a in args if a is not None]))
+                return real(*args)
+
+            monkeypatch.setattr(backbone, name, spy)
+        _, grads = loss_and_grads(store, cfg, batch, "mse", dropout_rng=seeded_rng(61))
+        assert {name for name, _ in seen} == {"_mm", "_wgrad"}
+        assert all(dt == np.float32 for _, dts in seen for dt in dts), seen
+        assert sorted(grads) == sorted(store)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
 
 
 class TestTrainingStep:
@@ -751,7 +826,7 @@ class TestTrainingStep:
         value, _ = loss_and_grads(
             store, cfg, Batch(tokens=tokens, targets=np.zeros((4, 5))), "mse"
         )
-        assert value == float(np.mean(predict(store, cfg, tokens) ** 2))
+        assert value == float(np.mean(predict(store, cfg, tokens).astype(np.float64) ** 2))
 
     def test_predict_shape(self):
         cfg = tiny_backbone(head_in=3 * 16, head_out=5)

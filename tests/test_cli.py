@@ -439,6 +439,30 @@ def test_window_variance_beyond_float64_exits_2(workspace, capsys):
     assert not caught, [str(w.message) for w in caught]
 
 
+def test_training_overflow_exits_3(workspace, capsys):
+    """A c09-shaped forecast on a sine times 1e100 passes ingestion, but
+    Adam's squared gradient overflows float64.  Unguarded, training stalled
+    silently and exited 0 after a raw numpy warning; every command now runs
+    with overflow raising, so it exits 3 with one ``error:`` line."""
+    tmp, cfg_path, config = workspace
+    write_series_csv(tmp / "huge.csv", 1e100 * sinusoid(1200, 24.0))
+    write_manifest(tmp / "huge.json", {"huge": {"path": "huge.csv"}})
+    config["dataset"] = {"manifest": str(tmp / "huge.json"), "name": "huge"}
+    config["window"] = {"lookback": 96, "horizon": 24, "stride": 1}
+    config["patch"] = {"patch_len": 16, "stride": 8}
+    config["backbone"] = {"n_layers": 2, "d_model": 64, "n_heads": 4, "d_ff": 128}
+    config["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(cfg_path), "--output", str(tmp / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1, (code, err)
+    assert err[0].startswith("error: NumericalFailure: floating-point overflow"), err
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp / "o" / "report.json").exists()
+
+
 def _has_mallopt() -> bool:
     return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
 

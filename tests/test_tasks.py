@@ -223,6 +223,18 @@ class TestForecast:
         for i in range(2, len(losses)):
             assert losses[i] <= losses[i - 1] or losses[i] <= losses[i - 2]
 
+    def test_trains_on_values_far_outside_float32_range(self):
+        """At scale 1e20 the loss gradient overflows float32; the float64
+        loss with a power-of-two scale on its gradient trains to the error
+        of the unscaled series."""
+
+        def mse_over_scale2(scale):
+            ds = TimeSeriesDataset(name="sine", values=scale * sinusoid(800, 24.0)[:, None])
+            report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
+            return report.metric("MSE", "O=12") / scale**2
+
+        assert mse_over_scale2(1e20) == pytest.approx(mse_over_scale2(1.0), rel=1e-4)
+
     def test_requires_horizon(self):
         with pytest.raises(InvalidInput):
             run_forecast(_sine_ds(), WindowSpec(48, 0, 1), tiny_backbone(), _tcfg(), PATCH)
