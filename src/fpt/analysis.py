@@ -20,6 +20,7 @@ from .errors import InvalidInput, NumericalFailure, RankDeficient
 from .numerics import (
     EigenDecomposition,
     check_matrix,
+    finite_diff_grad,
     softmax_last,
     softmax_rows,
     spectral_norm,
@@ -269,19 +270,8 @@ def jacobian_bound_check(x, a, h: float = 1e-6) -> JacobianBoundResult:
     if a.shape != (d, d):
         raise InvalidInput(f"attention matrix must be {d}x{d}, got {a.shape}")
 
-    size = n * d
-    jac = np.empty((size, size))
-    base = x.astype(np.float64).copy()
-    flat = base.ravel()
-    for col in range(size):
-        orig = flat[col]
-        flat[col] = orig + h
-        fp = attention_map(base, a)
-        flat[col] = orig - h
-        fm = attention_map(base, a)
-        flat[col] = orig
-        jac[:, col] = ((fp - fm) / (2.0 * h)).ravel()
-    lhs = spectral_norm(jac)
+    jac = finite_diff_grad(lambda z: attention_map(z, a), x, h)
+    lhs = spectral_norm(jac.reshape(n * d, n * d))
 
     p = softmax_rows(x @ a @ x.T)
     xbar = p @ x  # row i: sum_j P_ij x_j
@@ -344,27 +334,28 @@ def attention_mean_convergence(
     return ConvergenceResult(slope=slope, points=tuple(points))
 
 
-def sgd_conditioning_check(
-    g,
-    y,
-    eps: float,
-    rng: RandomStream,
-    max_steps: int = 5_000_000,
-    check_every: int = 25,
-    avg_window: int = 25,
-    confirm_checks: int = 4,
-) -> SgdRateResult:
+# sgd_conditioning_check: the step budget, the steps between suboptimality
+# checks, the number of trailing iterates averaged, and the consecutive
+# sub-eps checks that confirm a hit
+_SGD_MAX_STEPS = 5_000_000
+_SGD_CHECK_EVERY = 25
+_SGD_AVG_WINDOW = 25
+_SGD_CONFIRM_CHECKS = 4
+
+
+def sgd_conditioning_check(g, y, eps: float, rng: RandomStream) -> SgdRateResult:
     """Steps for tail-averaged SGD with step sizes 1/(sigma_min * t) to
     bring the least-squares readout within eps of the closed-form optimum.
 
     sigma_min is the smallest eigenvalue of (1/N) G^T G (the strong
     convexity constant); the suboptimality is measured on the full
     objective (1/2N) ||G W - Y||_F^2 at the mean of the last
-    ``avg_window`` iterates.  A fixed window keeps the measured step count
-    on the 1/(sigma * t) noise rate of the schedule; averaging the whole
+    ``_SGD_AVG_WINDOW`` iterates, every ``_SGD_CHECK_EVERY`` steps.  A
+    fixed window keeps the measured step count on the 1/(sigma * t) noise
+    rate of the schedule; averaging the whole
     history instead converges at a sigma-independent rate on quadratics
     and would hide the conditioning effect being measured.  The reported
-    step count is the first checkpoint that begins ``confirm_checks``
+    step count is the first checkpoint that begins ``_SGD_CONFIRM_CHECKS``
     consecutive sub-eps evaluations, so a single lucky fluctuation does
     not end the run early.  The schedule
     carries a stability offset, eta_t = 1/(sigma (t + t0)) with
@@ -377,8 +368,6 @@ def sgd_conditioning_check(
     n, d = g.shape
     if y.shape[0] != n:
         raise InvalidInput(f"targets must have {n} rows, got {y.shape[0]}")
-    if avg_window < 1 or check_every < 1:
-        raise InvalidInput("avg_window and check_every must be >= 1")
     if not eps > 0:
         raise InvalidInput(f"eps must be positive, got {eps}")
     eigen = sym_eig((g.T @ g) / n)
@@ -395,14 +384,14 @@ def sgd_conditioning_check(
 
     f_star = objective(w_star)
     w = np.zeros((d, y.shape[1]))
-    window = np.zeros((avg_window,) + w.shape)
+    window = np.zeros((_SGD_AVG_WINDOW,) + w.shape)
     win_sum = np.zeros_like(w)
     first_hit, first_gap = None, None
     t = 0
     t0 = int(math.ceil(float(np.max(np.sum(g * g, axis=1))) / sigma))
     idx_buffer: np.ndarray | None = None
     buf_pos = 0
-    while t < max_steps:
+    while t < _SGD_MAX_STEPS:
         if idx_buffer is None or buf_pos >= idx_buffer.size:
             idx_buffer = rng.integers(n, size=8192)
             buf_pos = 0
@@ -412,70 +401,65 @@ def sgd_conditioning_check(
         gi = g[i]
         resid = gi @ w - y[i]
         w = w - (1.0 / (sigma * (t + t0))) * np.outer(gi, resid)
-        slot = (t - 1) % avg_window
+        slot = (t - 1) % _SGD_AVG_WINDOW
         win_sum += w - window[slot]
         window[slot] = w
-        if t % check_every == 0 and t >= avg_window:
-            gap = objective(win_sum / avg_window) - f_star
+        if t % _SGD_CHECK_EVERY == 0 and t >= _SGD_AVG_WINDOW:
+            gap = objective(win_sum / _SGD_AVG_WINDOW) - f_star
             if gap <= eps:
                 if first_hit is None:
                     first_hit, first_gap = t, gap
-                if t - first_hit >= (confirm_checks - 1) * check_every:
+                if t - first_hit >= (_SGD_CONFIRM_CHECKS - 1) * _SGD_CHECK_EVERY:
                     return SgdRateResult(
                         steps=first_hit, sigma_min=sigma, suboptimality=first_gap
                     )
             else:
                 first_hit, first_gap = None, None
     raise NumericalFailure(
-        f"SGD did not reach eps={eps} within {max_steps} steps (sigma_min={sigma:.3e})"
+        f"SGD did not reach eps={eps} within {_SGD_MAX_STEPS} steps (sigma_min={sigma:.3e})"
     )
 
 
-def conditioned_least_squares_problem(
-    sigma: float,
-    rng: RandomStream,
-    n: int = 256,
-    d: int = 8,
-    t_dim: int = 2,
-    w_scale: float = 0.005,
-    noise: float = 0.5,
-    strong: float = 4.0,
-):
-    """Random feature/target pair whose covariance spectrum is
-    (strong, ..., strong, sigma).
+# conditioned_least_squares_problem: samples, features, target columns, the
+# scale of the true weights, the target noise and the strong eigenvalue
+_LSQ_N, _LSQ_D, _LSQ_T_DIM = 256, 8, 2
+_LSQ_W_SCALE, _LSQ_NOISE, _LSQ_STRONG = 0.005, 0.5, 4.0
+
+
+def conditioned_least_squares_problem(sigma: float, rng: RandomStream):
+    """Random (256 x 8) feature / (256 x 2) target pair whose covariance
+    spectrum is (4, ..., 4, sigma).
 
     The strong eigenvalues sit away from sigma so every conditioning level
     mixes on the same timescale pattern, and the weak signal keeps the
     measurement on the schedule's noise floor rather than the burn-in.
     """
-    raw = rng.normal((n, d))
+    raw = rng.normal((_LSQ_N, _LSQ_D))
     q, _ = np.linalg.qr(raw)
-    spectrum = np.full(d, strong)
+    spectrum = np.full(_LSQ_D, _LSQ_STRONG)
     spectrum[-1] = sigma
-    g = np.sqrt(n) * q * np.sqrt(spectrum)[None, :]
-    w_true = rng.normal((d, t_dim), scale=w_scale)
-    y = g @ w_true + rng.normal((n, t_dim), scale=noise)
+    g = np.sqrt(_LSQ_N) * q * np.sqrt(spectrum)[None, :]
+    w_true = rng.normal((_LSQ_D, _LSQ_T_DIM), scale=_LSQ_W_SCALE)
+    y = g @ w_true + rng.normal((_LSQ_N, _LSQ_T_DIM), scale=_LSQ_NOISE)
     return g, y
 
 
-def sgd_rate_experiment(
-    sigmas,
-    eps: float,
-    seed: int,
-    replicates: int = 3,
-) -> list[dict]:
+_SGD_REPLICATES = 3  # independent SGD runs per conditioning level
+
+
+def sgd_rate_experiment(sigmas, eps: float, seed: int) -> list[dict]:
     """Median steps-to-eps per conditioning level, over SGD replicates.
 
     Each sigma gets one problem instance (same seed across sigmas) and
-    ``replicates`` independent sample streams; the median step count damps
-    crossing-time jitter so the 1/sigma scaling is visible.
+    ``_SGD_REPLICATES`` independent sample streams; the median step count
+    damps crossing-time jitter so the 1/sigma scaling is visible.
     """
     rows = []
     for sigma in sigmas:
         g, y = conditioned_least_squares_problem(sigma, seeded_rng(seed))
         counts = []
         sigma_min = None
-        for r in range(replicates):
+        for r in range(_SGD_REPLICATES):
             res = sgd_conditioning_check(g, y, eps, seeded_rng(seed + 1).child(r))
             counts.append(res.steps)
             sigma_min = res.sigma_min
@@ -490,12 +474,15 @@ def sgd_rate_experiment(
     return rows
 
 
-def maxent_dual_solve(q: float, g: float, tol: float = 1e-10) -> float:
+_MAXENT_TOL = 1e-10  # width of the final bisection bracket
+
+
+def maxent_dual_solve(q: float, g: float) -> float:
     """Minimize log(1 + q e^lambda) - lambda g by bisection on the derivative.
 
     The derivative q e^l / (1 + q e^l) - g crosses zero exactly once; the
     minimizer in closed form is ln(g / (q (1 - g))), which the bisection
-    reproduces to the requested tolerance.
+    reproduces to within ``_MAXENT_TOL``.
     """
     if not 0.0 < q < 1.0:
         raise InvalidInput("q must be in (0, 1)")
@@ -516,7 +503,7 @@ def maxent_dual_solve(q: float, g: float, tol: float = 1e-10) -> float:
         hi = 2.0 * hi + 1.0
         if hi > 1e6:
             raise NumericalFailure("bisection failed to bracket from above")
-    while hi - lo > tol:
+    while hi - lo > _MAXENT_TOL:
         mid = 0.5 * (lo + hi)
         if deriv(mid) < 0.0:
             lo = mid

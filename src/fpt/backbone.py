@@ -825,6 +825,7 @@ def adam_step(
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``w - lr*mhat /
     (sqrt(vhat) + eps)`` element by element; a tensor missing from ``grads``
     has a zero gradient.  The new trainable tensors view one fresh buffer.
+    Raises ``NumericalFailure`` when ``v`` or a weight is left non-finite.
     """
     state.t += 1
     names = [n for n in store if n in trainable]
@@ -848,6 +849,9 @@ def adam_step(
     vhat = np.divide(state.v, 1.0 - _ADAM_BETA2**state.t, out=tmp)
     step /= np.add(np.sqrt(vhat, out=vhat), _ADAM_EPS, out=vhat)
     w -= step
+    if not (np.isfinite(state.v).all() and np.isfinite(w).all()):
+        # an overflowing g * g makes v infinite and the step 0: a silent stall
+        raise NumericalFailure(f"Adam step {state.t} left non-finite moments or weights")
     kinds = {store[n].dtype for n in names}
     flat = w.astype(kinds.pop(), copy=False) if len(kinds) == 1 else w
     out, lo = ParameterStore(store), 0

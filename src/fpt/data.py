@@ -130,13 +130,12 @@ class TimeSeriesDataset:
 class CsvSchema:
     """Column roles for load_csv.
 
-    With timestamp_column=None the first column is auto-detected as a
-    timestamp when its header is one of {date, time, timestamp, datetime}
-    (case-insensitive) or its values parse as ISO-8601 but not as numbers.
-    Every other column but the label column holds values.
+    The first column is auto-detected as a timestamp when its header is one
+    of {date, time, timestamp, datetime} (case-insensitive) or its values
+    parse as ISO-8601 but not as numbers.  Every other column but the label
+    column holds values.
     """
 
-    timestamp_column: str | None = None
     label_column: str | None = None
 
 
@@ -168,7 +167,7 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
         if len(row) != len(header):
             raise FormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
 
-    ts_col = _resolve_timestamp_column(header, rows, schema)
+    ts_col = _detect_timestamp_column(header, rows)
     value_cols = [h for h in header if h != ts_col and h != schema.label_column]
     if not value_cols:
         raise FormatError(f"{path}: no value columns")
@@ -224,11 +223,7 @@ def _parse_cell(cell: str, path, rownum: int, colname: str) -> float:
     return v
 
 
-def _resolve_timestamp_column(header, rows, schema: CsvSchema):
-    if schema.timestamp_column is not None:
-        if schema.timestamp_column not in header:
-            raise FormatError(f"timestamp column {schema.timestamp_column!r} not found")
-        return schema.timestamp_column
+def _detect_timestamp_column(header, rows):
     first = header[0]
     if first.lower() in _TIMESTAMP_HEADERS:
         return first
@@ -299,11 +294,7 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
     csv_path = Path(entry["path"])
     if not csv_path.is_absolute():
         csv_path = manifest_path.parent / csv_path
-    schema = CsvSchema(
-        timestamp_column=entry.get("timestamp_column"),
-        label_column=entry.get("label_column"),
-    )
-    ds = load_csv(csv_path, schema, name=name)
+    ds = load_csv(csv_path, CsvSchema(label_column=entry.get("label_column")), name=name)
     split = SplitSpec(*entry["split"]) if "split" in entry else SplitSpec()
     labels = ds.labels
     label_kind = ds.label_kind

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, ShapeError
-from .rng import RandomStream, seeded_rng  # noqa: F401  (re-exported)
 
 
 def check_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -138,20 +137,24 @@ def spectral_norm(m) -> float:
 
 
 def finite_diff_grad(f: Callable, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
+    """Central-difference derivative of ``f`` at the array ``x``: the
+    gradient, shaped like ``x``, of a scalar ``f``, and the Jacobian, shaped
+    ``f(x).shape + x.shape``, of an array-valued one."""
     if h <= 0:
         raise InvalidInput("finite difference step must be positive")
     x0 = np.ascontiguousarray(x, dtype=np.float64).copy()
+    if x0.size == 0:
+        raise InvalidInput("finite differences need at least one coordinate")
     flat = x0.ravel()
-    grad = np.empty_like(flat)
+    cols = []
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = float(f(x0))
+        fp = np.asarray(f(x0), dtype=np.float64)
         flat[i] = orig - h
-        fm = float(f(x0))
+        fm = np.asarray(f(x0), dtype=np.float64)
         flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise NumericalFailure(f"non-finite function value near coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad.reshape(x0.shape)
+        cols.append((fp - fm) / (2.0 * h))
+    return np.stack(cols, axis=-1).reshape(cols[0].shape + x0.shape)

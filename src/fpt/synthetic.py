@@ -25,17 +25,15 @@ def square_wave(length: int, period: float, amplitude: float = 1.0, phase: float
     return amplitude * np.sign(sinusoid(length, period, 1.0, phase) + 1e-12)
 
 
-def sine_mixture(
-    length: int,
-    rng: RandomStream,
-    n_components: int = 3,
-    period_range: tuple[float, float] = (8.0, 64.0),
-    noise: float = 0.0,
-) -> np.ndarray:
-    """Sum of random-period sinusoids plus optional white noise."""
+_MIXTURE_COMPONENTS = 3
+_MIXTURE_PERIODS = (8.0, 64.0)  # the range a component's period is drawn from
+
+
+def sine_mixture(length: int, rng: RandomStream, noise: float = 0.0) -> np.ndarray:
+    """Sum of three random-period sinusoids plus optional white noise."""
     out = np.zeros(length, dtype=np.float64)
-    for _ in range(n_components):
-        period = rng.uniform((), *period_range)
+    for _ in range(_MIXTURE_COMPONENTS):
+        period = rng.uniform((), *_MIXTURE_PERIODS)
         amp = rng.uniform((), 0.4, 1.2)
         phase = rng.uniform((), 0.0, 2.0 * np.pi)
         out += sinusoid(length, period, amp, phase)

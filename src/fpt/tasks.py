@@ -270,17 +270,36 @@ def _forecast_config(base_cfg, patch, wspec) -> BackboneConfig:
     return _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
 
 
-def _train_mse(dataset, wspec, cfg, tcfg, patch, weights, eps):
-    """Train ``tcfg.ablation``'s setup on the training split with MSE loss
-    (forecast or reconstruction, as ``wspec.horizon`` says), early-stopping
-    on validation.  Returns (trained store, initial setup, history); the
-    setup's store is untouched by training."""
-    rng = seeded_rng(tcfg.seed)
+def _train(cfg, tcfg, weights, loss, train, val, rng):
+    """Train ``tcfg.ablation``'s setup, drawn from ``rng.child(1)``, on the
+    ``train`` rows with ``loss``, early-stopping on ``val``; the minibatch
+    order and dropout come from ``rng.child(2)``.  Returns (trained store,
+    initial setup, history); the setup's store is untouched by training."""
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    train = _samples(dataset, wspec, patch, eps, "train")
-    val = _samples(dataset, wspec, patch, eps, "val")
-    store, history = _fit(setup, train, val, tcfg, "mse", rng.child(2))
+    store, history = _fit(setup, train, val, tcfg, loss, rng.child(2))
     return store, setup, history
+
+
+def _train_mse(dataset, wspec, cfg, tcfg, patch, weights, eps):
+    """``_train`` with MSE loss (forecast or reconstruction, as
+    ``wspec.horizon`` says) on the dataset's training and validation splits."""
+    train, val = (_samples(dataset, wspec, patch, eps, split) for split in ("train", "val"))
+    return _train(cfg, tcfg, weights, "mse", train, val, seeded_rng(tcfg.seed))
+
+
+_MSE_MAE = {"MSE": mse, "MAE": mae}
+
+
+def _forecast_scores(store, cfg, test: Batch, fns: dict, baseline_fns: dict):
+    """Test-split scores, in original units, of the model's forecasts under
+    ``fns`` and of the repeat-last baseline under ``baseline_fns`` (each
+    maps a metric name to its function)."""
+    preds = _predict_denorm(store, cfg, test)
+    naive = np.repeat(test.last[:, None], test.targets.shape[1], axis=1)
+    return (
+        {name: fn(test.targets, preds) for name, fn in fns.items()},
+        {name: fn(test.targets, naive) for name, fn in baseline_fns.items()},
+    )
 
 
 def _reconstruction_setup(base_cfg, patch, lookback, stride):
@@ -306,18 +325,11 @@ def run_forecast(
     cfg = _forecast_config(base_cfg, patch, wspec)
     store, setup, history = _train_mse(dataset, wspec, cfg, tcfg, patch, weights, revin_eps)
     test = _samples(dataset, wspec, patch, revin_eps, "test")
-    preds = _predict_denorm(store, setup.cfg, test)
-    naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
+    values, baseline = _forecast_scores(store, setup.cfg, test, _MSE_MAE, _MSE_MAE)
     report = MetricReport(
-        metadata=_base_metadata(
-            "forecast",
-            dataset,
-            tcfg,
-            baseline={"MSE": mse(test.targets, naive), "MAE": mae(test.targets, naive)},
-            history=history,
-        )
+        metadata=_base_metadata("forecast", dataset, tcfg, baseline=baseline, history=history)
     )
-    report.add_row(f"O={wspec.horizon}", {"MSE": mse(test.targets, preds), "MAE": mae(test.targets, preds)})
+    report.add_row(f"O={wspec.horizon}", values)
     return report.finalize(), store
 
 
@@ -363,14 +375,10 @@ def run_zero_shot(
     store, setup, history = _train_mse(source, wspec, cfg, tcfg, patch, weights, revin_eps)
     hash_before = param_hash(store)
     test = _samples(target, wspec, patch, revin_eps, "test")
-    preds = _predict_denorm(store, setup.cfg, test)
+    name = metric.upper()
+    fns = {**_MSE_MAE, name: metric_fns[metric]}
+    values, baseline = _forecast_scores(store, setup.cfg, test, fns, {name: fns[name]})
     hash_after = param_hash(store)
-    naive = np.repeat(test.last[:, None], wspec.horizon, axis=1)
-    values = {
-        "MSE": mse(test.targets, preds),
-        "MAE": mae(test.targets, preds),
-        metric.upper(): metric_fns[metric](test.targets, preds),
-    }
     report = MetricReport(
         metadata=_base_metadata(
             "zeroshot",
@@ -380,7 +388,7 @@ def run_zero_shot(
             metric=metric,
             param_hash_before=hash_before,
             param_hash_after=hash_after,
-            baseline={metric.upper(): metric_fns[metric](test.targets, naive)},
+            baseline=baseline,
             history=history,
         )
     )
@@ -426,8 +434,7 @@ def run_imputation(
             _samples(dataset, wspec, patch, revin_eps, split, n_masked, rng.child(10 + si))
             for si, split in enumerate(("train", "val", "test"))
         )
-        setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-        store, history = _fit(setup, train, val, tcfg, "masked_mse", rng.child(2))
+        store, setup, history = _train(cfg, tcfg, weights, "masked_mse", train, val, rng)
         stores[ratio] = store
         scored = test.mask.astype(bool)
         truth = test.targets[scored]
@@ -468,11 +475,10 @@ def run_classification(
     n_val = int(math.floor(dataset.split.val * n))
     cuts = (0, n_train, n_train + n_val, n)
     train, val, test = (series.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-    rng = seeded_rng(tcfg.seed)
-    setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    store, history = _fit(setup, train, val, tcfg, "cross_entropy", rng.child(2))
-    cfg = setup.cfg
-    pred_classes = np.argmax(_outputs(store, cfg, test.tokens), axis=1)
+    store, setup, history = _train(
+        cfg, tcfg, weights, "cross_entropy", train, val, seeded_rng(tcfg.seed)
+    )
+    pred_classes = np.argmax(_outputs(store, setup.cfg, test.tokens), axis=1)
     accuracy = float(np.mean(pred_classes == test.labels))
     report = MetricReport(
         metadata=_base_metadata(
@@ -590,7 +596,9 @@ def run_ablation_suite(
     """
     cfg = _forecast_config(base_cfg, patch, wspec)
     report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg, history={}))
-    test = _samples(dataset, wspec, patch, revin_eps, "test")
+    train, val, test = (
+        _samples(dataset, wspec, patch, revin_eps, split) for split in ("train", "val", "test")
+    )
     probe = test.tokens[:8]
     if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
         # one read of the container serves every pretrained arm
@@ -599,13 +607,12 @@ def run_ablation_suite(
     for arm in arms:
         arm_tcfg = replace(tcfg, ablation=arm)
         arm_weights = weights if arm in _PRETRAINED_ARMS else None
-        store, setup, history = _train_mse(
-            dataset, wspec, cfg, arm_tcfg, patch, arm_weights, revin_eps
+        store, setup, history = _train(
+            cfg, arm_tcfg, arm_weights, "mse", train, val, seeded_rng(tcfg.seed)
         )
         step0[arm] = predict(setup.store, setup.cfg, probe)
-        preds = _predict_denorm(store, setup.cfg, test)
         report.metadata["history"][arm] = history
-        report.add_row(arm, {"MSE": mse(test.targets, preds), "MAE": mae(test.targets, preds)})
+        report.add_row(arm, _forecast_scores(store, setup.cfg, test, _MSE_MAE, {})[0])
     if "fpt" in step0 and "no_freeze" in step0:
         report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
             np.abs(step0["fpt"] - step0["no_freeze"]).max()
@@ -635,6 +642,9 @@ def synthetic_pretrain(
     return store
 
 
+_SWEEP_EVAL_BATCH = 16  # test windows whose token similarity the sweep records
+
+
 def mixed_weights_similarity_sweep(
     pretrained: ParameterStore,
     cfg: BackboneConfig,
@@ -646,7 +656,6 @@ def mixed_weights_similarity_sweep(
     finetune_steps: int = 50,
     learning_rate: float = 1e-3,
     batch_size: int = 64,
-    eval_batch: int = 16,
     revin_eps: float = 1e-5,
     mode: str = "replace",
 ) -> list[dict]:
@@ -661,7 +670,7 @@ def mixed_weights_similarity_sweep(
     random_store = init_random(derived_cfg, rng.child(1))
     train = _samples(dataset, wspec, patch, revin_eps, "train")
     test = _samples(dataset, wspec, patch, revin_eps, "test")
-    probe = test.tokens[:eval_batch]
+    probe = test.tokens[:_SWEEP_EVAL_BATCH]
     tcfg = TrainConfig(
         epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
     )

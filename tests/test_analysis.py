@@ -26,7 +26,7 @@ from fpt.analysis import (
 from fpt.backbone import init_random
 from fpt.data import TimeSeriesDataset, WindowSpec
 from fpt.errors import InvalidInput, RankDeficient
-from fpt.numerics import sym_eig
+from fpt.numerics import finite_diff_grad, sym_eig
 from fpt.preprocess import PatchConfig
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid
@@ -335,6 +335,37 @@ class TestJacobianBound:
     def test_size_cap(self):
         with pytest.raises(InvalidInput):
             jacobian_bound_check(np.zeros((40, 13)), np.zeros((13, 13)))
+
+    def test_finite_diff_jacobian_matches_the_column_loop(self):
+        """On c04-shaped trials, finite_diff_grad's Jacobian of the attention
+        map is bit-identical to the column-by-column central differences the
+        audit used to compute itself."""
+
+        def column_loop(x, a, h):
+            size = x.size
+            jac = np.empty((size, size))
+            base = x.astype(np.float64).copy()
+            flat = base.ravel()
+            for col in range(size):
+                orig = flat[col]
+                flat[col] = orig + h
+                fp = attention_map(base, a)
+                flat[col] = orig - h
+                fm = attention_map(base, a)
+                flat[col] = orig
+                jac[:, col] = ((fp - fm) / (2.0 * h)).ravel()
+            return jac
+
+        rng = seeded_rng(41)
+        for trial in range(50):
+            trial_rng = rng.child(trial)
+            d = 2 + trial_rng.integers(3)
+            n = 2 + trial_rng.integers(5)
+            x = trial_rng.normal((n, d))
+            a = scale_to_spectral_norm(trial_rng.normal((d, d)), 1.0)
+            jac = finite_diff_grad(lambda z: attention_map(z, a), x, 1e-6)
+            assert jac.shape == (n, d, n, d)
+            assert np.array_equal(jac.reshape(n * d, n * d), column_loop(x, a, 1e-6)), trial
 
     def test_attention_map_rows(self):
         x = seeded_rng(17).normal((5, 3))

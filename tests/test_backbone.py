@@ -540,6 +540,14 @@ class TestBitwiseKernels:
         frozen = adam_step(store, grads, state, frozenset())
         assert state.t == 6 and all(frozen[n] is store[n] for n in store)
 
+    def test_adam_overflow_raises(self):
+        """An overflowing g * g leaves v infinite and the step 0; without
+        numpy raising on overflow, Adam itself reports it."""
+        store = init_random(tiny_backbone(head_in=3 * 16, head_out=5), seeded_rng(45))
+        grads = {n: np.full(a.shape, 1e200) for n, a in store.items()}
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="Adam step 1"):
+            adam_step(store, grads, AdamState(lr=1e-3), FreezeMask.all_trainable(store).trainable)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     def test_steps_write_into_no_store_or_batch(self, dtype, dropout):

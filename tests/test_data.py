@@ -101,9 +101,11 @@ class TestManifest:
         assert ds.label_kind == "series" and list(ds.labels) == [1]
 
     def test_unread_keys_are_ignored(self, tmp_path):
-        """Nothing reads a frequency or seasonal period, so any value loads."""
+        """Nothing reads a frequency, a seasonal period or a timestamp column
+        name (the timestamp column is detected), so any value loads."""
         write_series_csv(tmp_path / "series.csv", np.arange(40.0)[:, None])
         entry = {"path": "series.csv", "frequency": "fortnightly", "seasonal_period": "x"}
+        entry["timestamp_column"] = "nope"
         write_manifest(tmp_path / "manifest.json", {"mine": entry})
         ds = load_from_manifest(tmp_path / "manifest.json", "mine")
         assert ds.values.shape == (40, 1)

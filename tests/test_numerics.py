@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpt.errors import InvalidInput, ShapeError
+from fpt.errors import InvalidInput, NumericalFailure, ShapeError
 from fpt.numerics import (
     finite_diff_grad,
     layer_norm,
@@ -164,6 +164,46 @@ class TestFiniteDiffGrad:
         a = seeded_rng(10).normal(8)
         g = finite_diff_grad(lambda x: float(a @ x), seeded_rng(11).normal(8), 1e-5)
         assert np.abs(g - a).max() <= 1e-9
+
+    def test_scalar_gradient_matches_the_scalar_loop(self):
+        """A scalar f keeps its gradient bit for bit: the loop below is the
+        scalar-only routine the Jacobian form replaced."""
+
+        def scalar_loop(f, x, h):
+            x0 = np.ascontiguousarray(x, dtype=np.float64).copy()
+            flat = x0.ravel()
+            grad = np.empty_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(f(x0))
+                flat[i] = orig - h
+                fm = float(f(x0))
+                flat[i] = orig
+                grad[i] = (fp - fm) / (2.0 * h)
+            return grad.reshape(x0.shape)
+
+        rng = seeded_rng(13)
+        q = rng.normal((3, 4))
+        x = rng.normal((3, 4))
+        f = lambda v: float(np.sum(np.sin(v) * q) + np.sum(v * v * v))  # noqa: E731
+        got = finite_diff_grad(f, x, 1e-5)
+        assert got.shape == x.shape
+        assert np.array_equal(got, scalar_loop(f, x, 1e-5))
+
+    def test_jacobian_of_a_linear_map(self):
+        """An array-valued f gives its Jacobian, shaped f(x).shape + x.shape."""
+        a = seeded_rng(14).normal((2, 3, 4))
+        x = seeded_rng(15).normal(4)
+        jac = finite_diff_grad(lambda v: a @ v, x, 1e-5)
+        assert jac.shape == (2, 3, 4)
+        assert np.abs(jac - a).max() <= 1e-9
+
+    def test_rejects_empty_input_and_non_finite_values(self):
+        with pytest.raises(InvalidInput):
+            finite_diff_grad(lambda v: 0.0, np.zeros(0))
+        with pytest.raises(NumericalFailure, match="coordinate 1"):
+            finite_diff_grad(lambda v: np.where(v[1] > 0, [np.inf, 0.0], 0.0), np.zeros(2))
 
     def test_quadratic_matches_gradient(self):
         rng = seeded_rng(12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from fpt.data import (
     mask_with_count,
     window_masks,
 )
-from fpt.errors import InvalidInput, MissingWeights
+from fpt.errors import InvalidInput, MissingWeights, NumericalFailure
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import classification_values, inject_spikes, sinusoid
@@ -234,6 +235,15 @@ class TestForecast:
             return report.metric("MSE", "O=12") / scale**2
 
         assert mse_over_scale2(1e20) == pytest.approx(mse_over_scale2(1.0), rel=1e-4)
+
+    def test_adam_overflow_raises_outside_the_cli_guard(self):
+        """At scale 1e100 Adam's g * g overflows; called as a library, with
+        numpy only warning, the run raises instead of stalling silently."""
+        ds = TimeSeriesDataset(name="sine", values=1e100 * sinusoid(800, 24.0)[:, None])
+        with np.errstate(over="warn"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalFailure, match="Adam"):
+                run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
 
     def test_requires_horizon(self):
         with pytest.raises(InvalidInput):
@@ -512,3 +522,17 @@ class TestAblationSuite:
             arm_tcfg = replace(tcfg, ablation=arm)
             alone, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), arm_tcfg, PATCH)
             assert report.metadata["history"][arm] == alone.metadata["history"]
+
+    def test_splits_are_built_once_for_every_arm(self, monkeypatch):
+        """Train, val and test are normalized once each, not once per arm."""
+        cfg = tasks._forecast_config(tiny_backbone(), PATCH, WSPEC)
+        donor = init_random(cfg, seeded_rng(62))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return normalize_windows(*args)
+
+        monkeypatch.setattr(tasks, "normalize_windows", counting)
+        run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, donor)
+        assert len(calls) == 3
