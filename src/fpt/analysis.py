@@ -11,7 +11,6 @@ one-dimensional maximum-entropy dual, and token-similarity profiling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +26,6 @@ from .numerics import (
     sym_eig,
 )
 from .rng import RandomStream, seeded_rng
-
-SIMILARITY_BINS = 20
-
-
-@dataclass(frozen=True)
-class TokenSimilarityProfile:
-    """Per-layer mean pairwise cosine similarity and its histogram."""
-
-    means: tuple[float, ...]
-    histograms: np.ndarray  # (n_layers+1, SIMILARITY_BINS) pair counts
-    bin_edges: np.ndarray
-
 
 @dataclass(frozen=True)
 class PcaAttentionSolution:
@@ -66,40 +53,6 @@ class SgdRateResult:
     steps: int
     sigma_min: float
     suboptimality: float
-
-
-def _pair_cosines(x: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every distinct token pair over the trailing two
-    axes: (..., n, d) tokens give (..., n * (n - 1) / 2) values, row-major
-    over the upper triangle.  A zero-norm token scores 0 against every other."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
-    sims = np.clip(xn @ xn.swapaxes(-1, -2), -1.0, 1.0)
-    iu = np.triu_indices(x.shape[-2], k=1)
-    return sims[..., iu[0], iu[1]]
-
-
-def token_similarity(trace) -> TokenSimilarityProfile:
-    """Mean cosine similarity over distinct token pairs, layer by layer.
-
-    Zero-norm tokens contribute similarity 0 (with a warning).  Histogram
-    counts per layer sum to n_tokens * (n_tokens - 1) / 2.
-    """
-    edges = np.linspace(-1.0, 1.0, SIMILARITY_BINS + 1)
-    means = []
-    hists = []
-    for li, layer in enumerate(trace):
-        x = np.asarray(layer, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 2:
-            raise InvalidInput(f"layer {li} needs at least two token vectors")
-        if np.any(np.linalg.norm(x, axis=1) == 0.0):
-            warnings.warn(f"layer {li} has zero-norm tokens; their similarity counts as 0")
-        vals = _pair_cosines(x)
-        means.append(float(vals.mean()))
-        hists.append(np.histogram(vals, bins=edges)[0])
-    return TokenSimilarityProfile(
-        means=tuple(means), histograms=np.stack(hists), bin_edges=edges
-    )
 
 
 def _centered(x) -> np.ndarray:
@@ -433,7 +386,10 @@ def conditioned_least_squares_problem(sigma: float, rng: RandomStream):
     The strong eigenvalues sit away from sigma so every conditioning level
     mixes on the same timescale pattern, and the weak signal keeps the
     measurement on the schedule's noise floor rather than the burn-in.
+    sigma must be finite and > 0.
     """
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise InvalidInput(f"sigma must be finite and > 0, got {sigma}")
     raw = rng.normal((_LSQ_N, _LSQ_D))
     q, _ = np.linalg.qr(raw)
     spectrum = np.full(_LSQ_D, _LSQ_STRONG)
@@ -513,14 +469,20 @@ def maxent_dual_solve(q: float, g: float) -> float:
 
 
 def batch_layer_similarity(trace_batch) -> list[float]:
-    """Per-layer mean pairwise token cosine similarity, averaged over a batch.
+    """Per-layer mean cosine similarity over distinct token pairs, averaged
+    over a batch.
 
-    trace_batch holds (B, n, d) arrays as produced by a batched forward.
+    trace_batch holds (B, n, d) arrays as produced by a batched forward.  A
+    zero-norm token scores 0 against every other.
     """
     means = []
     for layer in trace_batch:
         x = np.asarray(layer, dtype=np.float64)
         if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 2:
             raise InvalidInput("each layer needs (B>=1, n>=2, d) token outputs")
-        means.append(float(_pair_cosines(x).mean()))
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        xn = np.where(norms == 0.0, 0.0, x / np.where(norms == 0.0, 1.0, norms))
+        sims = np.clip(xn @ xn.swapaxes(-1, -2), -1.0, 1.0)
+        iu = np.triu_indices(x.shape[1], k=1)
+        means.append(float(sims[:, iu[0], iu[1]].mean()))
     return means

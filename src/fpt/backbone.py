@@ -96,10 +96,6 @@ class BackboneConfig:
             raise InvalidInput("pool head requires head_in == d_model")
 
 
-class ParameterStore(dict):
-    """Named tensors of the backbone."""
-
-
 def expected_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes for a configuration."""
     d, f = cfg.d_model, cfg.d_ff
@@ -129,7 +125,7 @@ def expected_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def validate_store(store: ParameterStore, cfg: BackboneConfig) -> None:
+def validate_store(store: dict, cfg: BackboneConfig) -> None:
     want = expected_shapes(cfg)
     missing = sorted(set(want) - set(store))
     if missing:
@@ -153,28 +149,23 @@ class FreezeMask:
     trainable: frozenset[str]
 
     @staticmethod
-    def default_fpt(store: ParameterStore) -> "FreezeMask":
+    def default_fpt(store: dict) -> "FreezeMask":
         """Embeddings, every layer norm and the head train; attention and
         feed-forward blocks stay frozen."""
         return FreezeMask(frozenset(n for n in store if not _is_frozen_name(n)))
 
     @staticmethod
-    def all_trainable(store: ParameterStore) -> "FreezeMask":
+    def all_trainable(store: dict) -> "FreezeMask":
         return FreezeMask(frozenset(store))
 
-    def frozen_names(self, store: ParameterStore) -> frozenset[str]:
-        return frozenset(store) - self.trainable
 
-
-def init_random(
-    cfg: BackboneConfig, rng: RandomStream, dtype=np.float32
-) -> ParameterStore:
+def init_random(cfg: BackboneConfig, rng: RandomStream, dtype=np.float32) -> dict:
     """Fresh store: weights ~ N(0, 0.02^2), LN gamma 1 / beta 0, biases 0.
 
     Tensors are drawn in sorted-name order so a seed fully determines the
     store.
     """
-    store = ParameterStore()
+    store = {}
     for name, shape in sorted(expected_shapes(cfg).items()):
         if name.endswith(("gamma",)):
             arr = np.ones(shape, dtype=np.float64)
@@ -186,7 +177,7 @@ def init_random(
     return store
 
 
-def param_hash(store: ParameterStore) -> str:
+def param_hash(store: dict) -> str:
     """SHA-256 over (name, raw bytes) in sorted order."""
     h = hashlib.sha256()
     for name in sorted(store):
@@ -195,7 +186,7 @@ def param_hash(store: ParameterStore) -> str:
     return h.hexdigest()
 
 
-def save_weights(store: ParameterStore, path) -> None:
+def save_weights(store: dict, path) -> None:
     """Write the weight container (directory with manifest.json, weights.bin)."""
     path = Path(path)
     try:
@@ -226,7 +217,7 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
+def load_weights(path, cfg: BackboneConfig) -> dict:
     """Bitwise load of an f32 weight container, validated against cfg.
 
     Malformed manifests raise ``FormatError`` (or ``ShapeError`` for a shape
@@ -286,7 +277,7 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
         raise FormatError(f"weights.bin holds {len(blob)} bytes but its tensors cover {covered}")
     # values are read only once the layout holds, so a misplaced tensor is
     # reported as a format error rather than as the garbage it would decode to
-    store = ParameterStore()
+    store = {}
     for name, (start, end, shape) in spans.items():
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
@@ -296,12 +287,12 @@ def load_weights(path, cfg: BackboneConfig) -> ParameterStore:
 
 
 def mix_weights(
-    pretrained: ParameterStore,
-    random_store: ParameterStore,
+    pretrained: dict,
+    random_store: dict,
     ratio: float,
     rng: RandomStream,
     mode: str = "replace",
-) -> ParameterStore:
+) -> dict:
     """Perturb the frozen-group tensors with entries from a random store.
 
     mode="replace": each frozen-group scalar is independently swapped for
@@ -316,7 +307,7 @@ def mix_weights(
         raise InvalidInput("mode must be 'replace' or 'interpolate'")
     if set(pretrained) != set(random_store):
         raise ShapeError("stores hold different tensor names")
-    out = ParameterStore()
+    out = {}
     for name in sorted(pretrained):
         a, b = pretrained[name], random_store[name]
         if a.shape != b.shape:
@@ -342,13 +333,13 @@ class Batch:
     """Model-ready rows: the one record of a training, evaluation or
     minibatch split.
 
-    tokens: (B, n_tokens, patch_len).  For regression losses ``targets``
-    is (B, head_out) and optional per-sample ``out_scale``/``out_mean``
-    map the head output back to original units before the loss; ``mask``
-    (1 = scored) restricts the loss to chosen output coordinates.  For
-    cross-entropy, ``labels`` holds integer classes.  ``last`` is each
-    row's last raw input value, the forecast of the repeat-last baselines;
-    the loss never reads it.
+    tokens: (B, n_tokens, patch_len), always batched.  The fields choose
+    the loss: cross-entropy when ``labels`` (integer classes) is set, else
+    the MSE on ``targets`` (B, head_out), restricted to the coordinates
+    ``mask`` scores (1 = scored) when it is set.  Optional per-sample
+    ``out_scale``/``out_mean`` map the head output back to original units
+    before a regression loss.  ``last`` is each row's last raw input value,
+    the forecast of the repeat-last baselines; the loss never reads it.
     """
 
     tokens: np.ndarray
@@ -508,11 +499,11 @@ def _pca_attention_out(x, m):
     return xc @ vecs @ vecs.swapaxes(-1, -2)
 
 
-def _compute_store(store: ParameterStore) -> ParameterStore:
+def _compute_store(store: dict) -> dict:
     """The store in its common dtype, the dtype the pass computes in;
     tensors already in it are not copied."""
     dtype = np.result_type(*store.values())
-    return ParameterStore({k: v.astype(dtype, copy=False) for k, v in store.items()})
+    return {k: v.astype(dtype, copy=False) for k, v in store.items()}
 
 
 def _block(h, p, prefix, cfg, pca_m, dropout, keep):
@@ -580,19 +571,16 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
     ``_compute_store`` has cast to one dtype; tokens, dropout masks and every
     buffer are in that dtype.
 
-    Tokens are (B, n, patch_len) or one (n, patch_len) sample.  Returns
-    (y, trace, tape): the final-LN output (B, n, d_model), then either
-    every layer's token outputs starting with the embedding (tape None) or,
-    when ``keep``, the (tokens, embedding dropout mask, block caches,
-    final-LN cache) tape of the backward pass (trace None).  ``pca_m`` swaps
-    attention for its rank-``pca_m`` PCA projection; dropout fires only when
-    ``dropout_rng`` is given.
+    Tokens are (B, n, patch_len).  Returns (y, trace, tape): the final-LN
+    output (B, n, d_model), then either every layer's token outputs starting
+    with the embedding (tape None) or, when ``keep``, the (tokens, embedding
+    dropout mask, block caches, final-LN cache) tape of the backward pass
+    (trace None).  ``pca_m`` swaps attention for its rank-``pca_m`` PCA
+    projection; dropout fires only when ``dropout_rng`` is given.
     """
     x = np.asarray(tokens, dtype=p["input_embedding.w"].dtype)
-    if x.ndim == 2:
-        x = x[None]
     if x.ndim != 3 or x.shape[-1] != cfg.patch_len:
-        raise ShapeError(f"tokens must be (..., n, {cfg.patch_len}), got {x.shape}")
+        raise ShapeError(f"tokens must be (B, n, {cfg.patch_len}), got {x.shape}")
     n = x.shape[1]
     if n > cfg.max_tokens:
         raise InvalidInput(f"{n} tokens exceed max_tokens={cfg.max_tokens}")
@@ -620,7 +608,7 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
 
 
 def forward(
-    store: ParameterStore,
+    store: dict,
     cfg: BackboneConfig,
     tokens,
     mode: str = "softmax",
@@ -628,7 +616,7 @@ def forward(
 ):
     """Run the backbone; returns (head_input, trace).
 
-    ``head_input`` is the final-LayerNorm output, shape (..., n_tokens,
+    ``head_input`` is the final-LayerNorm output, shape (B, n_tokens,
     d_model); ``trace`` lists every layer's token outputs starting with the
     embedding output (n_layers + 1 entries).  mode="pca" replaces each
     attention sublayer's output with the rank-``pca_m`` principal-component
@@ -640,8 +628,6 @@ def forward(
     if (mode == "pca") != (pca_m is not None):
         raise InvalidInput("pca_m must be given exactly when mode='pca'")
     y, trace, _ = _blocks(_compute_store(store), cfg, tokens, pca_m=pca_m)
-    if np.ndim(tokens) == 2:
-        return y[0], [t[0] for t in trace]
     return y, trace
 
 
@@ -660,7 +646,7 @@ def _head_fwd(y, p, cfg):
 _EVAL_CHUNK = 128
 
 
-def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
+def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
     """Forward plus the output head; returns (B, head_out) in the store's
     dtype.
 
@@ -669,21 +655,18 @@ def predict(store: ParameterStore, cfg: BackboneConfig, tokens) -> np.ndarray:
     """
     p = _compute_store(store)
     x = np.atleast_1d(tokens)
-    if x.ndim == 2:
-        x = x[None]
     chunks = range(0, max(len(x), 1), _EVAL_CHUNK)  # an empty batch still has a shape
     return np.concatenate(
         [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
     )
 
 
-def _loss_and_dout(out, batch: Batch, loss: str):
+def _loss_and_dout(out, batch: Batch):
     """The loss value and its gradient ``dout`` with respect to the head
-    output ``out``, both in float64 whatever the dtype of ``out``."""
+    output ``out``, both in float64 whatever the dtype of ``out``; the
+    batch's fields choose the loss (see ``Batch``)."""
     out = np.asarray(out, dtype=np.float64)
-    if loss == "cross_entropy":
-        if batch.labels is None:
-            raise InvalidInput("cross_entropy needs integer labels")
+    if batch.labels is not None:
         labels = np.asarray(batch.labels, dtype=np.int64)
         b = out.shape[0]
         probs = softmax_last(out)
@@ -693,7 +676,7 @@ def _loss_and_dout(out, batch: Batch, loss: str):
         dout[np.arange(b), labels] -= 1.0
         return value, dout / b
     if batch.targets is None:
-        raise InvalidInput(f"loss {loss!r} needs targets")
+        raise InvalidInput("the loss needs targets or labels")
     targets = np.asarray(batch.targets, dtype=np.float64)
     pred = out
     if batch.out_scale is not None:
@@ -701,27 +684,23 @@ def _loss_and_dout(out, batch: Batch, loss: str):
     if batch.out_mean is not None:
         pred = pred + batch.out_mean[:, None]
     diff = pred - targets
-    if loss == "mse":
+    if batch.mask is None:
         value = float(np.mean(diff * diff))
         dpred = 2.0 * diff / diff.size
-    elif loss == "masked_mse":
-        if batch.mask is None:
-            raise InvalidInput("masked_mse needs a mask")
+    else:
         mask = np.asarray(batch.mask, dtype=np.float64)
         total = mask.sum()
         if total < 1:
-            raise InvalidInput("masked_mse needs at least one scored coordinate")
+            raise InvalidInput("a masked loss needs at least one scored coordinate")
         value = float(np.sum(mask * diff * diff) / total)
         dpred = 2.0 * mask * diff / total
-    else:
-        raise InvalidInput(f"unknown loss {loss!r}")
     dout = dpred
     if batch.out_scale is not None:
         dout = dout * batch.out_scale[:, None]
     return value, dout
 
 
-def _scaled_dout(out, batch: Batch, loss: str):
+def _scaled_dout(out, batch: Batch):
     """(value, dout, k): the float64 loss of ``_loss_and_dout`` and its
     ``dout`` times 2**-k in the dtype of ``out``, with k from ``np.frexp``
     so that max|dout| lands in [0.5, 1).
@@ -730,18 +709,17 @@ def _scaled_dout(out, batch: Batch, loss: str):
     by 2**k undoes this exactly unless a value underflows; a float32 pass
     then trains on losses whose gradient overflows float32.
     """
-    value, dout = _loss_and_dout(out, batch, loss)
+    value, dout = _loss_and_dout(out, batch)
     if not np.isfinite(value):
-        raise NumericalFailure(f"non-finite loss value {value!r} (loss={loss})")
+        raise NumericalFailure(f"non-finite loss value {value!r}")
     k = int(np.frexp(np.abs(dout).max(initial=0.0))[1])
     return value, np.ldexp(dout, -k).astype(out.dtype, copy=False), k
 
 
 def loss_and_grads(
-    store: ParameterStore,
+    store: dict,
     cfg: BackboneConfig,
     batch: Batch,
-    loss: str,
     wanted: frozenset[str] | None = None,
     dropout_rng: RandomStream | None = None,
 ):
@@ -761,7 +739,7 @@ def loss_and_grads(
         p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
     )
     out, flat = _head_fwd(y, p, cfg)
-    value, dout, k = _scaled_dout(out, batch, loss)
+    value, dout, k = _scaled_dout(out, batch)
     del out
 
     grads: dict[str, np.ndarray] = {}
@@ -814,11 +792,11 @@ class AdamState:
 
 
 def adam_step(
-    store: ParameterStore,
+    store: dict,
     grads: dict[str, np.ndarray],
     state: AdamState,
     trainable: frozenset[str],
-) -> ParameterStore:
+) -> dict:
     """One Adam update on the trainable set; frozen tensors are shared as-is.
 
     One pass over the trainable tensors, flattened in store order, runs
@@ -830,7 +808,7 @@ def adam_step(
     state.t += 1
     names = [n for n in store if n in trainable]
     if not names:
-        return ParameterStore(store)
+        return dict(store)
     w = np.concatenate([store[n].ravel() for n in names], dtype=np.float64)
     g = np.concatenate(
         [np.ravel(grads[n]) if n in grads else np.zeros(store[n].size) for n in names],
@@ -854,7 +832,7 @@ def adam_step(
         raise NumericalFailure(f"Adam step {state.t} left non-finite moments or weights")
     kinds = {store[n].dtype for n in names}
     flat = w.astype(kinds.pop(), copy=False) if len(kinds) == 1 else w
-    out, lo = ParameterStore(store), 0
+    out, lo = dict(store), 0
     for n in names:
         a = store[n]
         out[n] = flat[lo : lo + a.size].reshape(a.shape).astype(a.dtype, copy=False)
@@ -863,18 +841,17 @@ def adam_step(
 
 
 def backward_and_step(
-    store: ParameterStore,
+    store: dict,
     cfg: BackboneConfig,
     batch: Batch,
-    loss: str,
     state: AdamState,
     freeze: FreezeMask,
     dropout_rng: RandomStream | None = None,
-) -> tuple[float, ParameterStore]:
+) -> tuple[float, dict]:
     """Gradient step on the trainable tensors; frozen tensors pass through
     bit-identical."""
     value, grads = loss_and_grads(
-        store, cfg, batch, loss, wanted=freeze.trainable, dropout_rng=dropout_rng
+        store, cfg, batch, wanted=freeze.trainable, dropout_rng=dropout_rng
     )
     return value, adam_step(store, grads, state, freeze.trainable)
 

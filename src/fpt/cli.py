@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = asub.add_parser("convergence", help="attention-output concentration rate")
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--d", type=_int_at_least(1), default=8)
     p.add_argument("--n-grid", type=_comma_list(int), default="16,64,256,1024")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=_seed, default=0)

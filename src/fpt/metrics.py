@@ -149,8 +149,8 @@ class MetricReport:
     """Named metric values by scope, plus run metadata.
 
     The "avg" row, when present, holds the arithmetic mean of every other
-    row for each metric name.  Serializes to JSON and a CSV mirror with one
-    line per scope.
+    row for each metric name.  ``to_json`` serializes it; ``table`` is its
+    CSV mirror, one line per scope, for ``csv_text``.
     """
 
     rows: list[dict] = field(default_factory=list)
@@ -193,11 +193,3 @@ class MetricReport:
             [r["scope"]] + [repr(r["metrics"].get(n, float("nan"))) for n in names]
             for r in self.rows
         ]
-
-    def to_csv(self) -> str:
-        return csv_text(self.table())
-
-    @staticmethod
-    def from_json(text: str) -> "MetricReport":
-        obj = json.loads(text)
-        return MetricReport(rows=obj["rows"], metadata=obj["metadata"])

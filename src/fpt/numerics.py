@@ -1,7 +1,7 @@
 """Dense linear algebra and differentiation oracles.
 
-The checked routines (``softmax_rows``, ``layer_norm``, ``sym_eig``,
-``spectral_norm``, ``finite_diff_grad``) compute in float64.  The unchecked
+The checked routines (``softmax_rows``, ``sym_eig``, ``spectral_norm``,
+``finite_diff_grad``) compute in float64.  The unchecked
 kernels ``softmax_last`` and ``layer_norm_last`` compute in their input's
 dtype; inside the backbone that is the weight store's.  All take immutable
 inputs and hold no shared state, so they are safe to call concurrently.
@@ -63,24 +63,6 @@ def layer_norm_last(x: np.ndarray, gamma, beta, eps: float):
     np.multiply(xhat, gamma, out=y)
     y += beta
     return y, (xhat, inv, gamma)
-
-
-def layer_norm(v, gamma, beta, eps: float) -> np.ndarray:
-    """gamma * (v - mean(v)) / sqrt(var(v) + eps) + beta over one vector."""
-    x = np.asarray(v, dtype=np.float64)
-    g = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(beta, dtype=np.float64)
-    if x.ndim != 1 or g.shape != x.shape or b.shape != x.shape:
-        raise ShapeError(
-            f"layer_norm needs equal-length vectors, got {x.shape}, {g.shape}, {b.shape}"
-        )
-    if eps < 0:
-        raise InvalidInput("eps must be nonnegative")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("layer_norm input contains non-finite entries")
-    if x.var() + eps == 0.0:
-        raise InvalidInput("zero variance with eps=0 makes layer_norm undefined")
-    return layer_norm_last(x, g, b, eps)[0]
 
 
 @dataclass(frozen=True)

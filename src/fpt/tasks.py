@@ -22,7 +22,6 @@ from .backbone import (
     BackboneConfig,
     Batch,
     FreezeMask,
-    ParameterStore,
     _loss_and_dout,
     backward_and_step,
     forward,
@@ -41,7 +40,7 @@ from .data import (
     make_windows,
     window_masks,
 )
-from .errors import InvalidInput, MissingWeights, NumericalFailure
+from .errors import InsufficientData, InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
 from .preprocess import PatchConfig, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
@@ -72,16 +71,16 @@ class TrainConfig:
             raise InvalidInput(f"ablation must be one of {ABLATION_ARMS}")
 
 
-def _pretrained(weights, cfg: BackboneConfig) -> ParameterStore:
+def _pretrained(weights, cfg: BackboneConfig) -> dict:
     """A store, or a weight container loaded from its path, checked against cfg."""
-    store = weights if isinstance(weights, ParameterStore) else load_weights(weights, cfg)
+    store = weights if isinstance(weights, dict) else load_weights(weights, cfg)
     validate_store(store, cfg)
     return store
 
 
 @dataclass
 class AblationSetup:
-    store: ParameterStore
+    store: dict
     mask: FreezeMask
     cfg: BackboneConfig
 
@@ -191,9 +190,9 @@ def _outputs(store, cfg, tokens) -> np.ndarray:
     return out
 
 
-def _eval_loss(store, cfg, split: Batch, loss: str) -> float:
+def _eval_loss(store, cfg, split: Batch) -> float:
     """The training loss over the whole split, without gradients."""
-    return _loss_and_dout(_outputs(store, cfg, split.tokens), split, loss)[0]
+    return _loss_and_dout(_outputs(store, cfg, split.tokens), split)[0]
 
 
 def _predict_denorm(store, cfg, split: Batch) -> np.ndarray:
@@ -205,11 +204,11 @@ def _fit(
     train: Batch,
     val: Batch | None,
     tcfg: TrainConfig,
-    loss: str,
     rng: RandomStream,
     max_steps: float = math.inf,
 ):
-    """Minibatch Adam with early stopping on validation loss.
+    """Minibatch Adam with early stopping on validation loss; the rows'
+    fields choose the loss (see ``Batch``).
 
     Returns (store, history): the store with the best validation loss when
     validation ran, the last store otherwise.  History holds the first
@@ -229,7 +228,7 @@ def _fit(
             idx = order[lo : lo + tcfg.batch_size]
             drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
             value, store = backward_and_step(
-                store, cfg, train.rows(idx), loss, opt, setup.mask, dropout_rng=drop_rng
+                store, cfg, train.rows(idx), opt, setup.mask, dropout_rng=drop_rng
             )
             if epoch == 0:
                 history["train_first_epoch"].append(value)
@@ -237,7 +236,7 @@ def _fit(
         if steps >= max_steps:
             break
         if validate:
-            vl = _eval_loss(store, cfg, val, loss)
+            vl = _eval_loss(store, cfg, val)
             history["val"].append(vl)
             if vl < best_val:
                 best_val, best_store, strikes = vl, store, 0
@@ -270,21 +269,21 @@ def _forecast_config(base_cfg, patch, wspec) -> BackboneConfig:
     return _derive_config(base_cfg, patch, wspec.lookback, wspec.horizon)
 
 
-def _train(cfg, tcfg, weights, loss, train, val, rng):
+def _train(cfg, tcfg, weights, train, val, rng):
     """Train ``tcfg.ablation``'s setup, drawn from ``rng.child(1)``, on the
-    ``train`` rows with ``loss``, early-stopping on ``val``; the minibatch
+    ``train`` rows, early-stopping on ``val``; the minibatch
     order and dropout come from ``rng.child(2)``.  Returns (trained store,
     initial setup, history); the setup's store is untouched by training."""
     setup = make_ablation(tcfg.ablation, cfg, rng.child(1), weights)
-    store, history = _fit(setup, train, val, tcfg, loss, rng.child(2))
+    store, history = _fit(setup, train, val, tcfg, rng.child(2))
     return store, setup, history
 
 
 def _train_mse(dataset, wspec, cfg, tcfg, patch, weights, eps):
-    """``_train`` with MSE loss (forecast or reconstruction, as
+    """``_train`` with the MSE (forecast or reconstruction, as
     ``wspec.horizon`` says) on the dataset's training and validation splits."""
     train, val = (_samples(dataset, wspec, patch, eps, split) for split in ("train", "val"))
-    return _train(cfg, tcfg, weights, "mse", train, val, seeded_rng(tcfg.seed))
+    return _train(cfg, tcfg, weights, train, val, seeded_rng(tcfg.seed))
 
 
 _MSE_MAE = {"MSE": mse, "MAE": mae}
@@ -318,7 +317,7 @@ def run_forecast(
     patch: PatchConfig,
     weights=None,
     revin_eps: float = 1e-5,
-) -> tuple[MetricReport, ParameterStore]:
+) -> tuple[MetricReport, dict]:
     """Train on the training split, early-stop on validation, report
     MSE/MAE on the test split (original units), plus a repeat-last
     baseline in the metadata."""
@@ -343,7 +342,7 @@ def run_few_shot(
     weights=None,
     revin_eps: float = 1e-5,
     position: str = "suffix",
-) -> tuple[MetricReport, ParameterStore]:
+) -> tuple[MetricReport, dict]:
     """Forecasting with only percent of the training timesteps kept."""
     if not 0.0 < percent <= 1.0:
         raise InvalidInput("percent must be in (0, 1]")
@@ -364,7 +363,7 @@ def run_zero_shot(
     metric: str = "smape",
     weights=None,
     revin_eps: float = 1e-5,
-) -> tuple[MetricReport, ParameterStore]:
+) -> tuple[MetricReport, dict]:
     """Train on the source dataset; evaluate the target test split with zero
     parameter updates.  The parameter hash is recorded before and after
     target evaluation and must not change."""
@@ -406,7 +405,7 @@ def run_imputation(
     weights=None,
     revin_eps: float = 1e-5,
     stride: int | None = None,
-) -> tuple[MetricReport, dict[float, ParameterStore]]:
+) -> tuple[MetricReport, dict[float, dict]]:
     """Reconstruct randomly masked windows; one model per mask ratio.
 
     Masked entries are zeroed after per-window normalization; the loss and
@@ -426,7 +425,7 @@ def run_imputation(
             history={},
         )
     )
-    stores: dict[float, ParameterStore] = {}
+    stores: dict[float, dict] = {}
     for ri, ratio in enumerate(ratios):
         rng = seeded_rng(tcfg.seed).child(100 + ri)
         n_masked = max(1, int(math.floor(ratio * lookback + 0.5)))
@@ -434,7 +433,7 @@ def run_imputation(
             _samples(dataset, wspec, patch, revin_eps, split, n_masked, rng.child(10 + si))
             for si, split in enumerate(("train", "val", "test"))
         )
-        store, setup, history = _train(cfg, tcfg, weights, "masked_mse", train, val, rng)
+        store, setup, history = _train(cfg, tcfg, weights, train, val, rng)
         stores[ratio] = store
         scored = test.mask.astype(bool)
         truth = test.targets[scored]
@@ -455,7 +454,7 @@ def run_classification(
     weights=None,
     revin_eps: float = 1e-5,
     n_classes: int | None = None,
-) -> tuple[MetricReport, ParameterStore]:
+) -> tuple[MetricReport, dict]:
     """Sequence-level classification: one sample series per channel,
     mean-pooled final tokens into a linear head, accuracy on test samples."""
     if dataset.labels is None or dataset.label_kind != "series":
@@ -474,10 +473,11 @@ def run_classification(
     n_train = int(math.floor(dataset.split.train * n))
     n_val = int(math.floor(dataset.split.val * n))
     cuts = (0, n_train, n_train + n_val, n)
+    if n_train < 1 or n_train + n_val >= n:  # an empty val split is legal
+        counts = f"{n_train} train, {n_val} val, {n - n_train - n_val} test"
+        raise InsufficientData(f"classification needs train and test series; split gives {counts}")
     train, val, test = (series.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-    store, setup, history = _train(
-        cfg, tcfg, weights, "cross_entropy", train, val, seeded_rng(tcfg.seed)
-    )
+    store, setup, history = _train(cfg, tcfg, weights, train, val, seeded_rng(tcfg.seed))
     pred_classes = np.argmax(_outputs(store, setup.cfg, test.tokens), axis=1)
     accuracy = float(np.mean(pred_classes == test.labels))
     report = MetricReport(
@@ -535,7 +535,7 @@ def run_anomaly(
     weights=None,
     revin_eps: float = 1e-5,
     stride: int | None = None,
-) -> tuple[MetricReport, ParameterStore]:
+) -> tuple[MetricReport, dict]:
     """Self-supervised reconstruction; the detection threshold is the given
     quantile of per-point training errors, and test points whose error
     exceeds it are flagged."""
@@ -608,7 +608,7 @@ def run_ablation_suite(
         arm_tcfg = replace(tcfg, ablation=arm)
         arm_weights = weights if arm in _PRETRAINED_ARMS else None
         store, setup, history = _train(
-            cfg, arm_tcfg, arm_weights, "mse", train, val, seeded_rng(tcfg.seed)
+            cfg, arm_tcfg, arm_weights, train, val, seeded_rng(tcfg.seed)
         )
         step0[arm] = predict(setup.store, setup.cfg, probe)
         report.metadata["history"][arm] = history
@@ -628,7 +628,7 @@ def synthetic_pretrain(
     length: int = 4096,
     n_channels: int = 4,
     noise: float = 0.05,
-) -> ParameterStore:
+) -> dict:
     """Train a donor backbone on a procedurally generated corpus so that the
     freeze/transfer arms have stand-in pretrained weights."""
     if length < 1 or n_channels < 1:
@@ -646,7 +646,7 @@ _SWEEP_EVAL_BATCH = 16  # test windows whose token similarity the sweep records
 
 
 def mixed_weights_similarity_sweep(
-    pretrained: ParameterStore,
+    pretrained: dict,
     cfg: BackboneConfig,
     dataset,
     wspec,
@@ -678,13 +678,13 @@ def mixed_weights_similarity_sweep(
     for i, ratio in enumerate(ratios):
         mixed = mix_weights(pretrained, random_store, ratio, rng.child(10 + i), mode=mode)
         setup = AblationSetup(mixed, FreezeMask.default_fpt(mixed), derived_cfg)
-        store, _ = _fit(setup, train, None, tcfg, "mse", rng.child(100 + i), max_steps=finetune_steps)
+        store, _ = _fit(setup, train, None, tcfg, rng.child(100 + i), max_steps=finetune_steps)
         _, trace = forward(store, derived_cfg, probe)
         rows.append(
             {
                 "ratio": ratio,
                 "similarity": batch_layer_similarity(trace),
-                "mse": _eval_loss(store, derived_cfg, test, "mse"),
+                "mse": _eval_loss(store, derived_cfg, test),
             }
         )
     return rows

@@ -57,7 +57,7 @@ def test_c01_gradient_correctness():
         out_scale=np.abs(rng.normal(2)) + 0.5,
         out_mean=rng.normal(2),
     )
-    _, grads = loss_and_grads(store, cfg, batch, "mse")
+    _, grads = loss_and_grads(store, cfg, batch)
     h = 1e-5
     worst = 0.0
     for name, arr in store.items():
@@ -65,9 +65,9 @@ def test_c01_gradient_correctness():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = loss_and_grads(store, cfg, batch, "mse", wanted=frozenset())
+            up, _ = loss_and_grads(store, cfg, batch, wanted=frozenset())
             flat[i] = orig - h
-            down, _ = loss_and_grads(store, cfg, batch, "mse", wanted=frozenset())
+            down, _ = loss_and_grads(store, cfg, batch, wanted=frozenset())
             flat[i] = orig
             fd = (up - down) / (2 * h)
             rel = abs(grads[name].ravel()[i] - fd) / max(abs(fd), 1e-6)
@@ -94,7 +94,7 @@ def test_c02_freeze_contract():
     rng = seeded_rng(22)
     for _ in range(100):
         batch = Batch(tokens=rng.normal((4, 3, 4)), targets=rng.normal((4, 4)))
-        _, store = backward_and_step(store, cfg, batch, "mse", state, mask)
+        _, store = backward_and_step(store, cfg, batch, state, mask)
     frozen_ok = all(
         np.array_equal(store[n], initial[n])
         for n in store

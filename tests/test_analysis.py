@@ -21,7 +21,6 @@ from fpt.analysis import (
     optimal_pca_attention,
     scale_to_spectral_norm,
     sgd_conditioning_check,
-    token_similarity,
 )
 from fpt.backbone import init_random
 from fpt.data import TimeSeriesDataset, WindowSpec
@@ -35,43 +34,40 @@ from fpt.tasks import mixed_weights_similarity_sweep
 
 class TestTokenSimilarity:
     def test_identical_tokens(self):
-        layer = np.tile([1.0, 2.0, 3.0], (5, 1))
-        prof = token_similarity([layer])
-        assert prof.means[0] == pytest.approx(1.0, abs=1e-12)
+        layer = np.tile([1.0, 2.0, 3.0], (1, 5, 1))
+        assert batch_layer_similarity([layer])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_tokens(self):
-        prof = token_similarity([np.eye(4)])
-        assert prof.means[0] == pytest.approx(0.0, abs=1e-12)
+        assert batch_layer_similarity([np.eye(4)[None]])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_double_loop_oracle(self):
         rng = seeded_rng(0)
-        layers = [rng.normal((6, 5)) for _ in range(3)]
-        prof = token_similarity(layers)
+        layers = [rng.normal((2, 6, 5)) for _ in range(3)]
+        means = batch_layer_similarity(layers)
         for li, layer in enumerate(layers):
             sims = []
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    a, b = layer[i], layer[j]
-                    sims.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
-            assert prof.means[li] == pytest.approx(np.mean(sims), abs=1e-12)
-            assert prof.histograms[li].sum() == 15  # 6*5/2 unordered pairs
+            for sample in layer:
+                for i in range(6):
+                    for j in range(i + 1, 6):
+                        a, b = sample[i], sample[j]
+                        sims.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
+            assert len(sims) == 30  # 6*5/2 unordered pairs in each of 2 samples
+            assert means[li] == pytest.approx(np.mean(sims), abs=1e-12)
 
     def test_single_token_rejected(self):
         with pytest.raises(InvalidInput):
-            token_similarity([np.ones((1, 4))])
+            batch_layer_similarity([np.ones((1, 1, 4))])
 
-    def test_zero_norm_token_warns(self):
-        layer = np.vstack([np.zeros(3), np.ones(3), 2 * np.ones(3)])
-        with pytest.warns(UserWarning):
-            prof = token_similarity([layer])
+    def test_zero_norm_token_scores_zero(self):
+        layer = np.vstack([np.zeros(3), np.ones(3), 2 * np.ones(3)])[None]
         # two zero-pairs contribute 0, the nonzero pair contributes 1
-        assert prof.means[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert batch_layer_similarity([layer])[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_batch_means_match_per_sample(self):
         rng = seeded_rng(1)
         batch_layer = rng.normal((4, 5, 6))
         means = batch_layer_similarity([batch_layer])
-        per_sample = [token_similarity([batch_layer[b]]).means[0] for b in range(4)]
+        per_sample = [batch_layer_similarity([batch_layer[b : b + 1]])[0] for b in range(4)]
         assert means[0] == pytest.approx(np.mean(per_sample), abs=1e-12)
 
     def test_empty_batch_rejected(self):

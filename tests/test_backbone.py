@@ -242,12 +242,12 @@ class TestForward:
             if name == "pos_embedding" or name.endswith("gamma"):
                 continue
             store[name] = np.zeros_like(store[name])
-        tokens = np.zeros((1, cfg.patch_len))
+        tokens = np.zeros((1, 1, cfg.patch_len))
         out, trace = forward(store, cfg, tokens)
         row = store["pos_embedding"][0].astype(np.float64)
         mu, var = row.mean(), row.var()
         expect = (row - mu) / np.sqrt(var + 1e-5)
-        assert np.allclose(out[0], expect, atol=1e-12)
+        assert np.allclose(out[0, 0], expect, atol=1e-12)
         assert len(trace) == cfg.n_layers + 1
 
     def test_output_shape(self):
@@ -262,18 +262,18 @@ class TestForward:
         cfg = tiny_backbone(max_tokens=4)
         store = init_random(cfg, seeded_rng(2))
         with pytest.raises(InvalidInput):
-            forward(store, cfg, np.zeros((5, cfg.patch_len)))
+            forward(store, cfg, np.zeros((1, 5, cfg.patch_len)))
 
     @staticmethod
     def _permutation_gap(dtype):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(4), dtype=dtype)
         store["pos_embedding"] = np.zeros_like(store["pos_embedding"])
-        tokens = seeded_rng(5).normal((6, cfg.patch_len))
+        tokens = seeded_rng(5).normal((1, 6, cfg.patch_len))
         out, _ = forward(store, cfg, tokens)
         perm = seeded_rng(6).permutation(6)
-        out_perm, _ = forward(store, cfg, tokens[perm])
-        return np.abs(out_perm - out[perm]).max()
+        out_perm, _ = forward(store, cfg, tokens[:, perm])
+        return np.abs(out_perm - out[:, perm]).max()
 
     def test_permutation_equivariance(self):
         assert self._permutation_gap(np.float64) <= 1e-12
@@ -284,7 +284,7 @@ class TestForward:
     def test_causal_masking_changes_output(self):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(4))
-        tokens = seeded_rng(5).normal((6, cfg.patch_len))
+        tokens = seeded_rng(5).normal((1, 6, cfg.patch_len))
         out, _ = forward(store, cfg, tokens)
         out_causal, _ = forward(store, tiny_backbone(causal=True), tokens)
         assert np.abs(out - out_causal).max() > 1e-8
@@ -327,31 +327,44 @@ class TestForward:
         for mode, pca_m in (("softmax", None), ("pca", 2)):
             out, trace = forward(store, cfg, tokens, mode=mode, pca_m=pca_m)
             for i in range(tokens.shape[0]):
-                row_out, row_trace = forward(store, cfg, tokens[i], mode=mode, pca_m=pca_m)
-                assert np.abs(row_out - out[i]).max() <= 1e-12
+                row = slice(i, i + 1)
+                row_out, row_trace = forward(store, cfg, tokens[row], mode=mode, pca_m=pca_m)
+                assert np.abs(row_out - out[row]).max() <= 1e-12
                 for layer, row_layer in zip(trace, row_trace):
-                    assert np.abs(row_layer - layer[i]).max() <= 1e-12
+                    assert np.abs(row_layer - layer[row]).max() <= 1e-12
 
     def test_bad_token_width_is_shape_error(self):
         cfg = tiny_backbone(head_in=3 * 16, head_out=2)
         store = init_random(cfg, seeded_rng(2))
         bad = np.zeros((2, 3, cfg.patch_len + 1))
         with pytest.raises(ShapeError):
-            loss_and_grads(store, cfg, Batch(tokens=bad, targets=np.zeros((2, 2))), "mse")
+            loss_and_grads(store, cfg, Batch(tokens=bad, targets=np.zeros((2, 2))))
         with pytest.raises(ShapeError):
             predict(store, cfg, bad)
+
+    def test_unbatched_tokens_are_shape_error(self):
+        cfg = tiny_backbone(head_in=3 * 16, head_out=2)
+        store = init_random(cfg, seeded_rng(2))
+        sample = np.zeros((3, cfg.patch_len))
+        with pytest.raises(ShapeError, match=r"tokens must be \(B, n, 8\), got \(3, 8\)"):
+            forward(store, cfg, sample)
+        with pytest.raises(ShapeError):
+            predict(store, cfg, sample)
+        with pytest.raises(ShapeError):
+            loss_and_grads(store, cfg, Batch(tokens=sample, targets=np.zeros((1, 2))))
+        assert predict(store, cfg, sample[None]).shape == (1, 2)
 
     def test_pca_mode_needs_rank(self):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(7))
         with pytest.raises(InvalidInput):
-            forward(store, cfg, np.zeros((3, cfg.patch_len)), mode="pca")
+            forward(store, cfg, np.zeros((1, 3, cfg.patch_len)), mode="pca")
 
     def test_softmax_mode_rejects_pca_rank(self):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(7))
         with pytest.raises(InvalidInput, match="pca_m must be given exactly when mode='pca'"):
-            forward(store, cfg, np.zeros((3, cfg.patch_len)), pca_m=2)
+            forward(store, cfg, np.zeros((1, 3, cfg.patch_len)), pca_m=2)
 
     def test_pca_mode_rejects_nan_tokens(self):
         cfg = tiny_backbone()
@@ -567,7 +580,7 @@ class TestBitwiseKernels:
         stores = [store]
         for step in range(3):
             _, store = backward_and_step(
-                store, cfg, batch, "mse", state, mask, dropout_rng=seeded_rng(50 + step)
+                store, cfg, batch, state, mask, dropout_rng=seeded_rng(50 + step)
             )
             stores.append(store)
             hashes.append(param_hash(store))
@@ -603,13 +616,13 @@ def _ref_attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     return dx
 
 
-def _ref_loss_and_grads(store, cfg, batch, loss, wanted=None, dropout_rng=None):
+def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
     p = _compute_store(store)
     y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
         p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
     )
     out, flat = _head_fwd(y, p, cfg)
-    value, dout, k = _scaled_dout(out, batch, loss)
+    value, dout, k = _scaled_dout(out, batch)
     grads = {}
     _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
     _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
@@ -684,7 +697,7 @@ class TestBackwardTape:
                 tracemalloc.stop()
 
         forward_peak = peak(lambda: _blocks(_compute_store(store), cfg, batch.tokens, keep=True))
-        step_peak = peak(lambda: loss_and_grads(store, cfg, batch, "mse"))
+        step_peak = peak(lambda: loss_and_grads(store, cfg, batch))
         assert step_peak <= 1.15 * forward_peak, (step_peak, forward_peak)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -694,10 +707,10 @@ class TestBackwardTape:
         cfg, store, batch = _c09_step_inputs(dtype, dropout=dropout)
         mask = FreezeMask.all_trainable(store) if freeze == "all" else FreezeMask.default_fpt(store)
         value, grads = loss_and_grads(
-            store, cfg, batch, "mse", mask.trainable, dropout_rng=seeded_rng(61)
+            store, cfg, batch, mask.trainable, dropout_rng=seeded_rng(61)
         )
         ref_value, ref_grads = _ref_loss_and_grads(
-            store, cfg, batch, "mse", mask.trainable, dropout_rng=seeded_rng(61)
+            store, cfg, batch, mask.trainable, dropout_rng=seeded_rng(61)
         )
         assert value == ref_value
         assert sorted(grads) == sorted(ref_grads) == sorted(mask.trainable)
@@ -752,7 +765,7 @@ class TestComputeDtype:
                 return real(*args)
 
             monkeypatch.setattr(backbone, name, spy)
-        _, grads = loss_and_grads(store, cfg, batch, "mse", dropout_rng=seeded_rng(61))
+        _, grads = loss_and_grads(store, cfg, batch, dropout_rng=seeded_rng(61))
         assert {name for name, _ in seen} == {"_mm", "_wgrad"}
         assert all(dt == np.float32 for _, dts in seen for dt in dts), seen
         assert sorted(grads) == sorted(store)
@@ -775,7 +788,7 @@ class TestTrainingStep:
         initial = {k: v.copy() for k, v in store.items()}
         for step in range(10):
             _, store = backward_and_step(
-                store, cfg, self._batch(cfg, seed=30 + step), "mse", state, mask
+                store, cfg, self._batch(cfg, seed=30 + step), state, mask
             )
         for name in store:
             if ".attn." in name or ".mlp." in name:
@@ -789,7 +802,7 @@ class TestTrainingStep:
         mask = FreezeMask.all_trainable(store)
         before = param_hash(store)
         _, after = backward_and_step(
-            store, cfg, self._batch(cfg), "mse", AdamState(lr=0.0), mask
+            store, cfg, self._batch(cfg), AdamState(lr=0.0), mask
         )
         assert param_hash(after) == before
 
@@ -804,7 +817,7 @@ class TestTrainingStep:
         assert "output_head.b" in mask.trainable
         assert "blocks.0.attn.wq" not in mask.trainable
         assert "blocks.1.mlp.w2" not in mask.trainable
-        frozen = mask.frozen_names(store)
+        frozen = set(store) - mask.trainable
         assert all(".attn." in n or ".mlp." in n for n in frozen)
 
     def test_dropout_deterministic_per_stream(self):
@@ -813,14 +826,14 @@ class TestTrainingStep:
         mask = FreezeMask.all_trainable(store)
         batch = self._batch(cfg)
         l1, s1 = backward_and_step(
-            store, cfg, batch, "mse", AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
+            store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
         )
         l2, s2 = backward_and_step(
-            store, cfg, batch, "mse", AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
+            store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
         )
         assert l1 == l2 and param_hash(s1) == param_hash(s2)
         l3, _ = backward_and_step(
-            store, cfg, batch, "mse", AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(10)
+            store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(10)
         )
         assert l3 != l1
 
@@ -831,9 +844,7 @@ class TestTrainingStep:
         for name, arr in store.items():  # nonzero biases so every addition is exercised
             store[name] = (arr + rng.normal(arr.shape, scale=0.1)).astype(arr.dtype)
         tokens = rng.normal((4, 3, cfg.patch_len))
-        value, _ = loss_and_grads(
-            store, cfg, Batch(tokens=tokens, targets=np.zeros((4, 5))), "mse"
-        )
+        value, _ = loss_and_grads(store, cfg, Batch(tokens=tokens, targets=np.zeros((4, 5))))
         assert value == float(np.mean(predict(store, cfg, tokens).astype(np.float64) ** 2))
 
     def test_predict_shape(self):

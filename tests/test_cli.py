@@ -489,7 +489,7 @@ mask, opt = FreezeMask.all_trainable(store), AdamState(lr=1e-3)
 for step in range(23):
     if step == 3:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _, store = backward_and_step(store, cfg, batch, "mse", opt, mask)
+    _, store = backward_and_step(store, cfg, batch, opt, mask)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
@@ -780,6 +780,35 @@ class TestTaskCommands:
         assert main(["classify", "--config", str(cfg_path), "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert "accuracy" in report["rows"][0]["metrics"]
+
+    @staticmethod
+    def _classify_ten_series(tmp, cfg_path, config, split) -> int:
+        from fpt.synthetic import classification_values
+
+        values, labels = classification_values(10, 64, seeded_rng(1))
+        write_series_csv(tmp / "ten.csv", values)
+        entry = {"path": "ten.csv", "split": split, "labels": labels.tolist()}
+        write_manifest(tmp / "manifest.json", {"ten": entry})
+        config["dataset"]["name"] = "ten"
+        config["train"]["epochs"] = 1
+        cfg_path.write_text(json.dumps(config))
+        return main(["classify", "--config", str(cfg_path), "--output", str(tmp / "cls")])
+
+    @pytest.mark.parametrize(
+        "split", [[0.9, 0.1, 0.0], [0.0, 0.5, 0.5]], ids=["no-test", "no-train"]
+    )
+    def test_classify_without_train_or_test_series_exits_2(self, workspace, capsys, split):
+        tmp, cfg_path, config = workspace
+        assert self._classify_ten_series(tmp, cfg_path, config, split) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1 and errors[0].startswith("error: InsufficientData:"), errors
+        assert not (tmp / "cls" / "report.json").exists()
+
+    def test_classify_with_empty_val_split_runs(self, workspace):
+        tmp, cfg_path, config = workspace
+        assert self._classify_ten_series(tmp, cfg_path, config, [0.8, 0.0, 0.2]) == 0
+        report = json.loads((tmp / "cls" / "report.json").read_text())
+        assert report["metadata"]["n_test"] == 2 and report["metadata"]["history"]["val"] == []
 
     def test_anomaly(self, workspace):
         tmp, cfg_path, config = workspace
@@ -1145,6 +1174,7 @@ class TestArgumentHandling:
             ["similarity", "--config", "run.json", "--eval-batch", "0"],
             ["similarity", "--config", "run.json", "--eval-batch", "-1"],
             ["jacobian", "--trials", "0"],
+            ["convergence", "--d", "0"],
             ["mix-sweep", "--config", "run.json", "--finetune-steps", "-1"],
             ["mix-sweep", "--config", "run.json", "--seed", "-1"],
             ["jacobian", "--seed", str(2**64)],
@@ -1185,6 +1215,14 @@ class TestArgumentHandling:
         assert main(argv) == 2
         message = f"error: InvalidInput: eps must be positive, got {float(eps)}"
         assert _error_lines(capsys) == [message]
+
+    @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
+    def test_sgd_rate_nonpositive_sigma_exits_2(self, tmp_path, capsys, sigma):
+        argv = ["analyze", "sgd-rate", "--sigmas", sigma, "--output", str(tmp_path)]
+        assert main(argv) == 2
+        message = f"error: InvalidInput: sigma must be finite and > 0, got {float(sigma)}"
+        assert _error_lines(capsys) == [message]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,9 +7,9 @@ from fpt.backbone import Batch, init_random, loss_and_grads
 from fpt.rng import seeded_rng
 
 
-def _fd_check(cfg, batch, loss, h=1e-5, tol=1e-4, seed=11):
+def _fd_check(cfg, batch, h=1e-5, tol=1e-4, seed=11):
     store = init_random(cfg, seeded_rng(seed), dtype=np.float64)
-    _, grads = loss_and_grads(store, cfg, batch, loss)
+    _, grads = loss_and_grads(store, cfg, batch)
     worst = {}
     for name, arr in store.items():
         flat = arr.ravel()
@@ -17,9 +17,9 @@ def _fd_check(cfg, batch, loss, h=1e-5, tol=1e-4, seed=11):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = loss_and_grads(store, cfg, batch, loss, wanted=frozenset())
+            up, _ = loss_and_grads(store, cfg, batch, wanted=frozenset())
             flat[i] = orig - h
-            down, _ = loss_and_grads(store, cfg, batch, loss, wanted=frozenset())
+            down, _ = loss_and_grads(store, cfg, batch, wanted=frozenset())
             flat[i] = orig
             fd[i] = (up - down) / (2 * h)
         analytic = grads[name].ravel()
@@ -42,7 +42,7 @@ def test_mse_with_denormalization_all_tensors():
         out_scale=np.abs(rng.normal(2)) + 0.5,
         out_mean=rng.normal(2),
     )
-    _fd_check(cfg, batch, "mse")
+    _fd_check(cfg, batch)
 
 
 def test_masked_mse():
@@ -60,7 +60,7 @@ def test_masked_mse():
         out_mean=rng.normal(2),
         mask=mask,
     )
-    _fd_check(cfg, batch, "masked_mse")
+    _fd_check(cfg, batch)
 
 
 def test_cross_entropy_with_pooled_head():
@@ -73,7 +73,7 @@ def test_cross_entropy_with_pooled_head():
         tokens=rng.normal((4, 3, 4)),
         labels=np.array([0, 2, 1, 2]),
     )
-    _fd_check(cfg, batch, "cross_entropy")
+    _fd_check(cfg, batch)
 
 
 def test_causal_attention_gradients():
@@ -83,7 +83,7 @@ def test_causal_attention_gradients():
     )
     rng = seeded_rng(103)
     batch = Batch(tokens=rng.normal((2, 3, 4)), targets=rng.normal((2, 2)))
-    _fd_check(cfg, batch, "mse")
+    _fd_check(cfg, batch)
 
 
 def test_zero_block_model_gradients():
@@ -93,7 +93,7 @@ def test_zero_block_model_gradients():
     )
     rng = seeded_rng(104)
     batch = Batch(tokens=rng.normal((2, 3, 4)), targets=rng.normal((2, 4)))
-    _fd_check(cfg, batch, "mse")
+    _fd_check(cfg, batch)
 
 
 def test_wanted_subset_matches_full():
@@ -104,9 +104,9 @@ def test_wanted_subset_matches_full():
     rng = seeded_rng(105)
     store = init_random(cfg, seeded_rng(7), dtype=np.float64)
     batch = Batch(tokens=rng.normal((2, 2, 4)), targets=rng.normal((2, 3)))
-    full_loss, full = loss_and_grads(store, cfg, batch, "mse")
+    full_loss, full = loss_and_grads(store, cfg, batch)
     subset = frozenset({"input_embedding.w", "blocks.0.attn.wq", "output_head.b"})
-    part_loss, part = loss_and_grads(store, cfg, batch, "mse", wanted=subset)
+    part_loss, part = loss_and_grads(store, cfg, batch, wanted=subset)
     assert part_loss == full_loss
     assert set(part) == set(subset)
     for name in subset:

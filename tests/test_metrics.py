@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fpt.errors import DegenerateScale, InvalidInput, ShapeError
-from fpt.metrics import MetricReport, mae, mape, mase, mse, nd, owa, prf1, smape
+from fpt.metrics import MetricReport, csv_text, mae, mape, mase, mse, nd, owa, prf1, smape
 from fpt.rng import seeded_rng
 
 
@@ -131,11 +131,9 @@ def test_metric_report_json_roundtrip_and_csv():
     rep = MetricReport(metadata={"task": "t", "seed": 1})
     rep.add_row("O=12", {"MSE": 0.125})
     rep.finalize()
-    again = MetricReport.from_json(rep.to_json())
-    assert again.rows == rep.rows and again.metadata == rep.metadata
-    csv_text = rep.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "scope,MSE"
-    assert len(lines) == 3  # header + O=12 + avg
     parsed = json.loads(rep.to_json())
     assert set(parsed) == {"metadata", "rows"}
+    assert parsed["rows"] == rep.rows and parsed["metadata"] == rep.metadata
+    lines = csv_text(rep.table()).strip().split("\n")
+    assert lines[0] == "scope,MSE"
+    assert len(lines) == 3  # header + O=12 + avg
