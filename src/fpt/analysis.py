@@ -20,7 +20,7 @@ from .numerics import (
     EigenDecomposition,
     check_matrix,
     finite_diff_grad,
-    softmax_last,
+    softmax,
     softmax_rows,
     spectral_norm,
     sym_eig,
@@ -278,7 +278,7 @@ def attention_mean_convergence(
         tokens = mu[None, None, :] + rng.normal((trials, n, d), scale=sigma / math.sqrt(d))
         q = tokens[:, 0, :]
         logits = np.einsum("td,de,tne->tn", q, a, tokens) / math.sqrt(d)
-        w = softmax_last(logits)
+        w = softmax(logits, -1)
         out = np.einsum("tn,tnd->td", w, tokens) @ wv
         err = float(np.mean(np.abs(out - target).max(axis=1)))
         points.append((n, err))
@@ -410,9 +410,9 @@ def sgd_rate_experiment(sigmas, eps: float, seed: int) -> list[dict]:
     ``_SGD_REPLICATES`` independent sample streams; the median step count
     damps crossing-time jitter so the 1/sigma scaling is visible.
     """
-    rows = []
-    for sigma in sigmas:
-        g, y = conditioned_least_squares_problem(sigma, seeded_rng(seed))
+    rows = []  # every sigma is checked, by building its problem, before the first SGD run
+    problems = [conditioned_least_squares_problem(sigma, seeded_rng(seed)) for sigma in sigmas]
+    for sigma, (g, y) in zip(sigmas, problems):
         counts = []
         sigma_min = None
         for r in range(_SGD_REPLICATES):

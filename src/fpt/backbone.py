@@ -49,7 +49,7 @@ from .errors import (
     NumericalFailure,
     ShapeError,
 )
-from .numerics import layer_norm_last, softmax_last, sym_eig
+from .numerics import layer_norm_last, softmax, sym_eig
 from .rng import RandomStream
 
 LN_EPS = 1e-5
@@ -388,11 +388,10 @@ def _ln_bwd(dy, cache):
     """``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
     ``dxhat = dy * gamma``, plus the gamma and beta gradients."""
     xhat, inv, gamma = cache
-    axes = tuple(range(dy.ndim - 1))
     d = dy.shape[-1]
     tmp = dy * xhat
-    dgamma = tmp.sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
+    dgamma = _colsum(tmp)
+    dbeta = _colsum(dy)
     dx = dy * gamma
     m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d  # np.mean's own steps
     m2 = np.add.reduce(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True) / d
@@ -421,63 +420,69 @@ def _wgrad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _split_heads(x, n_heads):
-    b, n, d = x.shape
-    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _colsum(a):
+    """Column sum over every row of a (..., e) stack as one GEMV,
+    ``ones @ rows``: a bias, gamma or beta gradient.  Row sums stay numpy
+    reductions, so a row's result never depends on the rows beside it."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(len(rows), rows.dtype) @ rows
 
 
-def _merge_heads(x):
-    b, h, n, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+def _heads(a, cfg):
+    """The (k, B, n_heads, n, d_head) view of a (B, n, k * d_model) array:
+    its k head-split tensors, read or written in place without a copy."""
+    b, n, e = a.shape
+    dh = cfg.d_model // cfg.n_heads
+    return a.reshape(b, n, e // cfg.d_model, cfg.n_heads, dh).transpose(2, 0, 3, 1, 4)
 
 
 def _attn_fwd(x, p, prefix, cfg):
-    qh, kh, vh = (
-        _split_heads(_mm(x, p[prefix + "attn.w" + s], p[prefix + "attn.b" + s]), cfg.n_heads)
-        for s in "qkv"
-    )
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    z = qh @ kh.swapaxes(-1, -2)
-    z *= scale
-    if cfg.causal:
-        n = z.shape[-1]
-        z += np.triu(np.full((n, n), _NEG_INF, dtype=z.dtype), k=1)
-    probs = softmax_last(z)
-    ctx = _merge_heads(probs @ vh)
+    """Attention from one fused QKV GEMM.  The scores are key-major,
+    ``zk[key, b, head, query]``, so the softmax reduces over whole slabs."""
+    wqkv = np.concatenate([p[prefix + "attn.w" + s] for s in "qkv"], axis=1)
+    qkv = _mm(x, wqkv, np.concatenate([p[prefix + "attn.b" + s] for s in "qkv"]))
+    qh, kh, vh = _heads(qkv, cfg)
+    b, n, d = x.shape
+    zk = np.empty((n, b, cfg.n_heads, n), x.dtype)
+    np.matmul(kh, qh.swapaxes(-1, -2), out=zk.transpose(1, 2, 0, 3))
+    scale = 1.0 / math.sqrt(d // cfg.n_heads)
+    zk *= scale
+    if cfg.causal:  # key > query is masked
+        zk += np.tril(np.full((n, n), _NEG_INF, dtype=zk.dtype), k=-1)[:, None, None, :]
+    probs = softmax(zk, 0)
+    ctx = np.empty_like(x)
+    np.matmul(probs.transpose(1, 2, 3, 0), vh, out=_heads(ctx, cfg)[0])
     out = _mm(ctx, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
-    cache = (x, qh, kh, vh, probs, ctx, scale)
-    return out, cache
+    return out, (x, qkv, wqkv, probs, ctx, scale)
 
 
 def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
-    x, qh, kh, vh, probs, ctx, scale = cache
-    wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
+    x, qkv, wqkv, probs, ctx, scale = cache
     _set_grad(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
-    _set_grad(grads, wanted, prefix + "attn.bo", lambda: dout.sum(axis=(0, 1)))
-    dctx = _split_heads(_mm(dout, wo.T), cfg.n_heads)
-    dprobs = dctx @ vh.swapaxes(-1, -2)
-    dvh = probs.swapaxes(-1, -2) @ dctx
+    _set_grad(grads, wanted, prefix + "attn.bo", lambda: _colsum(dout))
+    del ctx
+    dctx = _heads(_mm(dout, p[prefix + "attn.wo"].T), cfg)[0]
+    qh, kh, vh = _heads(qkv, cfg)
+    dqkv = np.empty_like(qkv)
+    dqh, dkh, dvh = _heads(dqkv, cfg)
+    dprobs = np.empty_like(probs)
+    np.matmul(vh, dctx.swapaxes(-1, -2), out=dprobs.transpose(1, 2, 0, 3))
+    np.matmul(probs.transpose(1, 2, 0, 3), dctx, out=dvh)
     del dctx
-    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
-    dz = np.multiply(dprobs, probs, out=dprobs)  # probs * (dprobs - sum(dprobs * probs))
-    del dprobs
-    dqh, dkh = dz @ kh, dz.swapaxes(-1, -2) @ qh
-    del dz
-    dqh *= scale
-    dkh *= scale
-    dq = _merge_heads(dqh)
-    del dqh
-    dk = _merge_heads(dkh)
-    del dkh
-    dv = _merge_heads(dvh)
-    del dvh
-    for nm, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        _set_grad(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
-        _set_grad(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
-    dx = _mm(dq, wq.T)
-    dx += _mm(dk, wk.T)
-    dx += _mm(dv, wv.T)
-    return dx
+    dprobs -= (dprobs * probs).sum(axis=0)
+    dz = np.multiply(dprobs, probs, out=dprobs)  # probs * (dprobs - sum_keys(dprobs * probs))
+    del probs
+    dz *= scale
+    np.matmul(dz.transpose(1, 2, 3, 0), kh, out=dqh)
+    np.matmul(dz.transpose(1, 2, 0, 3), qh, out=dkh)
+    del dprobs, dz, qkv, qh, kh, vh
+    fused = {prefix + "attn." + t + s for t in "wb" for s in "qkv"}
+    if wanted is None or not fused.isdisjoint(wanted):  # none under the fpt freeze
+        dw, db, d = _wgrad(x, dqkv), _colsum(dqkv), cfg.d_model
+        for i, s in enumerate("qkv"):
+            _set_grad(grads, wanted, prefix + "attn.w" + s, lambda i=i: dw[:, i * d : (i + 1) * d])
+            _set_grad(grads, wanted, prefix + "attn.b" + s, lambda i=i: db[i * d : (i + 1) * d])
+    return _mm(dqkv, wqkv.T)
 
 
 def _set_grad(grads, wanted, name, fn):
@@ -539,13 +544,13 @@ def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
     dmlp_out = dh if mlp_mask is None else dh * mlp_mask
     _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
     del g, mlp_mask
-    _set_grad(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, prefix + "mlp.b2", lambda: _colsum(dmlp_out))
     dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
     del dmlp_out
     du = _gelu_bwd(dg, u, tanh_cache)
     del u, tanh_cache, dg
     _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
-    _set_grad(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, prefix + "mlp.b1", lambda: _colsum(du))
     da2 = _mm(du, p[prefix + "mlp.w1"].T)
     del a2, du
     dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
@@ -664,12 +669,21 @@ def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
 def _loss_and_dout(out, batch: Batch):
     """The loss value and its gradient ``dout`` with respect to the head
     output ``out``, both in float64 whatever the dtype of ``out``; the
-    batch's fields choose the loss (see ``Batch``)."""
+    batch's fields choose the loss (see ``Batch``).  A field that disagrees
+    with ``out`` in shape raises ``ShapeError``; labels that are not integers
+    in [0, head_out) raise ``InvalidInput``."""
     out = np.asarray(out, dtype=np.float64)
+    b, e = out.shape
+    want = {"targets": (b, e), "mask": (b, e), "labels": (b,), "out_scale": (b,), "out_mean": (b,)}
+    for name, shape in want.items():
+        got = getattr(batch, name)
+        if got is not None and np.shape(got) != shape:
+            raise ShapeError(f"batch {name} must be {shape} to match the head, got {np.shape(got)}")
     if batch.labels is not None:
-        labels = np.asarray(batch.labels, dtype=np.int64)
-        b = out.shape[0]
-        probs = softmax_last(out)
+        labels = np.asarray(batch.labels)
+        if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < e)):
+            raise InvalidInput(f"labels must be integers in [0, {e})")
+        probs = softmax(out, -1)
         eps = 1e-300
         value = float(-np.mean(np.log(probs[np.arange(b), labels] + eps)))
         dout = probs.copy()
@@ -744,7 +758,7 @@ def loss_and_grads(
 
     grads: dict[str, np.ndarray] = {}
     _set_grad(grads, wanted, "output_head.w", lambda: _wgrad(flat, dout))
-    _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
+    _set_grad(grads, wanted, "output_head.b", lambda: _colsum(dout))
     dflat = _mm(dout, p["output_head.w"].T)
     shape = y.shape
     del dout, flat, y
@@ -763,7 +777,7 @@ def loss_and_grads(
     if emb_mask is not None:
         dh = dh * emb_mask
     _set_grad(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
-    _set_grad(grads, wanted, "input_embedding.b", lambda: dh.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, "input_embedding.b", lambda: _colsum(dh))
 
     def dpos():
         g_full = np.zeros_like(p["pos_embedding"])

@@ -2,7 +2,7 @@
 
 The checked routines (``softmax_rows``, ``sym_eig``, ``spectral_norm``,
 ``finite_diff_grad``) compute in float64.  The unchecked
-kernels ``softmax_last`` and ``layer_norm_last`` compute in their input's
+kernels ``softmax`` and ``layer_norm_last`` compute in their input's
 dtype; inside the backbone that is the weight store's.  All take immutable
 inputs and hold no shared state, so they are safe to call concurrently.
 The eigensolver is LAPACK ``eigh`` behind one checked wrapper; like every
@@ -32,11 +32,12 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def softmax_last(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max-subtraction; no input checks."""
-    e = z - z.max(axis=-1, keepdims=True)
+def softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis`` with max-subtraction; no input checks.  The
+    attention's key-major scores reduce along axis 0, in whole slabs."""
+    e = z - z.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
@@ -46,7 +47,7 @@ def softmax_rows(m) -> np.ndarray:
     Shift invariance makes inputs of any magnitude (up to float range)
     safe: softmax(r + c) == softmax(r).
     """
-    return softmax_last(check_matrix(m, "softmax input"))
+    return softmax(check_matrix(m, "softmax input"), -1)
 
 
 def layer_norm_last(x: np.ndarray, gamma, beta, eps: float):

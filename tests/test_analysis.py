@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_backbone
+from fpt import analysis
 from fpt.analysis import (
     attention_map,
     attention_mean_convergence,
@@ -21,6 +22,7 @@ from fpt.analysis import (
     optimal_pca_attention,
     scale_to_spectral_norm,
     sgd_conditioning_check,
+    sgd_rate_experiment,
 )
 from fpt.backbone import init_random
 from fpt.data import TimeSeriesDataset, WindowSpec
@@ -434,6 +436,18 @@ class TestSgdConditioning:
         g[:, 0] = seeded_rng(29).normal(10)
         with pytest.raises(RankDeficient):
             sgd_conditioning_check(g, np.zeros((10, 2)), 1e-3, seeded_rng(30))
+
+    def test_rate_experiment_checks_every_sigma_before_any_run(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sgd_conditioning_check(*args)
+
+        monkeypatch.setattr(analysis, "sgd_conditioning_check", spy)
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            sgd_rate_experiment([0.01, math.inf], 1e-3, seed=0)
+        assert calls == []
 
 
 class TestMaxentDual:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,16 +15,16 @@ from fpt.backbone import (
     Batch,
     FreezeMask,
     _blocks,
+    _colsum,
     _compute_store,
     _gelu,
     _gelu_bwd,
     _head_fwd,
+    _heads,
     _ln_bwd,
-    _merge_heads,
     _mm,
     _scaled_dout,
     _set_grad,
-    _split_heads,
     _wgrad,
     adam_step,
     backward_and_step,
@@ -38,7 +39,7 @@ from fpt.backbone import (
     save_weights,
 )
 from fpt.errors import FormatError, InvalidInput, NumericalFailure, ShapeError
-from fpt.numerics import layer_norm_last, softmax_last
+from fpt.numerics import finite_diff_grad, layer_norm_last, softmax, softmax_rows
 from fpt.rng import seeded_rng
 
 
@@ -449,9 +450,8 @@ def _ref_layer_norm(x, gamma, beta, eps):
 
 def _ref_ln_bwd(dy, cache):
     xhat, inv, gamma = cache
-    axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
+    dgamma = _colsum(dy * xhat)
+    dbeta = _colsum(dy)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -524,8 +524,21 @@ class TestBitwiseKernels:
     def test_softmax(self, shape):
         z = seeded_rng(42).normal(shape, scale=4.0)
         z_before = z.copy()
-        assert np.array_equal(softmax_last(z), _ref_softmax(z))
+        assert np.array_equal(softmax(z, -1), _ref_softmax(z))
         assert np.array_equal(z, z_before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_axis_zero_softmax_is_the_moved_axis_row_softmax(self, dtype):
+        """The attention's key-major softmax against the row softmax of the
+        same scores: the max it subtracts is exact, so only the order of the
+        denominator's sum differs."""
+        z = seeded_rng(46).normal((11, 64, 4, 11), scale=4.0).astype(dtype)
+        z[3, 5] += 1e4  # overflows exp unless the max along axis 0 is subtracted
+        got = softmax(z, 0)
+        ref = np.moveaxis(softmax(np.ascontiguousarray(np.moveaxis(z, 0, -1)), -1), -1, 0)
+        assert got.dtype == dtype
+        np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+        assert np.all(got[3, 5] == 1.0) and np.all(np.delete(got, 3, axis=0)[:, 5] == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adam_matches_the_per_tensor_loop(self, dtype):
@@ -594,26 +607,24 @@ class TestBitwiseKernels:
 
 
 def _ref_attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
-    x, qh, kh, vh, probs, ctx, scale = cache
-    wq, wk, wv, wo = (p[prefix + "attn.w" + s] for s in "qkvo")
+    x, qkv, wqkv, probs, ctx, scale = cache
     _set_grad(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
-    _set_grad(grads, wanted, prefix + "attn.bo", lambda: dout.sum(axis=(0, 1)))
-    dctx = _split_heads(_mm(dout, wo.T), cfg.n_heads)
-    dprobs = dctx @ vh.swapaxes(-1, -2)
-    dvh = probs.swapaxes(-1, -2) @ dctx
-    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
-    dz = np.multiply(dprobs, probs, out=dprobs)
-    dqh, dkh = dz @ kh, dz.swapaxes(-1, -2) @ qh
-    dqh *= scale
-    dkh *= scale
-    dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
-    for nm, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        _set_grad(grads, wanted, prefix + "attn.w" + nm, lambda dm=dmat: _wgrad(x, dm))
-        _set_grad(grads, wanted, prefix + "attn.b" + nm, lambda dm=dmat: dm.sum(axis=(0, 1)))
-    dx = _mm(dq, wq.T)
-    dx += _mm(dk, wk.T)
-    dx += _mm(dv, wv.T)
-    return dx
+    _set_grad(grads, wanted, prefix + "attn.bo", lambda: _colsum(dout))
+    dctx = _heads(_mm(dout, p[prefix + "attn.wo"].T), cfg)[0]
+    qh, kh, vh = _heads(qkv, cfg)
+    dqkv = np.empty_like(qkv)
+    dqh, dkh, dvh = _heads(dqkv, cfg)
+    dprobs = np.empty_like(probs)
+    np.matmul(vh, dctx.swapaxes(-1, -2), out=dprobs.transpose(1, 2, 0, 3))
+    np.matmul(probs.transpose(1, 2, 0, 3), dctx, out=dvh)
+    dz = probs * (dprobs - (dprobs * probs).sum(axis=0)) * scale
+    np.matmul(dz.transpose(1, 2, 3, 0), kh, out=dqh)
+    np.matmul(dz.transpose(1, 2, 0, 3), qh, out=dkh)
+    dw, db, d = _wgrad(x, dqkv), _colsum(dqkv), cfg.d_model
+    for i, s in enumerate("qkv"):
+        _set_grad(grads, wanted, prefix + "attn.w" + s, lambda i=i: dw[:, i * d : (i + 1) * d])
+        _set_grad(grads, wanted, prefix + "attn.b" + s, lambda i=i: db[i * d : (i + 1) * d])
+    return _mm(dqkv, wqkv.T)
 
 
 def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
@@ -625,7 +636,7 @@ def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
     value, dout, k = _scaled_dout(out, batch)
     grads = {}
     _set_grad(grads, wanted, "output_head.w", lambda: flat.T @ dout)
-    _set_grad(grads, wanted, "output_head.b", lambda: dout.sum(axis=0))
+    _set_grad(grads, wanted, "output_head.b", lambda: _colsum(dout))
     dflat = dout @ p["output_head.w"].T
     if cfg.head_mode == "flatten":
         dy = dflat.reshape(y.shape)
@@ -639,11 +650,11 @@ def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
         ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = caches[i]
         dmlp_out = dh if mlp_mask is None else dh * mlp_mask
         _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
-        _set_grad(grads, wanted, prefix + "mlp.b2", lambda: dmlp_out.sum(axis=(0, 1)))
+        _set_grad(grads, wanted, prefix + "mlp.b2", lambda: _colsum(dmlp_out))
         dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
         du = _gelu_bwd(dg, u, tanh_cache)
         _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
-        _set_grad(grads, wanted, prefix + "mlp.b1", lambda: du.sum(axis=(0, 1)))
+        _set_grad(grads, wanted, prefix + "mlp.b1", lambda: _colsum(du))
         da2 = _mm(du, p[prefix + "mlp.w1"].T)
         dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
         _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
@@ -658,7 +669,7 @@ def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
     if emb_mask is not None:
         dh = dh * emb_mask
     _set_grad(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
-    _set_grad(grads, wanted, "input_embedding.b", lambda: dh.sum(axis=(0, 1)))
+    _set_grad(grads, wanted, "input_embedding.b", lambda: _colsum(dh))
 
     def dpos():
         g_full = np.zeros_like(p["pos_embedding"])
@@ -770,6 +781,103 @@ class TestComputeDtype:
         assert all(dt == np.float32 for _, dts in seen for dt in dts), seen
         assert sorted(grads) == sorted(store)
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+
+
+def _perturbed_f64_store(cfg, rng, scale):
+    """A float64 store with every tensor, biases and gains too, moved off its
+    initial value, so every term of the pass is exercised."""
+    store = init_random(cfg, rng.child(1), dtype=np.float64)
+    return {name: arr + rng.normal(arr.shape, scale=scale) for name, arr in store.items()}
+
+
+def _ref_attention(x, p, prefix, cfg):
+    """softmax(q k^T / sqrt(d_head)) v for each (sample, head) in turn, with
+    ``softmax_rows``, then the output projection; causal masks key > query."""
+    q, k, v = (x @ p[prefix + "attn.w" + s] + p[prefix + "attn.b" + s] for s in "qkv")
+    b, n, d = x.shape
+    dh = d // cfg.n_heads
+    masked = np.triu(np.ones((n, n), dtype=bool), k=1) if cfg.causal else np.zeros((n, n), bool)
+    ctx = np.empty_like(x)
+    for i in range(b):
+        for h in range(cfg.n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[i, :, cols] @ k[i, :, cols].T / math.sqrt(dh)
+            ctx[i, :, cols] = softmax_rows(np.where(masked, -1e30, scores)) @ v[i, :, cols]
+    return ctx @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
+
+
+class TestAttentionReference:
+    """The fused-QKV, key-major attention against the textbook formula."""
+
+    # config overrides, batch size, tokens: a tiny shape and the c09 one
+    _SHAPES = {
+        "tiny": (dict(d_model=16, n_heads=2), 3, 5),
+        "c09": (dict(d_model=64, n_heads=4, d_ff=128, max_tokens=64, patch_len=16), 64, 11),
+    }
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("shape", ["tiny", "c09"])
+    def test_forward_sublayer_matches_the_per_head_loop(self, monkeypatch, shape, causal):
+        over, b, n = self._SHAPES[shape]
+        cfg = tiny_backbone(causal=causal, **over)
+        rng = seeded_rng(70)
+        store = _perturbed_f64_store(cfg, rng, 0.2)
+        seen, real = [], backbone._attn_fwd
+
+        def spy(x, p, prefix, cfg):
+            out, cache = real(x, p, prefix, cfg)
+            seen.append((x.copy(), prefix, out.copy()))  # the block adds into out
+            return out, cache
+
+        monkeypatch.setattr(backbone, "_attn_fwd", spy)
+        forward(store, cfg, rng.normal((b, n, cfg.patch_len)))
+        assert [prefix for _, prefix, _ in seen] == ["blocks.0.", "blocks.1."]
+        for x, prefix, out in seen:
+            np.testing.assert_allclose(out, _ref_attention(x, store, prefix, cfg), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_fused_qkv_gradients_match_finite_differences(self, causal):
+        cfg = tiny_backbone(
+            n_layers=1, d_model=8, n_heads=2, d_ff=12, max_tokens=6,
+            patch_len=4, head_in=3 * 8, head_out=5, causal=causal,
+        )
+        rng = seeded_rng(71)
+        store = _perturbed_f64_store(cfg, rng, 0.3)
+        batch = Batch(tokens=rng.normal((2, 3, 4)), targets=rng.normal((2, 5)))
+        _, grads = loss_and_grads(store, cfg, batch)
+        for name in (f"blocks.0.attn.{t}{s}" for t in "wb" for s in "qkv"):
+
+            def loss(a, name=name):
+                return loss_and_grads({**store, name: a}, cfg, batch, wanted=frozenset())[0]
+
+            fd = finite_diff_grad(loss, store[name], 1e-5)
+            np.testing.assert_allclose(grads[name], fd, rtol=1e-5, atol=1e-9, err_msg=name)
+
+
+# One malformed field per row, on a pool head with head_out 3 and B=4.
+_MALFORMED_BATCHES = {
+    "labels -1": ({"labels": [0, 1, 2, -1]}, InvalidInput),
+    "labels 0.7": ({"labels": [0, 1, 2, 0.7]}, InvalidInput),
+    "labels == head_out": ({"labels": [0, 1, 2, 3]}, InvalidInput),
+    "labels (B, 1)": ({"labels": [[0], [1], [2], [0]]}, ShapeError),
+    "targets with 3 rows": ({"targets": np.zeros((3, 3))}, ShapeError),
+    "targets with 5 columns": ({"targets": np.zeros((4, 5))}, ShapeError),
+    "mask (B, 2)": ({"targets": np.zeros((4, 3)), "mask": np.ones((4, 2))}, ShapeError),
+    "out_scale (B, 1)": ({"targets": np.zeros((4, 3)), "out_scale": np.ones((4, 1))}, ShapeError),
+    "out_mean (B, 1)": ({"targets": np.zeros((4, 3)), "out_mean": np.zeros((4, 1))}, ShapeError),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, error", _MALFORMED_BATCHES.values(), ids=list(_MALFORMED_BATCHES)
+)
+def test_malformed_batch_fields_raise_typed_errors(fields, error):
+    cfg = tiny_backbone(head_mode="pool", head_in=16, head_out=3)
+    store = init_random(cfg, seeded_rng(80))
+    fields = {name: np.asarray(a) for name, a in fields.items()}
+    batch = Batch(tokens=seeded_rng(81).normal((4, 3, cfg.patch_len)), **fields)
+    with pytest.raises(error):
+        loss_and_grads(store, cfg, batch)
 
 
 class TestTrainingStep:

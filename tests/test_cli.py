@@ -1224,6 +1224,12 @@ class TestArgumentHandling:
         assert _error_lines(capsys) == [message]
         assert not list(tmp_path.iterdir())
 
+    def test_sgd_rate_bad_sigma_after_a_good_one_exits_2(self, tmp_path, capsys):
+        argv = ["analyze", "sgd-rate", "--sigmas", "0.01,inf", "--output", str(tmp_path)]
+        assert main(argv) == 2
+        assert _error_lines(capsys) == ["error: InvalidInput: sigma must be finite and > 0, got inf"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv",
         [

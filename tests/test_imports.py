@@ -1,5 +1,6 @@
-"""Static check, with the stdlib ``ast`` module only: every name a module of
-the package imports is used in that module."""
+"""Static checks, with the stdlib ``ast`` module only: every name a module
+of the package imports is used in that module, and every module-level
+private helper is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,45 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .x import a, b\nnp.zeros(a)\n"
     assert _unused_imports(source) == ["line 3: b", "line 1: os"]
+
+
+def _orphaned_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, the module-level ``_``-prefixed functions and classes that
+    no code in ``sources`` names outside the helper's own definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    names_in = {}  # top-level statement -> every name it reads, imports or looks up
+    for tree in trees.values():
+        for stmt in tree.body:
+            nodes = list(ast.walk(stmt))
+            names_in[stmt] = (
+                {n.id for n in nodes if isinstance(n, ast.Name)}
+                | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            )
+    return {
+        mod: [
+            stmt.name
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_")
+            and not stmt.name.startswith("__")
+            and not any(stmt.name in names for other, names in names_in.items() if other is not stmt)
+        ]
+        for mod, tree in trees.items()
+    }
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used_in_the_package(path):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _MODULES}
+    assert _orphaned_helpers(sources)[path.name] == []
+
+
+def test_the_check_sees_an_orphaned_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _self_only():\n    return _self_only()\n"
+        "class _Kept:\n    pass\n",
+        "b.py": "from .a import _Kept\nfrom . import a\nx = a._used() or _Kept\n"
+        "def _orphan():\n    pass\n",
+    }
+    assert _orphaned_helpers(sources) == {"a.py": ["_self_only"], "b.py": ["_orphan"]}
