@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, RankDeficient
+from .errors import InvalidInput, NumericalFailure, RankDeficient, ShapeError
 from .numerics import (
     EigenDecomposition,
     check_matrix,
+    check_rank,
     finite_diff_grad,
     softmax,
     softmax_rows,
@@ -60,6 +61,14 @@ def _centered(x) -> np.ndarray:
     return x - x.mean(axis=0, keepdims=True)
 
 
+def _square(a, d: int) -> np.ndarray:
+    """``a`` checked as the d x d attention matrix over d-column patterns."""
+    a = check_matrix(a, "attention matrix")
+    if a.shape != (d, d):
+        raise ShapeError(f"attention matrix must be {d}x{d}, got {a.shape}")
+    return a
+
+
 def attention_objective(x, a) -> float:
     """sum_i || x_i - (X^T X) A x_i ||^2 over column-centered patterns.
 
@@ -67,11 +76,9 @@ def attention_objective(x, a) -> float:
     tr((I - X^T X A)^T (I - X^T X A) X^T X), which is the same quantity
     computed through a different pipeline.
     """
-    a = check_matrix(a, "attention matrix")
     xc = _centered(x)
     d = xc.shape[1]
-    if a.shape != (d, d):
-        raise InvalidInput(f"attention matrix must be {d}x{d}, got {a.shape}")
+    a = _square(a, d)
     s = xc.T @ xc
     residual = xc - xc @ a.T @ s
     value = float(np.sum(residual * residual))
@@ -91,8 +98,8 @@ def attention_objective_quadratic_trace(x, a) -> float:
     particular at the closed-form optimum); for arbitrary nonsymmetric A
     the squared factor differs from the Gram form.
     """
-    a = check_matrix(a, "attention matrix")
     xc = _centered(x)
+    a = _square(a, xc.shape[1])
     s = xc.T @ xc
     m = np.eye(s.shape[0]) - s @ a
     return float(np.trace(m @ m @ s))
@@ -106,8 +113,7 @@ def optimal_pca_attention(x, m: int) -> PcaAttentionSolution:
     """
     xc = _centered(x)
     d = xc.shape[1]
-    if not 1 <= m <= d:
-        raise InvalidInput(f"rank m={m} must be in [1, {d}]")
+    check_rank(m, d)
     eigen = sym_eig(xc.T @ xc)
     lam = eigen.eigenvalues
     if lam[m - 1] <= 1e-10:
@@ -136,8 +142,9 @@ def bruteforce_rank_m_objective(
     """
     xc = _centered(x)
     d = xc.shape[1]
-    if not 1 <= m <= d:
-        raise InvalidInput(f"rank m={m} must be in [1, {d}]")
+    check_rank(m, d)
+    if restarts < 1 or steps < 0:
+        raise InvalidInput(f"need restarts >= 1 and steps >= 0, got {restarts} and {steps}")
     s = xc.T @ xc
     eye = np.eye(d)
     s2 = -2.0 * s
@@ -188,7 +195,7 @@ def bruteforce_rank_m_objective(
 def attention_map(x, a) -> np.ndarray:
     """softmax(X A X^T) X, the row-attention transform of the patterns."""
     x = check_matrix(x, "pattern matrix")
-    a = check_matrix(a, "attention matrix")
+    a = _square(a, x.shape[1])
     return softmax_rows(x @ a @ x.T) @ x
 
 
@@ -216,12 +223,10 @@ def jacobian_bound_check(x, a, h: float = 1e-6) -> JacobianBoundResult:
     of the bound; the quadratic sums run over all N patterns.
     """
     x = check_matrix(x, "pattern matrix")
-    a = check_matrix(a, "attention matrix")
     n, d = x.shape
     if n * d > 512:
         raise InvalidInput(f"N*D = {n * d} exceeds the finite-difference cap of 512")
-    if a.shape != (d, d):
-        raise InvalidInput(f"attention matrix must be {d}x{d}, got {a.shape}")
+    a = _square(a, d)
 
     jac = finite_diff_grad(lambda z: attention_map(z, a), x, h)
     lhs = spectral_norm(jac.reshape(n * d, n * d))
@@ -263,9 +268,10 @@ def attention_mean_convergence(
         raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
     mu = np.asarray(mu, dtype=np.float64).ravel()
     d = mu.size
-    wq = check_matrix(wq, "wq")
-    wk = check_matrix(wk, "wk")
-    wv = check_matrix(wv, "wv")
+    wq, wk, wv = (check_matrix(w, name) for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv")))
+    if not wq.shape[0] == wk.shape[0] == wv.shape[0] == d or wq.shape != wk.shape:
+        shapes = f"{wq.shape}, {wk.shape} and {wv.shape}"
+        raise ShapeError(f"wq, wk and wv need {d} rows, and wq the shape of wk; got {shapes}")
     ns = sorted(int(n) for n in n_grid)
     if len(ns) < 3 or ns[0] < 1 or ns[-1] < 10 * ns[0]:
         raise InvalidInput("n_grid needs >= 3 sizes spanning at least one decade")

@@ -49,7 +49,8 @@ from .errors import (
     NumericalFailure,
     ShapeError,
 )
-from .numerics import layer_norm_last, softmax, sym_eig
+from .numerics import check_rank, layer_norm_last, softmax, sym_eig
+from .preprocess import denormalize
 from .rng import RandomStream
 
 LN_EPS = 1e-5
@@ -496,9 +497,7 @@ def _pca_attention_out(x, m):
     The eigensolver works in float64; its components are cast back to
     ``x.dtype``, so the projection stays in the dtype of the pass.
     """
-    d = x.shape[-1]
-    if not 1 <= m <= d:
-        raise InvalidInput(f"pca rank m={m} must be in [1, {d}]")
+    check_rank(m, x.shape[-1])
     xc = x - x.mean(axis=1, keepdims=True)
     vecs = sym_eig(xc.swapaxes(-1, -2) @ xc).eigenvectors[..., :m].astype(x.dtype, copy=False)
     return xc @ vecs @ vecs.swapaxes(-1, -2)
@@ -692,12 +691,7 @@ def _loss_and_dout(out, batch: Batch):
     if batch.targets is None:
         raise InvalidInput("the loss needs targets or labels")
     targets = np.asarray(batch.targets, dtype=np.float64)
-    pred = out
-    if batch.out_scale is not None:
-        pred = pred * batch.out_scale[:, None]
-    if batch.out_mean is not None:
-        pred = pred + batch.out_mean[:, None]
-    diff = pred - targets
+    diff = denormalize(out, batch.out_scale, batch.out_mean) - targets
     if batch.mask is None:
         value = float(np.mean(diff * diff))
         dpred = 2.0 * diff / diff.size
@@ -708,10 +702,7 @@ def _loss_and_dout(out, batch: Batch):
             raise InvalidInput("a masked loss needs at least one scored coordinate")
         value = float(np.sum(mask * diff * diff) / total)
         dpred = 2.0 * mask * diff / total
-    dout = dpred
-    if batch.out_scale is not None:
-        dout = dout * batch.out_scale[:, None]
-    return value, dout
+    return value, denormalize(dpred, batch.out_scale, None)  # d pred / d out is the scale
 
 
 def _scaled_dout(out, batch: Batch):

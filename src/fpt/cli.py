@@ -195,8 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pca_attn)
 
     p = asub.add_parser("jacobian", help="randomized audit of the attention Jacobian bound")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(1), default=4)
+    p.add_argument("--d", type=_int_at_least(1), default=3)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--a-norm", type=float, default=1.0, help="spectral-norm cap for A")
     p.add_argument("--seed", type=_seed, default=0)

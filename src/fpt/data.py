@@ -40,6 +40,13 @@ class SplitSpec:
         if min(self.train, self.val, self.test) < 0:
             raise InvalidInput("split fractions must be nonnegative")
 
+    def bounds(self, n: int) -> SplitBounds:
+        """The segments of ``n`` ordered items (timesteps or series):
+        floor(train * n), then floor(val * n), then the rest."""
+        n_train = int(math.floor(self.train * n))
+        n_val = int(math.floor(self.val * n))
+        return SplitBounds((0, n_train), (n_train, n_train + n_val), (n_train + n_val, n))
+
 
 @dataclass(frozen=True)
 class SplitBounds:
@@ -114,16 +121,7 @@ class TimeSeriesDataset:
         return self.values.shape[1]
 
     def split_bounds(self) -> SplitBounds:
-        if self.bounds is not None:
-            return self.bounds
-        t = self.n_steps
-        n_train = int(math.floor(self.split.train * t))
-        n_val = int(math.floor(self.split.val * t))
-        return SplitBounds(
-            train=(0, n_train),
-            val=(n_train, n_train + n_val),
-            test=(n_train + n_val, t),
-        )
+        return self.split.bounds(self.n_steps) if self.bounds is None else self.bounds
 
 
 @dataclass(frozen=True)
@@ -370,23 +368,18 @@ def few_shot_subset(
     return replace(d, bounds=SplitBounds(train=new_train, val=bounds.val, test=bounds.test))
 
 
-def mask_with_count(shape: tuple[int, int], n_masked: int, rng: RandomStream) -> np.ndarray:
-    """Binary (1=observed) mask with exactly n_masked zeros placed uniformly."""
-    steps, channels = shape
-    total = steps * channels
-    if not 0 <= n_masked <= total:
-        raise InvalidInput(f"cannot mask {n_masked} of {total} cells")
-    flat = np.ones(total, dtype=np.float64)
-    flat[rng.choice_no_replace(total, n_masked)] = 0.0
-    return flat.reshape(steps, channels)
+def mask_count(ratio: float, cells: int) -> int:
+    """The number of cells a mask of ``ratio`` hides among ``cells``:
+    round(ratio * cells), halves rounded up, and at least one."""
+    return max(1, int(math.floor(ratio * cells + 0.5)))
 
 
 def window_masks(
     n_channels: int, n_windows: int, steps: int, n_masked: int, rng: RandomStream
 ) -> np.ndarray:
-    """(n_channels * n_windows, steps) binary masks, channel-major: row
-    ``c * n_windows + w`` is ``mask_with_count((steps, 1), n_masked,
-    rng.child(c).child(w))[:, 0]``, with every row drawn in one pass."""
+    """(n_channels * n_windows, steps) binary masks (1 = observed): row
+    ``c * n_windows + w`` hides ``rng.child(c).child(w).permutation(steps)[:n_masked]``,
+    every row drawn in one pass."""
     if not 0 <= n_masked <= steps:
         raise InvalidInput(f"cannot mask {n_masked} of {steps} cells")
     order = rng.child_permutations(n_channels, n_windows, steps).reshape(-1, steps)
@@ -396,9 +389,10 @@ def window_masks(
 
 
 def random_mask(shape: tuple[int, int], ratio: float, rng: RandomStream) -> ImputationMask:
-    """Mask round(ratio * cells) positions uniformly without replacement."""
+    """Mask ``mask_count(ratio, cells)`` of a (steps, channels) window's
+    cells, drawn by ``window_masks`` as one row of steps * channels cells."""
     if not 0.0 < ratio < 1.0:
         raise InvalidInput("mask ratio must be in (0, 1)")
     steps, channels = int(shape[0]), int(shape[1])
-    n_masked = int(math.floor(ratio * steps * channels + 0.5))  # round half up
-    return ImputationMask(mask=mask_with_count((steps, channels), n_masked, rng), ratio=ratio)
+    mask = window_masks(1, 1, steps * channels, mask_count(ratio, steps * channels), rng)
+    return ImputationMask(mask=mask.reshape(steps, channels), ratio=ratio)

@@ -32,6 +32,12 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_rank(m, d: int) -> None:
+    """Raise ``InvalidInput`` unless ``m`` is an integer rank in [1, d]."""
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
+        raise InvalidInput(f"rank m={m} must be an integer in [1, {d}]")
+
+
 def softmax(z: np.ndarray, axis: int) -> np.ndarray:
     """Softmax along ``axis`` with max-subtraction; no input checks.  The
     attention's key-major scores reduce along axis 0, in whole slabs."""

@@ -65,9 +65,17 @@ def revin_normalize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, InstanceSt
 
 
 def revin_denormalize(y, stats: InstanceStats) -> np.ndarray:
-    """Invert revin_normalize: y * sqrt(var + eps) + mean."""
+    """Invert revin_normalize: y * sqrt(var + eps) + mean, shaped like y."""
+    return denormalize(y, stats.std_eff, stats.mean).reshape(np.shape(y))
+
+
+def denormalize(y, scale, mean) -> np.ndarray:
+    """``y * scale + mean`` in float64, one scale and mean per row of ``y``
+    broadcast over its last axis; a factor given as None is left out."""
     out = np.asarray(y, dtype=np.float64)
-    return out * stats.std_eff + stats.mean
+    if scale is not None:
+        out = out * np.asarray(scale)[..., None]
+    return out if mean is None else out + np.asarray(mean)[..., None]
 
 
 def patchify(x, cfg: PatchConfig) -> np.ndarray:
@@ -104,6 +112,8 @@ def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
 def patchify_windows(windows: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     """Slice each row into patch tokens: (batch, L) -> (batch, n_patches, P)."""
     w = np.asarray(windows, dtype=np.float64)
+    if w.ndim != 2:
+        raise InvalidInput("patchify_windows expects a (batch, length) array")
     n = cfg.n_patches(w.shape[1])
     idx = np.arange(n)[:, None] * cfg.stride + np.arange(cfg.patch_len)[None, :]
     return w[:, idx]

@@ -38,11 +38,12 @@ from .data import (
     WindowSpec,
     few_shot_subset,
     make_windows,
+    mask_count,
     window_masks,
 )
 from .errors import InsufficientData, InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
-from .preprocess import PatchConfig, normalize_windows, patchify_windows
+from .preprocess import PatchConfig, denormalize, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
 from .synthetic import donor_values
 
@@ -196,7 +197,7 @@ def _eval_loss(store, cfg, split: Batch) -> float:
 
 
 def _predict_denorm(store, cfg, split: Batch) -> np.ndarray:
-    return _outputs(store, cfg, split.tokens) * split.out_scale[:, None] + split.out_mean[:, None]
+    return denormalize(_outputs(store, cfg, split.tokens), split.out_scale, split.out_mean)
 
 
 def _fit(
@@ -248,14 +249,7 @@ def _fit(
 
 
 def _base_metadata(task, dataset, tcfg, **extra) -> dict:
-    md = {
-        "task": task,
-        "dataset": dataset.name,
-        "seed": tcfg.seed,
-        "warnings": [],
-    }
-    md.update(extra)
-    return md
+    return {"task": task, "dataset": dataset.name, "seed": tcfg.seed, "warnings": [], **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +338,6 @@ def run_few_shot(
     position: str = "suffix",
 ) -> tuple[MetricReport, dict]:
     """Forecasting with only percent of the training timesteps kept."""
-    if not 0.0 < percent <= 1.0:
-        raise InvalidInput("percent must be in (0, 1]")
     subset = few_shot_subset(dataset, percent, position)
     report, store = run_forecast(subset, wspec, base_cfg, tcfg, patch, weights, revin_eps)
     report.metadata["task"] = "fewshot"
@@ -428,7 +420,7 @@ def run_imputation(
     stores: dict[float, dict] = {}
     for ri, ratio in enumerate(ratios):
         rng = seeded_rng(tcfg.seed).child(100 + ri)
-        n_masked = max(1, int(math.floor(ratio * lookback + 0.5)))
+        n_masked = mask_count(ratio, lookback)
         train, val, test = (
             _samples(dataset, wspec, patch, revin_eps, split, n_masked, rng.child(10 + si))
             for si, split in enumerate(("train", "val", "test"))
@@ -469,14 +461,11 @@ def run_classification(
     length = dataset.n_steps
     cfg = _derive_config(base_cfg, patch, length, head_out=n_classes, head_mode="pool")
     series = _batch(dataset.values.T, patch, revin_eps, labels=labels)  # (C, T): a row per series
-    n = len(series.tokens)
-    n_train = int(math.floor(dataset.split.train * n))
-    n_val = int(math.floor(dataset.split.val * n))
-    cuts = (0, n_train, n_train + n_val, n)
-    if n_train < 1 or n_train + n_val >= n:  # an empty val split is legal
-        counts = f"{n_train} train, {n_val} val, {n - n_train - n_val} test"
+    bounds = dataset.split.bounds(len(series.tokens))
+    train, val, test = (series.rows(slice(*bounds.segment(s))) for s in ("train", "val", "test"))
+    if len(train.labels) < 1 or len(test.labels) < 1:  # an empty val split is legal
+        counts = f"{len(train.labels)} train, {len(val.labels)} val, {len(test.labels)} test"
         raise InsufficientData(f"classification needs train and test series; split gives {counts}")
-    train, val, test = (series.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
     store, setup, history = _train(cfg, tcfg, weights, train, val, seeded_rng(tcfg.seed))
     pred_classes = np.argmax(_outputs(store, setup.cfg, test.tokens), axis=1)
     accuracy = float(np.mean(pred_classes == test.labels))
@@ -556,7 +545,6 @@ def run_anomaly(
     )
     flags = (test_err > threshold).astype(np.int64)
     truth = np.asarray(dataset.labels[bounds.test[0] : bounds.test[1]], dtype=np.int64)
-    captured: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         precision, recall, f1 = prf1(flags, truth, point_adjust=point_adjust)
@@ -569,9 +557,9 @@ def run_anomaly(
             threshold=threshold,
             point_adjust=point_adjust,
             history=history,
+            warnings=captured,
         )
     )
-    report.metadata["warnings"] = captured
     report.add_row(
         f"q={quantile}", {"precision": precision, "recall": recall, "F1": f1}
     )

@@ -24,11 +24,11 @@ from fpt.analysis import (
     sgd_conditioning_check,
     sgd_rate_experiment,
 )
-from fpt.backbone import init_random
+from fpt.backbone import forward, init_random
 from fpt.data import TimeSeriesDataset, WindowSpec
-from fpt.errors import InvalidInput, RankDeficient
+from fpt.errors import InvalidInput, RankDeficient, ShapeError
 from fpt.numerics import finite_diff_grad, sym_eig
-from fpt.preprocess import PatchConfig
+from fpt.preprocess import PatchConfig, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid
 from fpt.tasks import mixed_weights_similarity_sweep
@@ -544,3 +544,50 @@ def test_convergence_rejects_non_finite_or_negative_sigma(sigma):
 def test_spectral_norm_target_must_be_finite_and_nonnegative(target):
     with pytest.raises(InvalidInput, match="target"):
         scale_to_spectral_norm(np.eye(3), target)
+
+
+_PATTERNS = seeded_rng(4).normal((6, 3))
+
+# One malformed argument per public analysis or preprocess function (and the
+# PCA mode of the backbone's forward pass), and the typed error it raises in
+# place of a raw numpy error or a silent no-op.
+_MALFORMED_CALLS = {
+    "pca-rank-not-an-integer": (InvalidInput, lambda: optimal_pca_attention(_PATTERNS, 1.5)),
+    "oracle-zero-restarts": (
+        InvalidInput,
+        lambda: bruteforce_rank_m_objective(_PATTERNS, 1, seeded_rng(0), restarts=0),
+    ),
+    "oracle-negative-steps": (
+        InvalidInput,
+        lambda: bruteforce_rank_m_objective(_PATTERNS, 1, seeded_rng(0), steps=-1),
+    ),
+    "attention-map-4x4-on-3-columns": (ShapeError, lambda: attention_map(_PATTERNS, np.eye(4))),
+    "convergence-2x2-wq-at-d3": (
+        ShapeError,
+        lambda: attention_mean_convergence(
+            np.ones(3), 0.1, np.eye(2), np.eye(3), np.eye(3), [16, 64, 256], 2, seeded_rng(0)
+        ),
+    ),
+    "patchify-1d-windows": (
+        InvalidInput,
+        lambda: patchify_windows(np.zeros(16), PatchConfig(4, 4)),
+    ),
+    "pca-forward-rank-not-an-integer": (
+        InvalidInput,
+        lambda: forward(
+            init_random(tiny_backbone(), seeded_rng(0)),
+            tiny_backbone(),
+            np.zeros((1, 3, 8)),
+            mode="pca",
+            pca_m=1.5,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_CALLS)
+def test_malformed_argument_raises_a_typed_error(case):
+    """The library twin of the CLI's ``TestIngestionFuzz``."""
+    error, call = _MALFORMED_CALLS[case]
+    with pytest.raises(error):
+        call()

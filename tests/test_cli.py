@@ -17,6 +17,9 @@ from fpt.cli import _REQUIRED, _SCHEMA, main
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid, write_manifest, write_series_csv
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digest  # noqa: E402  (tools/digest.py: the 18 runs and their digest)
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -1066,27 +1069,14 @@ class TestAnalyzeCommands:
 
 # Every command's flags beyond --output, with {config}, {model} and {x}
 # standing for inputs the ``stamped_inputs`` fixture writes.
-_EVERY_COMMAND = {
-    **{command: [command, "--config", "{config}"] for command in _TASK_COMMAND.values()},
-    "eval": ["eval", "--config", "{config}", "--weights", "{model}"],
-    "ablate": ["ablate", "--config", "{config}", "--synthetic-pretrain"],
-    "maxent": ["analyze", "maxent", "--q", "0.5", "--g", "0.5"],
-    "pca-attn": ["analyze", "pca-attn", "--x", "{x}", "--m", "2"],
-    "jacobian": ["analyze", "jacobian", "--n", "3", "--d", "2", "--trials", "2"],
-    "convergence": ["analyze", "convergence", "--n-grid", "16,64,256", "--trials", "5"],
-    "sgd-rate": ["analyze", "sgd-rate", "--sigmas", "1", "--eps", "0.01"],
-    "similarity": ["analyze", "similarity", "--config", "{config}", "--weights", "{model}"],
-    "mix-sweep": [
-        "analyze", "mix-sweep", "--config", "{config}", "--weights", "{model}",
-        "--ratios", "0,1", "--finetune-steps", "1",
-    ],
-}
+_EVERY_COMMAND = digest.COMMANDS
 
 
 @pytest.fixture(scope="module")
 def stamped_inputs(tmp_path_factory):
     """Run configs at 0 epochs for every task, a saved model and a pattern
-    matrix; returns a function from a command's name to its argv."""
+    matrix; returns a function from the name of a command, or of one of
+    ``digest.RUNS``, to its argv."""
     tmp = tmp_path_factory.mktemp("stamped")
     _write_task_datasets(tmp)
     config = json.loads((tmp / "run.json").read_text())
@@ -1108,7 +1098,7 @@ def stamped_inputs(tmp_path_factory):
             "model": str(tmp / "out" / "model"),
             "x": str(tmp / "x.csv"),
         }
-        return [arg.format(**fields) for arg in _EVERY_COMMAND[command]]
+        return [arg.format(**fields) for arg in digest.RUNS[command]]
 
     return argv
 
@@ -1164,6 +1154,19 @@ class TestOutputMetadata:
         assert hashes[0] == hashes[1] != hashes[2]
 
 
+class TestDeterminism:
+    """Every command, and the second mode of ablate, similarity and
+    mix-sweep, writes the same bytes when rerun on the same inputs."""
+
+    @pytest.mark.parametrize("run", digest.RUNS)
+    def test_rerun_gives_the_same_digest(self, stamped_inputs, tmp_path, capsys, run):
+        digests = []
+        for i in range(2):
+            code = main(stamped_inputs(run) + ["--output", str(tmp_path / str(i))])
+            digests.append(digest.digest(tmp_path / str(i), capsys.readouterr().out, code))
+        assert digests[0] == digests[1]
+
+
 class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
@@ -1174,6 +1177,8 @@ class TestArgumentHandling:
             ["similarity", "--config", "run.json", "--eval-batch", "0"],
             ["similarity", "--config", "run.json", "--eval-batch", "-1"],
             ["jacobian", "--trials", "0"],
+            ["jacobian", "--n", "-1"],
+            ["jacobian", "--d", "-2"],
             ["convergence", "--d", "0"],
             ["mix-sweep", "--config", "run.json", "--finetune-steps", "-1"],
             ["mix-sweep", "--config", "run.json", "--seed", "-1"],

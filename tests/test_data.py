@@ -12,6 +12,7 @@ from fpt.data import (
     load_csv,
     load_from_manifest,
     make_windows,
+    mask_count,
     random_mask,
 )
 from fpt.errors import FormatError, InsufficientData, InvalidInput, IoError
@@ -244,6 +245,12 @@ class TestRandomMask:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidInput):
                 random_mask((10, 1), bad, seeded_rng(11))
+
+    def test_masks_at_least_one_cell_as_the_imputation_runner_does(self):
+        """ratio * cells below one half still masks one cell: the runner's
+        count, ``mask_count``, is the only count."""
+        mask = random_mask((96, 1), 0.004, seeded_rng(13)).mask
+        assert int((mask == 0).sum()) == mask_count(0.004, 96) == 1
 
     def test_realized_ratio_within_bound(self):
         rng = seeded_rng(12)

@@ -13,7 +13,6 @@ from fpt.data import (
     TimeSeriesDataset,
     WindowSpec,
     make_windows,
-    mask_with_count,
     window_masks,
 )
 from fpt.errors import InvalidInput, MissingWeights, NumericalFailure
@@ -110,7 +109,15 @@ class TestSamples:
         return TimeSeriesDataset(name="three", values=values)
 
     @staticmethod
-    def _per_channel(ds, wspec, eps, split, mask_counts=None, mask_rng=None):
+    def _window_mask(rng, steps: int, n_masked: int) -> np.ndarray:
+        """One window's mask by its definition: 1 everywhere but the first
+        ``n_masked`` cells of ``rng.permutation(steps)``."""
+        observed = np.ones(steps)
+        observed[rng.permutation(steps)[:n_masked]] = 0.0
+        return observed
+
+    @classmethod
+    def _per_channel(cls, ds, wspec, eps, split, mask_counts=None, mask_rng=None):
         parts = {k: [] for k in ("tokens", "targets", "out_scale", "out_mean", "last", "mask")}
         for ci in range(ds.n_channels):
             inputs, outs = make_windows(replace(ds, values=ds.values[:, ci : ci + 1]), wspec, split)
@@ -120,7 +127,7 @@ class TestSamples:
                 rng_ch = mask_rng.child(ci)
                 observed = np.stack(
                     [
-                        mask_with_count((wspec.lookback, 1), mask_counts, rng_ch.child(wi))[:, 0]
+                        cls._window_mask(rng_ch.child(wi), wspec.lookback, mask_counts)
                         for wi in range(x.shape[0])
                     ]
                 )
@@ -158,7 +165,7 @@ class TestSamples:
         got = window_masks(8, 150, 96, n_masked, rng)
         want = np.stack(
             [
-                mask_with_count((96, 1), n_masked, rng.child(ci).child(wi))[:, 0]
+                self._window_mask(rng.child(ci).child(wi), 96, n_masked)
                 for ci in range(8)
                 for wi in range(150)
             ]
@@ -331,6 +338,27 @@ class TestClassification:
 
         assert trained(0.3) == trained(0.3)
         assert trained(0.3) != trained(0.0)
+
+    @pytest.mark.parametrize(
+        "split, sizes",
+        [(SplitSpec(0.6, 0.2, 0.2), [17, 5, 7]), (SplitSpec(0.75, 0.0, 0.25), [21, 0, 8])],
+    )
+    def test_series_split_is_the_split_spec_bounds(self, monkeypatch, split, sizes):
+        """The runner cuts its 29 series where ``SplitSpec.bounds`` puts the
+        segments, an empty validation split too."""
+        seen = []
+
+        def counting_train(cfg, tcfg, weights, train, val, rng):
+            seen.append((len(train.labels), len(val.labels)))
+            return train_for_real(cfg, tcfg, weights, train, val, rng)
+
+        train_for_real = tasks._train
+        monkeypatch.setattr(tasks, "_train", counting_train)
+        ds = replace(self._corpus(n_series=29, length=64), split=split)
+        report, _ = run_classification(ds, tiny_backbone(), _tcfg(epochs=0), PATCH)
+        bounds = split.bounds(29)
+        assert [hi - lo for lo, hi in (bounds.train, bounds.val, bounds.test)] == sizes
+        assert seen == [tuple(sizes[:2])] and report.metadata["n_test"] == sizes[2]
 
     def test_test_split_scored_in_eval_chunks(self, monkeypatch):
         rows = []
