@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure, RankDeficient, ShapeError
 from .numerics import (
     EigenDecomposition,
+    check_int,
     check_matrix,
     check_rank,
     finite_diff_grad,
@@ -91,20 +92,6 @@ def attention_objective(x, a) -> float:
     return value
 
 
-def attention_objective_quadratic_trace(x, a) -> float:
-    """The literal trace form tr((I - X^T X A)^2 X^T X).
-
-    Agrees with attention_objective when X^T X A is symmetric (in
-    particular at the closed-form optimum); for arbitrary nonsymmetric A
-    the squared factor differs from the Gram form.
-    """
-    xc = _centered(x)
-    a = _square(a, xc.shape[1])
-    s = xc.T @ xc
-    m = np.eye(s.shape[0]) - s @ a
-    return float(np.trace(m @ m @ s))
-
-
 def optimal_pca_attention(x, m: int) -> PcaAttentionSolution:
     """Closed-form rank-m minimizer of the attention objective.
 
@@ -143,8 +130,10 @@ def bruteforce_rank_m_objective(
     xc = _centered(x)
     d = xc.shape[1]
     check_rank(m, d)
-    if restarts < 1 or steps < 0:
-        raise InvalidInput(f"need restarts >= 1 and steps >= 0, got {restarts} and {steps}")
+    check_int(restarts, "restarts", 1)
+    check_int(steps, "steps", 0)
+    if not (math.isfinite(init_lr) and init_lr > 0):
+        raise InvalidInput(f"init_lr must be finite and > 0, got {init_lr}")
     s = xc.T @ xc
     eye = np.eye(d)
     s2 = -2.0 * s
@@ -211,7 +200,10 @@ def scale_to_spectral_norm(a, target: float) -> np.ndarray:
     return a * (target / norm)
 
 
-def jacobian_bound_check(x, a, h: float = 1e-6) -> JacobianBoundResult:
+_JACOBIAN_FD_STEP = 1e-6  # central-difference step of the exact Jacobian
+
+
+def jacobian_bound_check(x, a) -> JacobianBoundResult:
     """Audit the spectral-norm bound on the Jacobian of softmax(XAX^T)X.
 
     The left side is the spectral norm of the exact (N*D x N*D) Jacobian
@@ -228,7 +220,7 @@ def jacobian_bound_check(x, a, h: float = 1e-6) -> JacobianBoundResult:
         raise InvalidInput(f"N*D = {n * d} exceeds the finite-difference cap of 512")
     a = _square(a, d)
 
-    jac = finite_diff_grad(lambda z: attention_map(z, a), x, h)
+    jac = finite_diff_grad(lambda z: attention_map(z, a), x, _JACOBIAN_FD_STEP)
     lhs = spectral_norm(jac.reshape(n * d, n * d))
 
     p = softmax_rows(x @ a @ x.T)

@@ -49,7 +49,7 @@ from .errors import (
     NumericalFailure,
     ShapeError,
 )
-from .numerics import check_rank, layer_norm_last, softmax, sym_eig
+from .numerics import check_int, check_rank, layer_norm_last, softmax, sym_eig
 from .preprocess import denormalize
 from .rng import RandomStream
 
@@ -82,11 +82,9 @@ class BackboneConfig:
     causal: bool = False
 
     def __post_init__(self):
-        if self.n_layers < 0:
-            raise InvalidInput("n_layers must be >= 0")
+        check_int(self.n_layers, "n_layers", 0)
         for nm in ("d_model", "n_heads", "d_ff", "max_tokens", "patch_len", "head_in", "head_out"):
-            if getattr(self, nm) < 1:
-                raise InvalidInput(f"{nm} must be positive")
+            check_int(getattr(self, nm), nm, 1)
         if self.d_model % self.n_heads != 0:
             raise InvalidInput("n_heads must divide d_model")
         if not 0.0 <= self.dropout < 1.0:
@@ -611,26 +609,16 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
     return y, trace, (x, emb_mask, caches, lnf_cache) if keep else None
 
 
-def forward(
-    store: dict,
-    cfg: BackboneConfig,
-    tokens,
-    mode: str = "softmax",
-    pca_m: int | None = None,
-):
+def forward(store: dict, cfg: BackboneConfig, tokens, pca_m: int | None = None):
     """Run the backbone; returns (head_input, trace).
 
     ``head_input`` is the final-LayerNorm output, shape (B, n_tokens,
     d_model); ``trace`` lists every layer's token outputs starting with the
-    embedding output (n_layers + 1 entries).  mode="pca" replaces each
+    embedding output (n_layers + 1 entries).  A rank ``pca_m`` replaces each
     attention sublayer's output with the rank-``pca_m`` principal-component
-    projection of its (token-centered) inputs.  The outputs are in the
-    store's dtype.
+    projection of its (token-centered) inputs; None keeps softmax attention.
+    The outputs are in the store's dtype.
     """
-    if mode not in ("softmax", "pca"):
-        raise InvalidInput("mode must be 'softmax' or 'pca'")
-    if (mode == "pca") != (pca_m is not None):
-        raise InvalidInput("pca_m must be given exactly when mode='pca'")
     y, trace, _ = _blocks(_compute_store(store), cfg, tokens, pca_m=pca_m)
     return y, trace
 

@@ -47,6 +47,7 @@ from .errors import (
     RankDeficient,
 )
 from .metrics import csv_text
+from .numerics import is_number
 from .preprocess import PatchConfig
 from .rng import seeded_rng
 from .tasks import (
@@ -340,19 +341,12 @@ _SCHEMA = (
 )
 
 
-def _is_number(value) -> bool:
-    """A finite float or an integer within float range: JSON parsers accept
-    ``NaN`` and ``Infinity``, which no run config key can mean."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
-
-
 _KINDS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _is_number),
+    float: ("a number", is_number),
     bool: ("bool", lambda v: isinstance(v, bool)),
     str: ("str", lambda v: isinstance(v, str)),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(is_number, v))),
 }
 
 
@@ -652,9 +646,11 @@ def _load_model(args, needs: str):
 
 
 def _cmd_similarity(args) -> int:
+    if (args.mode == "pca") != (args.pca_m is not None):
+        raise InvalidInput("pca_m must be given exactly when mode='pca'")
     v, wspec, patch, _, _, derived, store, dataset = _load_model(args, "similarity analysis")
     probe = _samples(dataset, wspec, patch, v["revin_eps"], "test").tokens[: args.eval_batch]
-    _, trace = forward(store, derived, probe, mode=args.mode, pca_m=args.pca_m)
+    _, trace = forward(store, derived, probe, args.pca_m)
     sims = batch_layer_similarity(trace)
     _write(
         args,

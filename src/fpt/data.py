@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InsufficientData, InvalidInput, IoError
+from .numerics import check_int, is_number
 from .rng import RandomStream
 
 _TIMESTAMP_HEADERS = {"date", "time", "timestamp", "datetime"}
@@ -34,11 +35,11 @@ class SplitSpec:
     test: float = 0.2
 
     def __post_init__(self):
+        if not all(0 <= f < math.inf for f in (self.train, self.val, self.test)):
+            raise InvalidInput("split fractions must be finite and nonnegative")
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
             raise InvalidInput(f"split fractions sum to {total}, expected 1")
-        if min(self.train, self.val, self.test) < 0:
-            raise InvalidInput("split fractions must be nonnegative")
 
     def bounds(self, n: int) -> SplitBounds:
         """The segments of ``n`` ordered items (timesteps or series):
@@ -67,12 +68,9 @@ class WindowSpec:
     stride: int = 1
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise InvalidInput("lookback must be >= 1")
-        if self.horizon < 0:
-            raise InvalidInput("horizon must be >= 0")
-        if self.stride < 1:
-            raise InvalidInput("stride must be >= 1")
+        check_int(self.lookback, "lookback", 1)
+        check_int(self.horizon, "horizon", 0)
+        check_int(self.stride, "stride", 1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ class ImputationMask:
     """Binary mask over a window: 1 = observed, 0 = masked."""
 
     mask: np.ndarray
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -289,11 +286,19 @@ def load_from_manifest(manifest_path, name: str) -> TimeSeriesDataset:
         raise FormatError(f"manifest entry {name!r} must be an object, got {type(entry).__name__}")
     if not isinstance(entry.get("path"), str):
         raise FormatError(f"manifest entry {name!r} needs a string path")
+    label_column = entry.get("label_column")
+    if label_column is not None and not isinstance(label_column, str):
+        raise FormatError(f"manifest entry {name!r}: label_column must be a string")
+    split = entry.get("split", [])
+    if "split" in entry and not (
+        isinstance(split, list) and len(split) == 3 and all(map(is_number, split))
+    ):
+        raise FormatError(f"manifest entry {name!r}: split must be a list of three finite numbers")
     csv_path = Path(entry["path"])
     if not csv_path.is_absolute():
         csv_path = manifest_path.parent / csv_path
-    ds = load_csv(csv_path, CsvSchema(label_column=entry.get("label_column")), name=name)
-    split = SplitSpec(*entry["split"]) if "split" in entry else SplitSpec()
+    ds = load_csv(csv_path, CsvSchema(label_column=label_column), name=name)
+    split = SplitSpec(*split)
     labels = ds.labels
     label_kind = ds.label_kind
     if "labels" in entry:  # per-channel labels (classification corpora)
@@ -395,4 +400,4 @@ def random_mask(shape: tuple[int, int], ratio: float, rng: RandomStream) -> Impu
         raise InvalidInput("mask ratio must be in (0, 1)")
     steps, channels = int(shape[0]), int(shape[1])
     mask = window_masks(1, 1, steps * channels, mask_count(ratio, steps * channels), rng)
-    return ImputationMask(mask=mask.reshape(steps, channels), ratio=ratio)
+    return ImputationMask(mask=mask.reshape(steps, channels))

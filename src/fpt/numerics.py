@@ -12,6 +12,7 @@ machine, numpy build and BLAS kernel, not across them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,9 +33,25 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def is_number(value) -> bool:
+    """A finite float or an integer within float range, bools excluded: JSON
+    parsers accept ``NaN`` and ``Infinity``, which no input number can mean."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+def check_int(value, name: str, low: int) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is a Python or numpy integer
+    (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInput(f"{name} must be >= {low}")
+
+
 def check_rank(m, d: int) -> None:
     """Raise ``InvalidInput`` unless ``m`` is an integer rank in [1, d]."""
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
+    if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
         raise InvalidInput(f"rank m={m} must be an integer in [1, {d}]")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, InvalidInput
+from .numerics import check_int
 
 DEFAULT_EPS = 1e-5
 
@@ -36,8 +37,8 @@ class PatchConfig:
     stride: int
 
     def __post_init__(self):
-        if self.patch_len < 1 or self.stride < 1:
-            raise InvalidInput("patch_len and stride must be positive")
+        check_int(self.patch_len, "patch_len", 1)
+        check_int(self.stride, "stride", 1)
 
     def n_patches(self, length: int) -> int:
         if length < self.patch_len:

@@ -48,8 +48,11 @@ def donor_values(length: int, n_channels: int, rng: RandomStream, noise: float =
     return np.stack(cols, axis=1)
 
 
+_CLASSIFICATION_NOISE = 0.05  # std of the gaussian noise on every class series
+
+
 def classification_values(
-    n_series: int, length: int, rng: RandomStream, noise: float = 0.05
+    n_series: int, length: int, rng: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating sine/square series: (length, n_series) values, labels per series.
 
@@ -64,7 +67,7 @@ def classification_values(
         base = sinusoid(length, period, 1.0, phase) if i % 2 == 0 else square_wave(
             length, period, 1.0, phase
         )
-        cols.append(base + r.normal(length, scale=noise))
+        cols.append(base + r.normal(length, scale=_CLASSIFICATION_NOISE))
         labels.append(i % 2)
     return np.stack(cols, axis=1), np.array(labels, dtype=np.int64)
 

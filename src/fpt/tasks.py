@@ -43,6 +43,7 @@ from .data import (
 )
 from .errors import InsufficientData, InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
+from .numerics import check_int
 from .preprocess import PatchConfig, denormalize, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
 from .synthetic import donor_values
@@ -60,23 +61,22 @@ class TrainConfig:
     ablation: str = "no_pretrain"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidInput("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise InvalidInput("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidInput("learning_rate must be > 0")
-        if self.early_stop_patience < 1:
-            raise InvalidInput("patience must be >= 1")
+        check_int(self.epochs, "epochs", 0)
+        check_int(self.batch_size, "batch_size", 1)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidInput("learning_rate must be finite and > 0")
+        check_int(self.early_stop_patience, "patience", 1)
+        check_int(self.seed, "seed", 0)
         if self.ablation not in ABLATION_ARMS:
             raise InvalidInput(f"ablation must be one of {ABLATION_ARMS}")
 
 
 def _pretrained(weights, cfg: BackboneConfig) -> dict:
     """A store, or a weight container loaded from its path, checked against cfg."""
-    store = weights if isinstance(weights, dict) else load_weights(weights, cfg)
-    validate_store(store, cfg)
-    return store
+    if isinstance(weights, dict):
+        validate_store(weights, cfg)
+        return weights
+    return load_weights(weights, cfg)
 
 
 @dataclass
@@ -99,20 +99,16 @@ def make_ablation(
     if arm not in ABLATION_ARMS:
         raise InvalidInput(f"unknown ablation arm {arm!r}")
     if arm == "gpt0":
-        cfg0 = gpt0_config(cfg)
-        store = init_random(cfg0, rng)
-        return AblationSetup(store, FreezeMask.default_fpt(store), cfg0)
-    if arm in _PRETRAINED_ARMS:
-        if weights is None:
-            raise MissingWeights(f"ablation arm {arm!r} requires pretrained weights")
+        cfg = gpt0_config(cfg)
+    if arm not in _PRETRAINED_ARMS:
+        store = init_random(cfg, rng)
+    elif weights is None:
+        raise MissingWeights(f"ablation arm {arm!r} requires pretrained weights")
+    else:
         store = _pretrained(weights, cfg)
-        if arm == "fpt":
-            return AblationSetup(store, FreezeMask.default_fpt(store), cfg)
-        return AblationSetup(store, FreezeMask.all_trainable(store), cfg)
-    store = init_random(cfg, rng)
-    if arm == "no_pretrain_freeze":
-        return AblationSetup(store, FreezeMask.default_fpt(store), cfg)
-    return AblationSetup(store, FreezeMask.all_trainable(store), cfg)
+    full = arm in ("no_freeze", "no_pretrain")  # the arms that train every tensor
+    mask = FreezeMask.all_trainable(store) if full else FreezeMask.default_fpt(store)
+    return AblationSetup(store, mask, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +615,8 @@ def synthetic_pretrain(
 ) -> dict:
     """Train a donor backbone on a procedurally generated corpus so that the
     freeze/transfer arms have stand-in pretrained weights."""
-    if length < 1 or n_channels < 1:
-        raise InvalidInput("donor length and n_channels must be >= 1")
+    check_int(length, "donor length", 1)
+    check_int(n_channels, "donor n_channels", 1)
     rng = seeded_rng(tcfg.seed).child(777)
     values = donor_values(length, n_channels, rng, noise=noise)
     donor = TimeSeriesDataset(name="synthetic-donor", values=values)

@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from fpt.analysis import (
     attention_map,
     attention_mean_convergence,
     attention_objective,
-    attention_objective_quadratic_trace,
     batch_layer_similarity,
     bruteforce_rank_m_objective,
     conditioned_least_squares_problem,
@@ -25,13 +25,13 @@ from fpt.analysis import (
     sgd_rate_experiment,
 )
 from fpt.backbone import forward, init_random
-from fpt.data import TimeSeriesDataset, WindowSpec
+from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec
 from fpt.errors import InvalidInput, RankDeficient, ShapeError
 from fpt.numerics import finite_diff_grad, sym_eig
 from fpt.preprocess import PatchConfig, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid
-from fpt.tasks import mixed_weights_similarity_sweep
+from fpt.tasks import TrainConfig, mixed_weights_similarity_sweep, synthetic_pretrain
 
 
 class TestTokenSimilarity:
@@ -83,7 +83,7 @@ class TestTokenSimilarity:
         store = init_random(cfg, seeded_rng(40))
         tokens = seeded_rng(41).normal((3, 6, cfg.patch_len))
         _, trace_soft = forward(store, cfg, tokens)
-        _, trace_pca = forward(store, cfg, tokens, mode="pca", pca_m=2)
+        _, trace_pca = forward(store, cfg, tokens, pca_m=2)
         assert [t.shape for t in trace_pca] == [t.shape for t in trace_soft]
         sims = batch_layer_similarity(trace_pca)
         assert len(sims) == cfg.n_layers + 1
@@ -103,22 +103,6 @@ class TestAttentionObjective:
         x = seeded_rng(3).normal((12, 4))
         sol = optimal_pca_attention(x, 4)
         assert sol.objective <= 1e-8
-
-    def test_quadratic_trace_matches_for_symmetric(self):
-        rng = seeded_rng(4)
-        x = rng.normal((9, 5))
-        a = rng.normal((5, 5))
-        a = (a + a.T) / 2
-        assert attention_objective(x, a) == pytest.approx(
-            attention_objective_quadratic_trace(x, a), rel=1e-8
-        )
-
-    def test_quadratic_trace_matches_at_optimum(self):
-        x = seeded_rng(5).normal((8, 3))
-        sol = optimal_pca_attention(x, 2)
-        assert attention_objective_quadratic_trace(x, sol.a_star) == pytest.approx(
-            sol.objective, rel=1e-8
-        )
 
 
 class TestOptimalPcaAttention:
@@ -549,8 +533,8 @@ def test_spectral_norm_target_must_be_finite_and_nonnegative(target):
 _PATTERNS = seeded_rng(4).normal((6, 3))
 
 # One malformed argument per public analysis or preprocess function (and the
-# PCA mode of the backbone's forward pass), and the typed error it raises in
-# place of a raw numpy error or a silent no-op.
+# PCA rank of the backbone's forward pass), or per field of a run record, and
+# the typed error it raises in place of a raw numpy error or a silent no-op.
 _MALFORMED_CALLS = {
     "pca-rank-not-an-integer": (InvalidInput, lambda: optimal_pca_attention(_PATTERNS, 1.5)),
     "oracle-zero-restarts": (
@@ -572,13 +556,37 @@ _MALFORMED_CALLS = {
         InvalidInput,
         lambda: patchify_windows(np.zeros(16), PatchConfig(4, 4)),
     ),
+    "pca-rank-true": (InvalidInput, lambda: optimal_pca_attention(_PATTERNS, True)),
+    "oracle-steps-2.5": (
+        InvalidInput,
+        lambda: bruteforce_rank_m_objective(_PATTERNS, 1, seeded_rng(0), steps=2.5),
+    ),
+    **{
+        f"oracle-init-lr-{lr}": (
+            InvalidInput,
+            partial(bruteforce_rank_m_objective, _PATTERNS, 1, seeded_rng(0), steps=1, init_lr=lr),
+        )
+        for lr in (0.0, math.nan, -1.0)
+    },
+    "train-learning-rate-inf": (InvalidInput, lambda: TrainConfig(learning_rate=math.inf)),
+    "train-epochs-1.5": (InvalidInput, lambda: TrainConfig(epochs=1.5)),
+    "train-batch-size-true": (InvalidInput, lambda: TrainConfig(batch_size=True)),
+    "window-lookback-48.5": (InvalidInput, lambda: WindowSpec(48.5, 12)),
+    "patch-len-8.0": (InvalidInput, lambda: PatchConfig(8.0, 4)),
+    "backbone-d-model-16.0": (InvalidInput, lambda: tiny_backbone(d_model=16.0)),
+    "split-nan": (InvalidInput, lambda: SplitSpec(math.nan, 0.1, 0.2)),
+    "donor-length-100.5": (
+        InvalidInput,
+        lambda: synthetic_pretrain(
+            tiny_backbone(), WindowSpec(48, 12), PatchConfig(8, 4), TrainConfig(), length=100.5
+        ),
+    ),
     "pca-forward-rank-not-an-integer": (
         InvalidInput,
         lambda: forward(
             init_random(tiny_backbone(), seeded_rng(0)),
             tiny_backbone(),
             np.zeros((1, 3, 8)),
-            mode="pca",
             pca_m=1.5,
         ),
     ),

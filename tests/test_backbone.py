@@ -295,7 +295,7 @@ class TestForward:
         cfg = tiny_backbone(n_layers=1)
         store = init_random(cfg, seeded_rng(7), dtype=dtype)
         tokens = seeded_rng(8).normal((1, 6, cfg.patch_len))
-        out_pca, trace_pca = forward(store, cfg, tokens, mode="pca", pca_m=cfg.d_model)
+        out_pca, trace_pca = forward(store, cfg, tokens, pca_m=cfg.d_model)
 
         # reference: attention sublayer replaced by identity-on-span (token centering)
         p = {k: v.astype(np.float64) for k, v in store.items()}
@@ -325,11 +325,11 @@ class TestForward:
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(4))
         tokens = seeded_rng(5).normal((5, 6, cfg.patch_len))
-        for mode, pca_m in (("softmax", None), ("pca", 2)):
-            out, trace = forward(store, cfg, tokens, mode=mode, pca_m=pca_m)
+        for pca_m in (None, 2):
+            out, trace = forward(store, cfg, tokens, pca_m)
             for i in range(tokens.shape[0]):
                 row = slice(i, i + 1)
-                row_out, row_trace = forward(store, cfg, tokens[row], mode=mode, pca_m=pca_m)
+                row_out, row_trace = forward(store, cfg, tokens[row], pca_m)
                 assert np.abs(row_out - out[row]).max() <= 1e-12
                 for layer, row_layer in zip(trace, row_trace):
                     assert np.abs(row_layer - layer[row]).max() <= 1e-12
@@ -355,25 +355,13 @@ class TestForward:
             loss_and_grads(store, cfg, Batch(tokens=sample, targets=np.zeros((1, 2))))
         assert predict(store, cfg, sample[None]).shape == (1, 2)
 
-    def test_pca_mode_needs_rank(self):
-        cfg = tiny_backbone()
-        store = init_random(cfg, seeded_rng(7))
-        with pytest.raises(InvalidInput):
-            forward(store, cfg, np.zeros((1, 3, cfg.patch_len)), mode="pca")
-
-    def test_softmax_mode_rejects_pca_rank(self):
-        cfg = tiny_backbone()
-        store = init_random(cfg, seeded_rng(7))
-        with pytest.raises(InvalidInput, match="pca_m must be given exactly when mode='pca'"):
-            forward(store, cfg, np.zeros((1, 3, cfg.patch_len)), pca_m=2)
-
     def test_pca_mode_rejects_nan_tokens(self):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(7))
         tokens = seeded_rng(8).normal((2, 3, cfg.patch_len))
         tokens[1, 0, 0] = np.nan
         with pytest.raises(InvalidInput):
-            forward(store, cfg, tokens, mode="pca", pca_m=2)
+            forward(store, cfg, tokens, pca_m=2)
 
 
 class TestKernels:
@@ -749,11 +737,11 @@ class TestComputeDtype:
         dtypes = [a.dtype for a in _arrays(tape)]
         assert len(dtypes) > 20 and set(dtypes) == {np.dtype(np.float32)}
 
-    @pytest.mark.parametrize("mode, pca_m", [("softmax", None), ("pca", 4)])
-    def test_forward_trace_is_in_the_store_dtype(self, mode, pca_m):
+    @pytest.mark.parametrize("pca_m", [None, 4], ids=["softmax-None", "pca-4"])
+    def test_forward_trace_is_in_the_store_dtype(self, pca_m):
         cfg = tiny_backbone()
         store = init_random(cfg, seeded_rng(2))
-        out, trace = forward(store, cfg, seeded_rng(3).normal((4, 6, cfg.patch_len)), mode, pca_m)
+        out, trace = forward(store, cfg, seeded_rng(3).normal((4, 6, cfg.patch_len)), pca_m)
         assert [a.dtype for a in (out, *trace)] == [np.float32] * (cfg.n_layers + 2)
 
     def test_predict_is_in_the_store_dtype(self):

@@ -406,7 +406,20 @@ class TestIngestionFuzz:
         (error,) = ingest("anomaly", "t,x,x,label", rows, self._ANOMALY)
         assert "'x' is repeated" in error
 
-    @pytest.mark.parametrize("entry", [5, {"path": 5}], ids=json.dumps)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            5,
+            {"path": 5},
+            {**_ANOMALY, "split": [float("nan"), 0.1, 0.2]},
+            {**_ANOMALY, "split": ["a", "b", "c"]},
+            {**_ANOMALY, "split": 5},
+            {**_ANOMALY, "split": [0.7, 0.1, 0.2, 0.0]},
+            {**_ANOMALY, "split": {"train": 0.7}},
+            {**_ANOMALY, "label_column": ["label"]},
+        ],
+        ids=json.dumps,
+    )
     def test_malformed_manifest_entry_exits_2(self, ingest, entry):
         ingest("anomaly", "t,x,label", _stamped_rows(400), entry)
 
@@ -1273,6 +1286,16 @@ class TestArgumentHandling:
         assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
         capsys.readouterr()
         argv = ["analyze", "similarity", "--config", str(cfg_path), "--pca-m", "2"]
+        argv += ["--weights", str(tmp / "out" / "model"), "--output", str(tmp / "sim")]
+        assert main(argv) == 2
+        message = "error: InvalidInput: pca_m must be given exactly when mode='pca'"
+        assert _error_lines(capsys) == [message]
+
+    def test_pca_mode_without_rank_exits_2(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "out")]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "similarity", "--config", str(cfg_path), "--mode", "pca"]
         argv += ["--weights", str(tmp / "out" / "model"), "--output", str(tmp / "sim")]
         assert main(argv) == 2
         message = "error: InvalidInput: pca_m must be given exactly when mode='pca'"

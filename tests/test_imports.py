@@ -1,6 +1,7 @@
 """Static checks, with the stdlib ``ast`` module only: every name a module
-of the package imports is used in that module, and every module-level
-private helper is used somewhere in the package."""
+of the package imports is used in that module, every module-level private
+helper is used somewhere in the package, and every defaulted parameter is
+passed by some caller."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,63 @@ def test_the_check_sees_an_orphaned_helper():
         "def _orphan():\n    pass\n",
     }
     assert _orphaned_helpers(sources) == {"a.py": ["_self_only"], "b.py": ["_orphan"]}
+
+
+_CALLERS = [
+    path
+    for folder in ("src/fpt", "tests", "tools", "perfbench")
+    for path in sorted((Path(__file__).resolve().parents[1] / folder).rglob("*.py"))
+]
+
+
+def _unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``function(parameter)`` for every defaulted parameter of a ``def`` in
+    ``defining`` that no call in ``calling`` passes by keyword, by position
+    or through ``*``/``**``.  Calls match a def by name alone; a method's
+    positions skip ``self``, and ``__init__`` is called by its class name."""
+    passed = set()  # (callee name, a keyword, a position, "*" or "**")
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for i, arg in enumerate(call.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            passed.update((name, k.arg or "**") for k in call.keywords)
+    unpassed = []
+    for source in defining:
+        tree = ast.parse(source)
+        methods = {
+            f: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            name = methods[f] if f.name == "__init__" else f.name
+            skip = int(f in methods)
+            params = f.args.posonlyargs + f.args.args
+            first = len(params) - len(f.args.defaults)
+            defaulted = [(p.arg, i - skip) for i, p in enumerate(params) if i >= first]
+            defaulted += [
+                (p.arg, None) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d
+            ]
+            for param, position in defaulted:
+                if not {(name, param), (name, position), (name, "*"), (name, "**")} & passed:
+                    unpassed.append(f"{f.name}({param})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    sources = [p.read_text(encoding="utf-8") for p in _CALLERS]
+    assert _unpassed_defaults([p.read_text(encoding="utf-8") for p in _MODULES], sources) == []
+
+
+def test_the_check_sees_an_unpassed_default():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+        "def g(u=0):\n    pass\n"
+    )
+    calling = "f(0, 1, e=5)\nK(1)\nk.m(z=2)\ng(*args)\n"
+    assert _unpassed_defaults([defining], [calling]) == ["f(c)", "f(d)", "m(y)"]

@@ -80,6 +80,11 @@ def test_train_config_allows_zero_epochs():
     assert _tcfg(epochs=0).epochs == 0
 
 
+def test_run_records_take_numpy_integers():
+    assert WindowSpec(np.int64(48), np.int32(12)).lookback == 48
+    assert _tcfg(epochs=np.int64(2)).epochs == 2
+
+
 @pytest.mark.parametrize("max_steps", [0, 3])
 def test_fit_runs_exactly_the_step_budget(max_steps):
     cfg = _derive_config(tiny_backbone(), PATCH, WSPEC.lookback, WSPEC.horizon)
