@@ -264,11 +264,12 @@ def attention_mean_convergence(
     if not wq.shape[0] == wk.shape[0] == wv.shape[0] == d or wq.shape != wk.shape:
         shapes = f"{wq.shape}, {wk.shape} and {wv.shape}"
         raise ShapeError(f"wq, wk and wv need {d} rows, and wq the shape of wk; got {shapes}")
+    for n in n_grid:
+        check_int(n, "n_grid size", 1)
+    check_int(trials, "trials", 1)
     ns = sorted(int(n) for n in n_grid)
-    if len(ns) < 3 or ns[0] < 1 or ns[-1] < 10 * ns[0]:
+    if len(ns) < 3 or ns[-1] < 10 * ns[0]:
         raise InvalidInput("n_grid needs >= 3 sizes spanning at least one decade")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
     a = wq @ wk.T
     target = mu @ wv
     points = []

@@ -34,6 +34,7 @@ row-major, no padding.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -383,21 +384,24 @@ def _gelu_bwd(dg, u, t):
     return dt
 
 
-def _ln_bwd(dy, cache):
+def _ln_bwd(dy, cache, *into):
     """``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
-    ``dxhat = dy * gamma``, plus the gamma and beta gradients."""
+    ``dxhat = dy * gamma``, and the gamma and beta gradients.  Returns (dx,
+    dgamma, dbeta), or, given ``into = (grads, wanted, prefix)``, dx alone,
+    with the gradients of ``prefix + "gamma"`` and ``prefix + "beta"`` set
+    through ``_set_grad``.  It writes into no array it hands on."""
     xhat, inv, gamma = cache
+    grads, wanted, prefix = into or ({}, None, "")
     d = dy.shape[-1]
-    tmp = dy * xhat
-    dgamma = _colsum(tmp)
-    dbeta = _colsum(dy)
+    _set_grad(grads, wanted, prefix + "gamma", _colsum, dy * xhat)
+    _set_grad(grads, wanted, prefix + "beta", _colsum, dy)
     dx = dy * gamma
     m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d  # np.mean's own steps
-    m2 = np.add.reduce(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dx * xhat, axis=-1, keepdims=True) / d
     dx -= m1
-    dx -= np.multiply(xhat, m2, out=tmp)
+    dx -= xhat * m2
     dx *= inv
-    return dx, dgamma, dbeta
+    return dx if into else (dx, grads["gamma"], grads["beta"])
 
 
 def _mm(a, w, b=None):
@@ -457,8 +461,8 @@ def _attn_fwd(x, p, prefix, cfg):
 
 def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     x, qkv, wqkv, probs, ctx, scale = cache
-    _set_grad(grads, wanted, prefix + "attn.wo", lambda: _wgrad(ctx, dout))
-    _set_grad(grads, wanted, prefix + "attn.bo", lambda: _colsum(dout))
+    _set_grad(grads, wanted, prefix + "attn.wo", _wgrad, ctx, dout)
+    _set_grad(grads, wanted, prefix + "attn.bo", _colsum, dout)
     del ctx
     dctx = _heads(_mm(dout, p[prefix + "attn.wo"].T), cfg)[0]
     qh, kh, vh = _heads(qkv, cfg)
@@ -475,18 +479,39 @@ def _attn_bwd(dout, cache, p, prefix, cfg, grads, wanted):
     np.matmul(dz.transpose(1, 2, 3, 0), kh, out=dqh)
     np.matmul(dz.transpose(1, 2, 0, 3), qh, out=dkh)
     del dprobs, dz, qkv, qh, kh, vh
-    fused = {prefix + "attn." + t + s for t in "wb" for s in "qkv"}
-    if wanted is None or not fused.isdisjoint(wanted):  # none under the fpt freeze
-        dw, db, d = _wgrad(x, dqkv), _colsum(dqkv), cfg.d_model
-        for i, s in enumerate("qkv"):
-            _set_grad(grads, wanted, prefix + "attn.w" + s, lambda i=i: dw[:, i * d : (i + 1) * d])
-            _set_grad(grads, wanted, prefix + "attn.b" + s, lambda i=i: db[i * d : (i + 1) * d])
+    # one GEMM and one column sum for q, k and v together; none under the fpt freeze
+    _set_grad(grads, wanted, tuple(prefix + "attn.w" + s for s in "qkv"), _wgrad, x, dqkv)
+    _set_grad(grads, wanted, tuple(prefix + "attn.b" + s for s in "qkv"), _colsum, dqkv)
     return _mm(dqkv, wqkv.T)
 
 
-def _set_grad(grads, wanted, name, fn):
-    if wanted is None or name in wanted:
-        grads[name] = fn()
+def _set_grad(grads, wanted, names, fn, *operands):
+    """Set the gradient ``names`` to ``fn(*operands)``, unless none of them
+    is wanted (None wants every name).  ``names`` is one name or a tuple of
+    names that split the last axis of the result evenly, as a fused product
+    does.
+
+    ``grads`` is a dict, set at once, or a sink that defers the product
+    (``fpt.worker``): the ``_RowGrads`` of a two-process step, which copies
+    this process's rows of the operands and runs ``fn`` over the whole
+    batch's rows once both processes have, or the ``_Operands`` of
+    ``_split_is_exact``.
+    """
+    names = (names,) if isinstance(names, str) else names
+    if wanted is not None and wanted.isdisjoint(names):
+        return
+    if isinstance(grads, dict):
+        _keep(grads, wanted, names, fn(*operands))
+    else:
+        grads.defer(names, fn, operands)
+
+
+def _keep(grads, wanted, names, g):
+    """Store the wanted parts of the gradient ``g`` of ``names`` (see ``_set_grad``)."""
+    width = g.shape[-1] // len(names)
+    for i, name in enumerate(names):
+        if wanted is None or name in wanted:
+            grads[name] = g[..., i * width : (i + 1) * width]
 
 
 def _pca_attention_out(x, m):
@@ -521,7 +546,11 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
         ln1_cache = attn_cache = None
     a2, ln2_cache = layer_norm_last(h, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"], LN_EPS)
     u = _mm(a2, p[prefix + "mlp.w1"], p[prefix + "mlp.b1"])
+    if not keep:  # and each MLP buffer once read: the GELU's own buffers peak eval memory
+        a2 = ln2_cache = None
     g, tanh_cache = _gelu(u)
+    if not keep:
+        u = tanh_cache = None
     mlp_out, mlp_mask = dropout(_mm(g, p[prefix + "mlp.w2"], p[prefix + "mlp.b2"]))
     h = np.add(mlp_out, h, out=mlp_out)
     if not keep:
@@ -531,7 +560,8 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
 
 def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
     """Backward of one ``_block`` from the gradient ``dh`` of its output;
-    returns the gradient of its input (``dh`` itself, added into).
+    returns the gradient of its input.  It writes into no array it hands to
+    ``_set_grad``, so a two-process step may keep them as they are.
 
     ``cache`` is the block's tape, popped by the caller, so this frame holds
     the only reference to it and every buffer goes right after its last read.
@@ -539,33 +569,28 @@ def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
     ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = cache
     del cache
     dmlp_out = dh if mlp_mask is None else dh * mlp_mask
-    _set_grad(grads, wanted, prefix + "mlp.w2", lambda: _wgrad(g, dmlp_out))
+    _set_grad(grads, wanted, prefix + "mlp.w2", _wgrad, g, dmlp_out)
     del g, mlp_mask
-    _set_grad(grads, wanted, prefix + "mlp.b2", lambda: _colsum(dmlp_out))
+    _set_grad(grads, wanted, prefix + "mlp.b2", _colsum, dmlp_out)
     dg = _mm(dmlp_out, p[prefix + "mlp.w2"].T)
     del dmlp_out
     du = _gelu_bwd(dg, u, tanh_cache)
     del u, tanh_cache, dg
-    _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
-    _set_grad(grads, wanted, prefix + "mlp.b1", lambda: _colsum(du))
+    _set_grad(grads, wanted, prefix + "mlp.w1", _wgrad, a2, du)
+    _set_grad(grads, wanted, prefix + "mlp.b1", _colsum, du)
     da2 = _mm(du, p[prefix + "mlp.w1"].T)
     del a2, du
-    dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
+    dh_ln2 = _ln_bwd(da2, ln2_cache, grads, wanted, prefix + "ln2.")
     del da2, ln2_cache
-    _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
-    _set_grad(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
-    dh += dh_ln2
+    dh = np.add(dh_ln2, dh, out=dh_ln2)  # dh itself may be an operand
     del dh_ln2
     dattn_out = dh if attn_mask is None else dh * attn_mask
     del attn_mask
     da1 = _attn_bwd(dattn_out, attn_cache, p, prefix, cfg, grads, wanted)
     del dattn_out, attn_cache
-    dh_ln1, dgamma, dbeta = _ln_bwd(da1, ln1_cache)
+    dh_ln1 = _ln_bwd(da1, ln1_cache, grads, wanted, prefix + "ln1.")
     del da1, ln1_cache
-    _set_grad(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
-    _set_grad(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
-    dh += dh_ln1
-    return dh
+    return np.add(dh_ln1, dh, out=dh_ln1)
 
 
 def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=False):
@@ -575,9 +600,9 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
 
     Tokens are (B, n, patch_len).  Returns (y, trace, tape): the final-LN
     output (B, n, d_model), then either every layer's token outputs starting
-    with the embedding (tape None) or, when ``keep``, the (tokens, embedding
-    dropout mask, block caches, final-LN cache) tape of the backward pass
-    (trace None).  ``pca_m`` swaps attention for its rank-``pca_m`` PCA
+    with the embedding (tape None) or, when ``keep``, the [tokens, embedding
+    dropout mask, block caches, final-LN cache] tape of the backward pass
+    (trace None), a list ``_backbone_bwd`` empties as it reads it.  ``pca_m`` swaps attention for its rank-``pca_m`` PCA
     projection; dropout fires only when ``dropout_rng`` is given.
     """
     x = np.asarray(tokens, dtype=p["input_embedding.w"].dtype)
@@ -606,7 +631,7 @@ def _blocks(p, cfg: BackboneConfig, tokens, pca_m=None, dropout_rng=None, keep=F
         else:
             trace.append(h)
     y, lnf_cache = layer_norm_last(h, p["ln_f.gamma"], p["ln_f.beta"], LN_EPS)
-    return y, trace, (x, emb_mask, caches, lnf_cache) if keep else None
+    return y, trace, [x, emb_mask, caches, lnf_cache] if keep else None
 
 
 def forward(store: dict, cfg: BackboneConfig, tokens, pca_m: int | None = None):
@@ -643,14 +668,17 @@ def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
     dtype.
 
     Runs ``_EVAL_CHUNK`` windows per forward pass, so peak memory does not
-    grow with B.
+    grow with B.  In a two-process fit (a validation pass) the step's shared
+    buffers leave this process first and the heap the pass freed goes back
+    after it, so neither adds to the other's peak.
     """
     p = _compute_store(store)
     x = np.atleast_1d(tokens)
     chunks = range(0, max(len(x), 1), _EVAL_CHUNK)  # an empty batch still has a shape
-    return np.concatenate(
-        [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
-    )
+    with _WORKER.aside() if _WORKER is not None else contextlib.nullcontext():
+        return np.concatenate(
+            [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
+        )
 
 
 def _loss_and_dout(out, batch: Batch):
@@ -709,6 +737,11 @@ def _scaled_dout(out, batch: Batch):
     return value, np.ldexp(dout, -k).astype(out.dtype, copy=False), k
 
 
+# The worker process of the two-process fit in progress, which
+# ``fpt.worker.fit_on_two_cores`` sets for the fit; None otherwise.
+_WORKER = None
+
+
 def loss_and_grads(
     store: dict,
     cfg: BackboneConfig,
@@ -726,18 +759,41 @@ def loss_and_grads(
     backward pass frees the tape as it reads it: each block's cache is
     popped as that block's backward starts and every buffer is dropped after
     its last read, so live memory falls through the pass instead of rising.
+
+    During a two-process fit (``fpt.worker.fit_on_two_cores``) the rows
+    [ceil(B/2), B) run in its worker process, concurrently with the rest: the forward pass to the final
+    LayerNorm and the backward pass from it.  The head, the loss and its
+    gradient run here on the whole batch, and each weight gradient is still
+    one GEMM or sum over all B rows, so every bit of the result is the one
+    this process computes alone.
     """
     p = _compute_store(store)
-    y, _, (x, emb_mask, caches, lnf_cache) = _blocks(
-        p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True
-    )
+    worker = _WORKER if _WORKER is not None and _WORKER.fits(p, cfg, batch.tokens) else None
+    try:
+        return _step(p, cfg, batch, wanted, dropout_rng, worker)
+    except BaseException:
+        if worker is not None:  # it may be mid-step: it serves no other
+            worker.close(kill=True)
+        raise
+
+
+def _step(p, cfg, batch, wanted, dropout_rng, worker):
+    """``loss_and_grads`` on the compute store ``p``, with every row here
+    when ``worker`` is None."""
+    if worker is None:
+        tokens, drops, grads, h = batch.tokens, dropout_rng, {}, None
+    else:
+        tokens, drops, grads, h = worker.start(p, cfg, batch.tokens, wanted, dropout_rng)
+    y, _, tape = _blocks(p, cfg, tokens[:h], dropout_rng=drops, keep=True)
+    if worker is not None:
+        y = worker.gather(y)
     out, flat = _head_fwd(y, p, cfg)
     value, dout, k = _scaled_dout(out, batch)
     del out
 
-    grads: dict[str, np.ndarray] = {}
-    _set_grad(grads, wanted, "output_head.w", lambda: _wgrad(flat, dout))
-    _set_grad(grads, wanted, "output_head.b", lambda: _colsum(dout))
+    head: dict[str, np.ndarray] = {}
+    _set_grad(head, wanted, "output_head.w", _wgrad, flat, dout)
+    _set_grad(head, wanted, "output_head.b", _colsum, dout)
     dflat = _mm(dout, p["output_head.w"].T)
     shape = y.shape
     del dout, flat, y
@@ -745,26 +801,42 @@ def loss_and_grads(
         dy = dflat.reshape(shape)
     else:
         dy = np.repeat(dflat[:, None, :], shape[1], axis=1) / shape[1]
-    dh, dgamma, dbeta = _ln_bwd(dy, lnf_cache)
-    del dflat, dy, lnf_cache
-    _set_grad(grads, wanted, "ln_f.gamma", lambda: dgamma)
-    _set_grad(grads, wanted, "ln_f.beta", lambda: dbeta)
+    del dflat
+    if worker is not None:
+        worker.scatter(dy)
+    _backbone_bwd(dy[:h], tape, p, cfg, grads, wanted)
+    grads = _unscaled(grads, k) if worker is None else worker.reduce(grads, k)
+    return value, {**_unscaled(head, k), **grads}
 
+
+def _unscaled(grads: dict, k: int) -> dict:
+    """The gradients times 2**k, in float64 (see ``_scaled_dout``)."""
+    return {n: np.ldexp(g, k, dtype=np.float64) for n, g in grads.items()}
+
+
+def _backbone_bwd(dy, tape, p, cfg: BackboneConfig, grads, wanted) -> None:
+    """The backward pass from ``dy``, the gradient of the final LayerNorm's
+    output, down to the embedding, over the rows of the ``_blocks`` tape
+    ``tape``, which it empties; sets every gradient below the head through
+    ``_set_grad``."""
+    x, emb_mask, caches, lnf_cache = tape
+    tape.clear()
+    dh = _ln_bwd(dy, lnf_cache, grads, wanted, "ln_f.")
+    del dy, lnf_cache
     for i in reversed(range(cfg.n_layers)):
         dh = _block_bwd(dh, caches.pop(), p, f"blocks.{i}.", cfg, grads, wanted)
-
     if emb_mask is not None:
         dh = dh * emb_mask
-    _set_grad(grads, wanted, "input_embedding.w", lambda: _wgrad(x, dh))
-    _set_grad(grads, wanted, "input_embedding.b", lambda: _colsum(dh))
+    _set_grad(grads, wanted, "input_embedding.w", _wgrad, x, dh)
+    _set_grad(grads, wanted, "input_embedding.b", _colsum, dh)
+    table = p["pos_embedding"]
 
-    def dpos():
-        g_full = np.zeros_like(p["pos_embedding"])
-        g_full[: x.shape[1]] = dh.sum(axis=0)
+    def dpos(dh):
+        g_full = np.zeros_like(table)
+        g_full[: dh.shape[1]] = dh.sum(axis=0)
         return g_full
 
-    _set_grad(grads, wanted, "pos_embedding", dpos)
-    return value, {n: np.ldexp(g, k, dtype=np.float64) for n, g in grads.items()}
+    _set_grad(grads, wanted, "pos_embedding", dpos, dh)
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8

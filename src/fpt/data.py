@@ -375,7 +375,10 @@ def few_shot_subset(
 
 def mask_count(ratio: float, cells: int) -> int:
     """The number of cells a mask of ``ratio`` hides among ``cells``:
-    round(ratio * cells), halves rounded up, and at least one."""
+    round(ratio * cells), halves rounded up, and at least one.  A ratio
+    outside (0, 1), NaN included, raises ``InvalidInput``."""
+    if not 0.0 < ratio < 1.0:
+        raise InvalidInput(f"mask ratio must be in (0, 1), got {ratio!r}")
     return max(1, int(math.floor(ratio * cells + 0.5)))
 
 
@@ -396,8 +399,6 @@ def window_masks(
 def random_mask(shape: tuple[int, int], ratio: float, rng: RandomStream) -> ImputationMask:
     """Mask ``mask_count(ratio, cells)`` of a (steps, channels) window's
     cells, drawn by ``window_masks`` as one row of steps * channels cells."""
-    if not 0.0 < ratio < 1.0:
-        raise InvalidInput("mask ratio must be in (0, 1)")
     steps, channels = int(shape[0]), int(shape[1])
     mask = window_masks(1, 1, steps * channels, mask_count(ratio, steps * channels), rng)
     return ImputationMask(mask=mask.reshape(steps, channels))

@@ -7,6 +7,7 @@ overlapping) fixed-length segments used as tokens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,6 @@ def revin_normalize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, InstanceSt
     v = np.asarray(x, dtype=np.float64).ravel()
     if v.size < 1:
         raise InvalidInput("window must contain at least one value")
-    if eps < 0:
-        raise InvalidInput("eps must be nonnegative")
     if not np.all(np.isfinite(v)):
         raise InvalidInput("window contains non-finite values")
     norm, means, _ = normalize_windows(v[None, :], eps)
@@ -92,9 +91,12 @@ def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
     """Standardize each row of a (batch, length) array by its own mean and
     variance; rows with zero variance and eps=0 map to all-zeros.
 
-    Returns (normalized, means, std_effs) with per-row statistics.  A row
-    whose variance overflows float64 raises ``InvalidInput``.
+    Returns (normalized, means, std_effs) with per-row statistics.  An
+    ``eps`` that is not a finite number >= 0, and a row whose variance
+    overflows float64, raise ``InvalidInput``.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InvalidInput(f"eps must be a finite number >= 0, got {eps!r}")
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 2:
         raise InvalidInput("normalize_windows expects a (batch, length) array")

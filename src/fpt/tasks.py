@@ -47,6 +47,7 @@ from .numerics import check_int
 from .preprocess import PatchConfig, denormalize, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
 from .synthetic import donor_values
+from .worker import fit_on_two_cores
 
 ABLATION_ARMS = ("fpt", "no_freeze", "no_pretrain", "no_pretrain_freeze", "gpt0")
 _PRETRAINED_ARMS = ("fpt", "no_freeze")  # the arms that start from supplied weights
@@ -217,30 +218,33 @@ def _fit(
     best_store, best_val, strikes = store, math.inf, 0
     history: dict[str, list[float]] = {"train_first_epoch": [], "val": []}
     steps = 0
-    for epoch in range(tcfg.epochs):
-        order = rng.child(epoch).permutation(len(train.tokens))
-        for lo in range(0, len(order), tcfg.batch_size):
+    # the most rows a step takes, for a worker on a second core; none for a fit with no step
+    rows = min(tcfg.batch_size, len(train.tokens)) if tcfg.epochs > 0 and max_steps > 0 else 0
+    with fit_on_two_cores(store, cfg, rows, train.tokens.shape[1]):
+        for epoch in range(tcfg.epochs):
+            order = rng.child(epoch).permutation(len(train.tokens))
+            for lo in range(0, len(order), tcfg.batch_size):
+                if steps >= max_steps:
+                    break
+                idx = order[lo : lo + tcfg.batch_size]
+                drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
+                value, store = backward_and_step(
+                    store, cfg, train.rows(idx), opt, setup.mask, dropout_rng=drop_rng
+                )
+                if epoch == 0:
+                    history["train_first_epoch"].append(value)
+                steps += 1
             if steps >= max_steps:
                 break
-            idx = order[lo : lo + tcfg.batch_size]
-            drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
-            value, store = backward_and_step(
-                store, cfg, train.rows(idx), opt, setup.mask, dropout_rng=drop_rng
-            )
-            if epoch == 0:
-                history["train_first_epoch"].append(value)
-            steps += 1
-        if steps >= max_steps:
-            break
-        if validate:
-            vl = _eval_loss(store, cfg, val)
-            history["val"].append(vl)
-            if vl < best_val:
-                best_val, best_store, strikes = vl, store, 0
-            else:
-                strikes += 1
-                if strikes >= tcfg.early_stop_patience:
-                    break
+            if validate:
+                vl = _eval_loss(store, cfg, val)
+                history["val"].append(vl)
+                if vl < best_val:
+                    best_val, best_store, strikes = vl, store, 0
+                else:
+                    strikes += 1
+                    if strikes >= tcfg.early_stop_patience:
+                        break
     return (store if best_val == math.inf else best_store), history
 
 

@@ -1,0 +1,493 @@
+"""Training on two cores: a worker process forked for one fit runs the
+second half of every minibatch's rows, and the weights stay the ones one
+process computes, bit for bit.
+
+``fit_on_two_cores`` starts the worker for a fit and ends it; inside it,
+``backbone.loss_and_grads`` splits each step (see there).  The two
+processes share one anonymous ``mmap`` (the arena) for the weights, the
+batch and the rows of gradient operands, and trade short pickled messages
+over two pipes.  Each weight gradient is one GEMM or column sum over all of
+a batch's rows, run by one of the two processes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import math
+import mmap
+import os
+import pickle
+import select
+import signal
+import time
+
+import numpy as np
+
+from . import backbone
+from .backbone import (
+    BackboneConfig,
+    _backbone_bwd,
+    _blocks,
+    _compute_store,
+    _keep,
+    _unscaled,
+    init_random,
+)
+from .rng import RandomStream
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, found
+    by its path in ``/proc/self/maps``, under whichever symbol prefix and
+    suffix the build uses; None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                fn = getattr(lib, f"{prefix}openblas_set_num_threads_local{suffix}", None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+                    return fn
+    return None
+
+
+def _blas_threads(n: int) -> int | None:
+    """Set this process's OpenBLAS thread count to ``n``; returns the count
+    it replaces, or None (changing nothing) when it cannot be set."""
+    setter = _openblas_thread_setter()
+    return None if setter is None else setter(n)
+
+
+def _send(fd: int, msg) -> None:
+    data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    for view in (memoryview(len(data).to_bytes(8, "little")), memoryview(data)):
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+# A process waiting for the other polls its (non-blocking) pipe this long
+# before it sleeps: waking a sleeping process cost 0.1-0.3 ms per hand-over,
+# about 10% of a step at the c09 shape.
+_POLL_S = 0.005
+
+
+def _read(fd: int, size: int) -> bytearray:
+    buf, deadline = bytearray(), time.perf_counter() + _POLL_S
+    while len(buf) < size:
+        try:
+            chunk = os.read(fd, size - len(buf))
+        except BlockingIOError:
+            if time.perf_counter() > deadline:
+                select.select([fd], [], [])
+            continue
+        if not chunk:
+            raise EOFError("the other process closed its pipe")
+        buf += chunk
+    return buf
+
+
+def _recv(fd: int):
+    """The next message ``_send`` wrote to the pipe ``fd``."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+class _Arena:
+    """Arrays in one anonymous shared mapping, handed out in order: two
+    processes that make the same takes from the same ``top`` get the same
+    memory.  Pages no process touches take no memory.
+
+    Batch arrays (``rows``) take room for ``capacity`` rows whatever the
+    batch, so a row keeps its pages from step to step.  Sized by the batch,
+    a short last batch would move every row, and over an epoch each process
+    would come to touch the pages of the other's rows too.
+    """
+
+    def __init__(self, nbytes: int, capacity: int):
+        self.map, self.top, self.capacity = mmap.mmap(-1, nbytes), 0, capacity
+
+    def take(self, shape, dtype) -> np.ndarray:
+        a = np.ndarray(shape, dtype, buffer=self.map, offset=self.top)
+        self.top += -(-a.nbytes // 64) * 64  # every array starts on a cache line
+        return a
+
+    def rows(self, batch: int, shape, dtype) -> np.ndarray:
+        """A (batch, *shape) array at the start of room for ``capacity`` rows."""
+        return self.take((self.capacity, *shape), dtype)[:batch]
+
+    def release(self) -> None:
+        """Unmap every page from this process.  The contents stay in the
+        shared mapping, and the next access maps a page back."""
+        self.map.madvise(mmap.MADV_DONTNEED)
+
+
+def _trim_heap() -> None:
+    """Hand the heap's free pages back to the system (glibc ``malloc_trim``;
+    elsewhere nothing)."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
+class _RowDraws:
+    """The dropout stream of the rows ``rows`` of a batch: its i-th
+    ``uniform`` call returns those rows of the i-th of ``draws``, made at
+    the whole batch's shape in the order ``_blocks`` asks for them."""
+
+    def __init__(self, draws, rows: slice):
+        self.draws, self.rows = iter(draws), rows
+
+    def uniform(self, shape):
+        return next(self.draws)[self.rows]
+
+
+class _RowGrads:
+    """The gradient sink of one two-process step (see ``_set_grad``).
+
+    Each gradient is one job, run by one of the two processes over all
+    ``batch`` rows of its operands.  Jobs go out as they come, each to the
+    process with fewer multiply-adds so far, except that a job sharing an
+    operand with the job before it (a bias after its weight) goes with it;
+    both processes see the same jobs in the same order and make the same
+    assignment.  The other process copies its ``rows`` of the operands
+    into the arena.  The worker (``me`` 1) copies its own rows there too and
+    reduces in place; the parent keeps its own rows as they are (the
+    backward pass writes into none of them) and joins them to the worker's.
+    So the parent touches half of the arena's operand bytes, not three
+    quarters.
+    """
+
+    def __init__(self, arena: _Arena, rows: slice, batch: int, wanted, me: int):
+        self.arena, self.rows, self.batch, self.wanted, self.me = arena, rows, batch, wanted, me
+        self.jobs: list[tuple] = []  # (names, fn, side, [(own rows or None, arena rows)])
+        self.load = [0, 0]
+        self._last = (None, (None, None), 0)  # the last operand, its pair, its job's side
+
+    def defer(self, names, fn, operands) -> None:
+        last, last_pair, side = self._last
+        if not any(a is last for a in operands):
+            side = int(self.load[1] < self.load[0])
+        width = operands[-1].shape[-1] if len(operands) > 1 else 1
+        self.load[side] += math.prod(operands[0].shape[1:]) * width
+        pairs = []
+        for a in operands:
+            if a is not last:
+                buf = self.arena.rows(self.batch, a.shape[1:], a.dtype)
+                kept = side == self.me == 0  # the parent's own rows for its own job
+                if not kept:
+                    buf[self.rows] = a
+                last_pair = (a if kept else None, buf)
+            pairs.append(last_pair)
+        self._last = (operands[-1], pairs[-1], side)
+        self.jobs.append((names, fn, side, pairs))
+
+    def run(self):
+        """(names, gradient) of each job this process runs, over the rows
+        of both processes in row order."""
+        last = (None, None)
+        for names, fn, side, pairs in self.jobs:
+            if side != self.me:
+                continue
+            whole = []
+            for own, buf in pairs:
+                if own is None:
+                    whole.append(buf)
+                    continue
+                if own is not last[0]:
+                    last = (own, np.concatenate((own, buf[self.rows.stop :])))
+                whole.append(last[1])
+            yield names, fn(*whole)
+
+
+class _Operands(list):
+    """A gradient sink that keeps every operand it is given."""
+
+    def defer(self, names, fn, operands) -> None:
+        self.extend(operands)
+
+
+_EXACT_SPLITS: dict[tuple, bool] = {}
+
+
+def _split_is_exact(cfg: BackboneConfig, b: int, n: int, dtype) -> bool:
+    """Whether two passes over the rows [0, ceil(b/2)) and [ceil(b/2), b)
+    give every bit the whole b-row pass gives: the final LayerNorm's output
+    and each gradient operand, on random weights and rows.  BLAS picks a
+    kernel by the shape of each product, and its small-matrix kernels can
+    round a row differently at a different row count, so this is measured
+    once per shape, not assumed."""
+    key = (cfg, b, n, dtype)
+    if key not in _EXACT_SPLITS:
+        rng = RandomStream(b)
+        p = init_random(cfg, rng, dtype=dtype)
+        x = rng.normal((b, n, cfg.patch_len)).astype(dtype)
+        dy = rng.normal((b, n, cfg.d_model)).astype(dtype)
+        h = (b + 1) // 2
+        runs = []
+        for rows in (slice(0, b), slice(0, h), slice(h, b)):
+            y, _, tape = _blocks(p, cfg, x[rows], keep=True)
+            ops = _Operands([y])
+            _backbone_bwd(dy[rows], tape, p, cfg, ops, None)
+            runs.append(ops)
+        _EXACT_SPLITS[key] = all(
+            np.array_equal(whole, np.concatenate(halves)) for whole, *halves in zip(*runs)
+        )
+    return _EXACT_SPLITS[key]
+
+
+def _arena_bytes(p: dict, cfg: BackboneConfig, rows: int, n_tokens: int) -> int:
+    """An upper bound on what ``_Worker`` takes from its arena: the weights;
+    per row and token the tokens, the dropout draws (float64), the final
+    LayerNorm's output and its gradient, and the operands ``_RowGrads``
+    copies (two per LayerNorm, twelve of width d_model and two of width d_ff
+    per block, the tokens and dh for the embedding); the worker's gradients,
+    at most the weights; and each array's rounding to 64 bytes."""
+    d, depth = cfg.d_model, cfg.n_layers
+    width = 2 * cfg.patch_len + 5 * d + depth * (12 * d + 2 * cfg.d_ff)
+    draws = 8 * (1 + 2 * depth) * d if cfg.dropout > 0 else 0
+    weights = sum(a.nbytes for a in p.values())
+    per_row = p["input_embedding.w"].itemsize * width + draws
+    return rows * n_tokens * per_row + 2 * weights + 64 * (2 * len(p) + 16 * depth + 16)
+
+
+class _Worker:
+    """A process forked for one fit that runs the rows [ceil(B/2), B) of
+    each ``loss_and_grads`` step, and the arena the two processes share.
+
+    Per step the parent copies the weights, tokens and dropout draws into
+    the arena and sends a header; the two then trade one message at each
+    hand-over: the worker's final-LayerNorm rows are in, the head's gradient
+    is in, both processes' gradient rows are in, the worker's gradients are
+    in.  The worker never returns into its caller's frames and writes to no
+    terminal; it ends on end-of-file of its command pipe, after sending back
+    an error, or when killed.
+    """
+
+    def __init__(self, p: dict, cfg: BackboneConfig, rows: int, n_tokens: int, cpu: int):
+        self.cfg, self.rows, self.n_tokens = cfg, rows, n_tokens
+        self.dtype = p["input_embedding.w"].dtype
+        self.arena = _Arena(_arena_bytes(p, cfg, rows, n_tokens), rows)
+        self.p = {name: self.arena.take(a.shape, self.dtype) for name, a in p.items()}
+        self.mark = self.arena.top
+        down, up = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (*down, *up):
+                os.close(fd)
+            raise
+        self.pid = pid or None  # the worker has no worker to end: close() does nothing there
+        if pid == 0:
+            code = 1
+            try:
+                os.sched_setaffinity(0, {cpu})
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the worker
+                os.close(down[1])
+                os.close(up[0])
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+                self.inbox, self.outbox = down[0], up[1]
+                os.set_blocking(self.inbox, False)
+                self._serve()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(down[0])
+        os.close(up[1])
+        self.inbox, self.outbox = up[0], down[1]
+        os.set_blocking(self.inbox, False)
+
+    def fits(self, p: dict, cfg: BackboneConfig, tokens) -> bool:
+        """Whether the worker can take half of this step's rows, bit for bit."""
+        shape = np.shape(tokens)
+        return (
+            self.pid is not None
+            and cfg == self.cfg
+            and p.keys() == self.p.keys()
+            and all(p[n].shape == a.shape and p[n].dtype == self.dtype for n, a in self.p.items())
+            and len(shape) == 3
+            and 2 <= shape[0] <= self.rows
+            and shape[1] <= self.n_tokens
+            and shape[2] == cfg.patch_len
+            and self._exact(cfg, shape[0], shape[1])
+        )
+
+    def _exact(self, cfg, b, n) -> bool:
+        """``_split_is_exact`` for this shape, measured in the worker so that
+        its whole-batch pass leaves no high-water mark in this process."""
+        key = (cfg, b, n, self.dtype)
+        if key not in _EXACT_SPLITS:
+            self._say("probe", (cfg, b, n))
+            _EXACT_SPLITS[key] = self._hear("probe")
+        return _EXACT_SPLITS[key]
+
+    def _layout(self, cfg, b, n, n_draws):
+        """This step's arena arrays, taken in the same order in both processes."""
+        self.arena.top = self.mark
+        rows, d = self.arena.rows, (n, cfg.d_model)
+        x = rows(b, (n, cfg.patch_len), self.dtype)
+        draws = [rows(b, d, np.float64) for _ in range(n_draws)]
+        return x, draws, rows(b, d, self.dtype), rows(b, d, self.dtype)
+
+    def _say(self, tag, payload) -> None:
+        _send(self.outbox, (tag, payload))
+
+    def _hear(self, tag):
+        try:
+            got, payload = _recv(self.inbox)
+        except EOFError:
+            got, payload = "error", RuntimeError("the other process of a two-process fit exited")
+        if got != tag:  # the worker has ended, or is out of step: it serves no other
+            self.close(kill=True)
+            raise payload if got == "error" else RuntimeError(f"got {got!r}, expected {tag!r}")
+        return payload
+
+    # the parent's side of a step
+
+    def start(self, p, cfg, tokens, wanted, dropout_rng):
+        """Hand the rows [ceil(B/2), B) to the worker; returns this
+        process's (tokens, dropout stream, gradient sink, row count)."""
+        b, n = len(tokens), tokens.shape[1]
+        for name, w in self.p.items():
+            w[...] = p[name]
+        dropout = dropout_rng is not None and cfg.dropout > 0
+        x, draws, self.y, self.dy = self._layout(cfg, b, n, 1 + 2 * cfg.n_layers if dropout else 0)
+        x[...] = tokens
+        for draw in draws:
+            draw[...] = dropout_rng.uniform(draw.shape)
+        self._say("step", (cfg, wanted, b, n, len(draws)))
+        rows = slice(0, (b + 1) // 2)
+        drops = _RowDraws(draws, rows) if draws else None
+        return x, drops, _RowGrads(self.arena, rows, b, wanted, 0), rows.stop
+
+    def gather(self, y):
+        """The whole batch's final-LayerNorm output, from this process's rows ``y``."""
+        self.y[: len(y)] = y
+        self._hear("y")
+        return self.y
+
+    def scatter(self, dy) -> None:
+        """Hand the worker its rows of the head's gradient ``dy``."""
+        h = (len(dy) + 1) // 2
+        self.dy[h:] = dy[h:]
+        self._say("dy", None)
+
+    def reduce(self, grads: _RowGrads, k: int) -> dict:
+        """Every gradient over the whole batch, times 2**k in float64
+        (``_unscaled``).  The worker computes about half of them, and this
+        process unscales its own while it does."""
+        self._hear("rows")
+        self._say("rows", None)
+        ours: dict[str, np.ndarray] = {}
+        for names, g in grads.run():
+            _keep(ours, grads.wanted, names, g)
+        ours = _unscaled(ours, k)
+        done: dict[str, np.ndarray] = {}
+        shapes = iter(self._hear("done"))
+        for names, _, side, _ in grads.jobs:
+            if side:
+                _keep(done, grads.wanted, names, self.arena.take(*next(shapes)))
+        return {**ours, **_unscaled(done, k)}
+
+    @contextlib.contextmanager
+    def aside(self):
+        """Run the block (a validation pass) with the arena unmapped from
+        this process, then hand back the heap the block freed, so that
+        neither peak adds to the other's."""
+        self.arena.release()
+        yield
+        _trim_heap()
+
+    def close(self, kill: bool) -> None:
+        """End the worker and reap it; ``kill`` stops it mid-step."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.outbox)  # end-of-file ends a waiting worker
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(self.inbox)
+
+    # the worker's side
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                tag, args = _recv(self.inbox)
+            except EOFError:
+                return
+            try:
+                if tag == "probe":
+                    self._say("probe", _split_is_exact(*args, self.dtype))
+                else:
+                    self._half_step(*args)
+            except Exception as exc:  # the parent raises it
+                self._say("error", exc)
+                return
+
+    def _half_step(self, cfg, wanted, b, n, n_draws) -> None:
+        x, draws, y, dy = self._layout(cfg, b, n, n_draws)
+        rows = slice((b + 1) // 2, b)
+        drops = _RowDraws(draws, rows) if draws else None
+        y[rows], _, tape = _blocks(self.p, cfg, x[rows], dropout_rng=drops, keep=True)
+        self._say("y", None)
+        self._hear("dy")
+        grads = _RowGrads(self.arena, rows, b, wanted, 1)
+        _backbone_bwd(dy[rows], tape, self.p, cfg, grads, wanted)
+        self._say("rows", None)
+        self._hear("rows")
+        shapes = []
+        for _, g in grads.run():
+            self.arena.take(g.shape, g.dtype)[...] = g
+            shapes.append((g.shape, g.dtype))
+        self._say("done", shapes)
+
+
+@contextlib.contextmanager
+def fit_on_two_cores(store: dict, cfg: BackboneConfig, rows: int, n_tokens: int):
+    """Run ``loss_and_grads`` steps of 2 to ``rows`` rows of at most
+    ``n_tokens`` tokens on two processes within the block.
+
+    On entry, when this process may use at least two CPUs, can fork and can
+    pin OpenBLAS to one thread, it forks a ``_Worker``; otherwise every row
+    runs here.  Until the block ends OpenBLAS keeps one thread in each
+    process, and this thread and the worker each keep one of the first two
+    usable CPUs (a worker woken onto its waker's CPU stalls both).  The
+    worker ends with the block: it is closed and reaped, and killed first
+    when the block raises; then the thread count and CPU set come back.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    worker = threads = None
+    if backbone._WORKER is None and rows >= 2 and len(cpus) >= 2 and hasattr(os, "fork"):
+        threads = _blas_threads(1)
+    if threads is not None:
+        _trim_heap()  # what data preparation freed need not sit beside the arena
+        try:
+            worker = _Worker(_compute_store(store), cfg, rows, n_tokens, cpus[1])
+        except OSError:  # no fork: every row runs here
+            _blas_threads(threads)
+    if worker is None:
+        yield
+        return
+    backbone._WORKER, ended = worker, False
+    try:
+        os.sched_setaffinity(0, cpus[:1])
+        yield
+        ended = True
+    finally:
+        backbone._WORKER = None
+        worker.close(kill=not ended)
+        os.sched_setaffinity(0, cpus)
+        _blas_threads(threads)

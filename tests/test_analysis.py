@@ -25,10 +25,10 @@ from fpt.analysis import (
     sgd_rate_experiment,
 )
 from fpt.backbone import forward, init_random
-from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec
+from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, mask_count
 from fpt.errors import InvalidInput, RankDeficient, ShapeError
 from fpt.numerics import finite_diff_grad, sym_eig
-from fpt.preprocess import PatchConfig, patchify_windows
+from fpt.preprocess import PatchConfig, patchify_windows, revin_normalize
 from fpt.rng import seeded_rng
 from fpt.synthetic import sinusoid
 from fpt.tasks import TrainConfig, mixed_weights_similarity_sweep, synthetic_pretrain
@@ -590,6 +590,26 @@ _MALFORMED_CALLS = {
             pca_m=1.5,
         ),
     ),
+    "revin-eps-nan": (InvalidInput, lambda: revin_normalize(np.arange(8.0), math.nan)),
+    **{
+        f"finite-diff-step-{h}": (InvalidInput, partial(finite_diff_grad, np.sum, np.ones(2), h))
+        for h in (math.nan, math.inf)
+    },
+    **{
+        f"convergence-{name}": (
+            InvalidInput,
+            partial(
+                attention_mean_convergence,
+                np.ones(3), 0.1, *[np.eye(3)] * 3, grid, trials, seeded_rng(0),
+            ),
+        )
+        for name, grid, trials in (
+            ("trials-1.5", [16, 64, 256], 1.5),
+            ("trials-true", [16, 64, 256], True),
+            ("n-grid-2.5", [2.5, 20, 200], 2),
+        )
+    },
+    "mask-count-nan": (InvalidInput, lambda: mask_count(math.nan, 48)),
 }
 
 

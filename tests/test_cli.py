@@ -1179,6 +1179,46 @@ class TestDeterminism:
             digests.append(digest.digest(tmp_path / str(i), capsys.readouterr().out, code))
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("run", digest.RUNS)
+    def test_one_usable_cpu_gives_the_digest_of_two(
+        self, digest_inputs, tmp_path, capsys, monkeypatch, run
+    ):
+        """Training on two cores moves no bit: each run on the inputs of
+        ``tools/digest.py`` (which train for two epochs) digests the same
+        when the process may use one CPU as when it may use all of them."""
+        monkeypatch.chdir(digest_inputs)
+        config = f"{digest.INPUTS}/{digest.RUNS[run][0]}.json"
+        fields = {
+            "config": config if Path(config).exists() else f"{digest.INPUTS}/run.json",
+            "model": "model/model",
+            "x": f"{digest.INPUTS}/x.csv",
+        }
+        argv = [arg.format(**fields) for arg in digest.RUNS[run]]
+        digests = []
+        for cpus in ("one", "all"):
+            with monkeypatch.context() as m:
+                if cpus == "one":
+                    m.setattr(os, "sched_getaffinity", lambda pid: {0})
+                code = main(argv + ["--output", str(tmp_path / cpus)])
+            digests.append(digest.digest(tmp_path / cpus, capsys.readouterr().out, code))
+        assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def digest_inputs(tmp_path_factory):
+    """The inputs of ``tools/digest.py`` and the model its ``train`` run
+    saves, under one directory that the paths in them are relative to."""
+    root = tmp_path_factory.mktemp("digest")
+    digest.write_inputs(root)
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        run = [arg.format(config=f"{digest.INPUTS}/run.json") for arg in digest.RUNS["train"]]
+        assert main(run + ["--output", "model"]) == 0
+    finally:
+        os.chdir(cwd)
+    return root
+
 
 class TestArgumentHandling:
     @pytest.mark.parametrize(

@@ -58,6 +58,15 @@ def test_non_finite_rejected():
         revin_normalize([1.0, np.inf], eps=1e-5)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+def test_bad_eps_is_named(eps):
+    """A bad eps is reported as one, not as windows whose variance overflows."""
+    for call in (lambda: revin_normalize(np.arange(8.0), eps),
+                 lambda: normalize_windows(np.ones((2, 8)), eps)):
+        with pytest.raises(InvalidInput, match="^eps must be a finite number >= 0"):
+            call()
+
+
 def test_patchify_disjoint():
     x = np.arange(16.0)
     patches = patchify(x, PatchConfig(4, 4))

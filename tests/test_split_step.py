@@ -1,0 +1,165 @@
+"""Training on two cores: the rows [ceil(B/2), B) of each step run in a
+worker forked for the fit (``fpt.worker.fit_on_two_cores``).  The weights
+must be the ones one process computes, bit for bit, and no process may
+outlive the fit, however it ends."""
+
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fpt import backbone, tasks, worker
+from fpt.backbone import BackboneConfig, Batch, FreezeMask, init_random, param_hash
+from fpt.cli import main
+from fpt.errors import NumericalFailure
+from fpt.rng import seeded_rng
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digest  # noqa: E402  (tools/digest.py: seeded run configs)
+
+two_cpus = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs fork and two usable CPUs",
+)
+
+
+def _setup(dtype=np.float32, head_mode="flatten", freeze=False, **over):
+    """The c09 backbone shape with 45 random training rows."""
+    d, n = 64, 11
+    cfg = BackboneConfig(
+        n_layers=2, d_model=d, n_heads=4, d_ff=128, max_tokens=64, patch_len=16,
+        head_in=n * d if head_mode == "flatten" else d, head_out=24, head_mode=head_mode, **over,
+    )
+    rng = seeded_rng(11)
+    store = init_random(cfg, rng.child(1), dtype=dtype)
+    mask = FreezeMask.default_fpt(store) if freeze else FreezeMask.all_trainable(store)
+    train = Batch(tokens=rng.normal((45, n, 16)), targets=rng.normal((45, 24)))
+    return tasks.AblationSetup(store, mask, cfg), train
+
+
+def _fit(setup, train, steps=20):
+    """``steps`` Adam steps in batches of 16: each epoch ends in an odd batch of 13."""
+    tcfg = tasks.TrainConfig(epochs=100, batch_size=16, learning_rate=1e-2)
+    return tasks._fit(setup, train, None, tcfg, seeded_rng(12), max_steps=steps)[0]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def worker_steps(monkeypatch):
+    """The number of steps whose second half a worker ran, as a 1-list."""
+    count, start = [0], worker._Worker.start
+
+    def counted(self, *args):
+        count[0] += 1
+        return start(self, *args)
+
+    monkeypatch.setattr(worker._Worker, "start", counted)
+    return count
+
+
+def _overflow_in_the_worker(monkeypatch):
+    """From its first step on, the worker's GELU inputs overflow the store
+    dtype; the parent's rows, and the worker's exactness probe, stay finite."""
+    gelu, half_step, on = backbone._gelu, worker._Worker._half_step, []
+
+    def gelu_overflowing(u):
+        return gelu(u * np.finfo(u.dtype).max * 4 if on else u)
+
+    def half_step_overflowing(self, *args):
+        on.append(True)
+        return half_step(self, *args)
+
+    monkeypatch.setattr(backbone, "_gelu", gelu_overflowing)
+    monkeypatch.setattr(worker._Worker, "_half_step", half_step_overflowing)
+
+
+_CASES = {
+    "float32": {},
+    "float64": {"dtype": np.float64},
+    "pool-head": {"head_mode": "pool"},
+    "causal": {"causal": True},
+    "dropout": {"dropout": 0.1},
+    "fpt-freeze": {"freeze": True},
+    "all-of-them": {
+        "dtype": np.float64, "head_mode": "pool", "causal": True, "dropout": 0.1, "freeze": True,
+    },
+}
+
+
+@two_cpus
+@pytest.mark.parametrize("case", _CASES)
+def test_weights_match_one_process_bit_for_bit(monkeypatch, worker_steps, case):
+    setup, train = _setup(**_CASES[case])
+    two = _fit(setup, train)
+    assert worker_steps[0] > 0  # the worker ran: the comparison is not one process against itself
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ran = worker_steps[0]
+        one = _fit(setup, train)
+        assert worker_steps[0] == ran
+    assert param_hash(two) == param_hash(one)
+    _no_child_left()
+
+
+@two_cpus
+def test_a_fit_that_returns_leaves_no_process(worker_steps):
+    cpus = os.sched_getaffinity(0)
+    _fit(*_setup(), steps=3)
+    assert worker_steps[0] == 3
+    _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cpus
+def test_an_overflow_in_the_worker_is_a_numerical_failure(monkeypatch, worker_steps):
+    _overflow_in_the_worker(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite loss"):
+        _fit(*_setup())
+    assert worker_steps[0] == 1
+    _no_child_left()
+
+
+@two_cpus
+def test_an_error_in_the_worker_comes_back_as_its_class(monkeypatch, worker_steps):
+    _overflow_in_the_worker(monkeypatch)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _fit(*_setup())
+    assert worker_steps[0] == 1
+    _no_child_left()
+
+
+@two_cpus
+def test_fpt_train_exits_3_when_the_worker_overflows(monkeypatch, worker_steps, tmp_path, capsys):
+    digest.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _overflow_in_the_worker(monkeypatch)
+    assert main(["train", "--config", f"{digest.INPUTS}/run.json", "--output", "out"]) == 3
+    assert worker_steps[0] == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NumericalFailure:") and err.count("\n") == 1
+    _no_child_left()
+
+
+@two_cpus
+def test_an_interrupt_mid_epoch_ends_the_worker(monkeypatch, worker_steps):
+    cpus, adam, calls = os.sched_getaffinity(0), backbone.adam_step, []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return adam(*args)
+
+    monkeypatch.setattr(backbone, "adam_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _fit(*_setup())
+    assert worker_steps[0] == 2
+    _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
