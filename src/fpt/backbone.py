@@ -34,7 +34,6 @@ row-major, no padding.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -50,7 +49,7 @@ from .errors import (
     NumericalFailure,
     ShapeError,
 )
-from .numerics import check_int, check_rank, layer_norm_last, softmax, sym_eig
+from .numerics import check_int, check_rank, is_number, layer_norm_last, softmax, sym_eig
 from .preprocess import denormalize
 from .rng import RandomStream
 
@@ -561,7 +560,8 @@ def _block(h, p, prefix, cfg, pca_m, dropout, keep):
 def _block_bwd(dh, cache, p, prefix, cfg, grads, wanted):
     """Backward of one ``_block`` from the gradient ``dh`` of its output;
     returns the gradient of its input.  It writes into no array it hands to
-    ``_set_grad``, so a two-process step may keep them as they are.
+    ``_set_grad``, so a sink may keep them to the end of the pass (as the
+    probe ``fpt.worker._split_is_exact`` does).
 
     ``cache`` is the block's tape, popped by the caller, so this frame holds
     the only reference to it and every buffer goes right after its last read.
@@ -668,17 +668,14 @@ def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
     dtype.
 
     Runs ``_EVAL_CHUNK`` windows per forward pass, so peak memory does not
-    grow with B.  In a two-process fit (a validation pass) the step's shared
-    buffers leave this process first and the heap the pass freed goes back
-    after it, so neither adds to the other's peak.
+    grow with B.
     """
     p = _compute_store(store)
     x = np.atleast_1d(tokens)
     chunks = range(0, max(len(x), 1), _EVAL_CHUNK)  # an empty batch still has a shape
-    with _WORKER.aside() if _WORKER is not None else contextlib.nullcontext():
-        return np.concatenate(
-            [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
-        )
+    return np.concatenate(
+        [_head_fwd(forward(p, cfg, x[lo : lo + _EVAL_CHUNK])[0], p, cfg)[0] for lo in chunks]
+    )
 
 
 def _loss_and_dout(out, batch: Batch):
@@ -760,53 +757,38 @@ def loss_and_grads(
     popped as that block's backward starts and every buffer is dropped after
     its last read, so live memory falls through the pass instead of rising.
 
-    During a two-process fit (``fpt.worker.fit_on_two_cores``) the rows
-    [ceil(B/2), B) run in its worker process, concurrently with the rest: the forward pass to the final
-    LayerNorm and the backward pass from it.  The head, the loss and its
-    gradient run here on the whole batch, and each weight gradient is still
-    one GEMM or sum over all B rows, so every bit of the result is the one
-    this process computes alone.
+    Inside ``fpt.worker.fit_on_two_cores`` a step of the fit's config and
+    trainable set hands over to its worker (``_Worker.step``), which runs the
+    rows [ceil(B/2), B) to the final LayerNorm and back in a second process.
+    Each weight gradient is still one GEMM or sum over all B rows, so every
+    bit of the result is the one this pass computes alone.
     """
     p = _compute_store(store)
-    worker = _WORKER if _WORKER is not None and _WORKER.fits(p, cfg, batch.tokens) else None
-    try:
-        return _step(p, cfg, batch, wanted, dropout_rng, worker)
-    except BaseException:
-        if worker is not None:  # it may be mid-step: it serves no other
-            worker.close(kill=True)
-        raise
+    if _WORKER is not None and _WORKER.fits(p, cfg, batch.tokens, wanted):
+        return _WORKER.step(p, batch, dropout_rng)
+    y, _, tape = _blocks(p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True)
+    value, head, dy, k = _head_and_loss(y, p, cfg, batch, wanted)
+    del y
+    grads: dict[str, np.ndarray] = {}
+    _backbone_bwd(dy, tape, p, cfg, grads, wanted)
+    return value, _unscaled({**head, **grads}, k)
 
 
-def _step(p, cfg, batch, wanted, dropout_rng, worker):
-    """``loss_and_grads`` on the compute store ``p``, with every row here
-    when ``worker`` is None."""
-    if worker is None:
-        tokens, drops, grads, h = batch.tokens, dropout_rng, {}, None
-    else:
-        tokens, drops, grads, h = worker.start(p, cfg, batch.tokens, wanted, dropout_rng)
-    y, _, tape = _blocks(p, cfg, tokens[:h], dropout_rng=drops, keep=True)
-    if worker is not None:
-        y = worker.gather(y)
+def _head_and_loss(y, p, cfg: BackboneConfig, batch: Batch, wanted):
+    """The head, the loss and their backward pass on the final LayerNorm's
+    output ``y``; returns (value, the head's gradients, dy, k), where ``dy``
+    is the gradient of ``y`` and both are scaled by 2**-k (``_scaled_dout``)."""
     out, flat = _head_fwd(y, p, cfg)
     value, dout, k = _scaled_dout(out, batch)
     del out
-
     head: dict[str, np.ndarray] = {}
     _set_grad(head, wanted, "output_head.w", _wgrad, flat, dout)
     _set_grad(head, wanted, "output_head.b", _colsum, dout)
     dflat = _mm(dout, p["output_head.w"].T)
-    shape = y.shape
-    del dout, flat, y
+    del dout, flat
     if cfg.head_mode == "flatten":
-        dy = dflat.reshape(shape)
-    else:
-        dy = np.repeat(dflat[:, None, :], shape[1], axis=1) / shape[1]
-    del dflat
-    if worker is not None:
-        worker.scatter(dy)
-    _backbone_bwd(dy[:h], tape, p, cfg, grads, wanted)
-    grads = _unscaled(grads, k) if worker is None else worker.reduce(grads, k)
-    return value, {**_unscaled(head, k), **grads}
+        return value, head, dflat.reshape(y.shape), k
+    return value, head, np.repeat(dflat[:, None, :], y.shape[1], axis=1) / y.shape[1], k
 
 
 def _unscaled(grads: dict, k: int) -> dict:
@@ -844,7 +826,8 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam optimizer state; beta1, beta2 and eps are the ``_ADAM_*`` constants.
+    """Adam optimizer state; beta1, beta2 and eps are the ``_ADAM_*`` constants,
+    and the learning rate ``lr`` is a finite number >= 0.
 
     ``m`` and ``v`` are float64 vectors over the trainable tensors, flattened
     and concatenated in store order; None before the first step.
@@ -854,6 +837,10 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not (is_number(self.lr) and self.lr >= 0):
+            raise InvalidInput(f"lr must be a finite number >= 0, got {self.lr!r}")
 
 
 def adam_step(
@@ -868,17 +855,19 @@ def adam_step(
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``w - lr*mhat /
     (sqrt(vhat) + eps)`` element by element; a tensor missing from ``grads``
     has a zero gradient.  The new trainable tensors view one fresh buffer.
-    Raises ``NumericalFailure`` when ``v`` or a weight is left non-finite.
+    Raises ``ShapeError`` when a gradient's size is not its tensor's, and
+    ``NumericalFailure`` when ``v`` or a weight is left non-finite.
     """
     state.t += 1
     names = [n for n in store if n in trainable]
     if not names:
         return dict(store)
     w = np.concatenate([store[n].ravel() for n in names], dtype=np.float64)
-    g = np.concatenate(
-        [np.ravel(grads[n]) if n in grads else np.zeros(store[n].size) for n in names],
-        dtype=np.float64,
-    )
+    g = [np.ravel(grads[n]) if n in grads else np.zeros(store[n].size) for n in names]
+    wrong = [n for n, gn in zip(names, g) if gn.size != store[n].size]
+    if wrong:
+        raise ShapeError(f"gradients of the wrong size for {', '.join(wrong)}")
+    g = np.concatenate(g, dtype=np.float64)
     if state.m is None:
         state.m, state.v = np.zeros_like(w), np.zeros_like(w)
     tmp = g * (1.0 - _ADAM_BETA2)

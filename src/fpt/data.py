@@ -388,7 +388,8 @@ def window_masks(
     """(n_channels * n_windows, steps) binary masks (1 = observed): row
     ``c * n_windows + w`` hides ``rng.child(c).child(w).permutation(steps)[:n_masked]``,
     every row drawn in one pass."""
-    if not 0 <= n_masked <= steps:
+    check_int(n_masked, "n_masked", 0)
+    if n_masked > steps:
         raise InvalidInput(f"cannot mask {n_masked} of {steps} cells")
     order = rng.child_permutations(n_channels, n_windows, steps).reshape(-1, steps)
     mask = np.ones(order.shape)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateScale, InvalidInput, ShapeError
+from .numerics import check_int
 
 
 def _pair(y, yhat):
@@ -53,8 +54,9 @@ def mase(y, yhat, insample, m: int) -> float:
     """Mean absolute error scaled by the seasonal-naive in-sample error at lag m."""
     a, b = _pair(y, yhat)
     hist = np.asarray(insample, dtype=np.float64).ravel()
-    if m < 1:
-        raise InvalidInput("seasonal period must be >= 1")
+    check_int(m, "seasonal period m", 1)
+    if not np.isfinite(hist).all():
+        raise InvalidInput("insample contains non-finite values")
     if hist.size <= m:
         raise InvalidInput(f"insample length {hist.size} must exceed period {m}")
     scale = float(np.mean(np.abs(hist[m:] - hist[:-m])))

@@ -220,7 +220,7 @@ def _fit(
     steps = 0
     # the most rows a step takes, for a worker on a second core; none for a fit with no step
     rows = min(tcfg.batch_size, len(train.tokens)) if tcfg.epochs > 0 and max_steps > 0 else 0
-    with fit_on_two_cores(store, cfg, rows, train.tokens.shape[1]):
+    with fit_on_two_cores(store, cfg, setup.mask.trainable, rows, train.tokens.shape[1]) as aside:
         for epoch in range(tcfg.epochs):
             order = rng.child(epoch).permutation(len(train.tokens))
             for lo in range(0, len(order), tcfg.batch_size):
@@ -237,7 +237,8 @@ def _fit(
             if steps >= max_steps:
                 break
             if validate:
-                vl = _eval_loss(store, cfg, val)
+                with aside():  # the step's shared buffers leave this process meanwhile
+                    vl = _eval_loss(store, cfg, val)
                 history["val"].append(vl)
                 if vl < best_val:
                     best_val, best_store, strikes = vl, store, 0

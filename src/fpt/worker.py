@@ -3,11 +3,13 @@ second half of every minibatch's rows, and the weights stay the ones one
 process computes, bit for bit.
 
 ``fit_on_two_cores`` starts the worker for a fit and ends it; inside it,
-``backbone.loss_and_grads`` splits each step (see there).  The two
-processes share one anonymous ``mmap`` (the arena) for the weights, the
-batch and the rows of gradient operands, and trade short pickled messages
-over two pipes.  Each weight gradient is one GEMM or column sum over all of
-a batch's rows, run by one of the two processes.
+``backbone.loss_and_grads`` hands each of the fit's steps to
+``_Worker.step``, the parent's half of the split, while the worker runs
+``_Worker._half_step``.  The two processes share one anonymous ``mmap``
+(the arena) for the weights, the batch and the rows of gradient operands,
+and trade short pickled messages over two pipes.  Each weight gradient is
+one GEMM or column sum over all of a batch's rows, run by one of the two
+processes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .backbone import (
     _backbone_bwd,
     _blocks,
     _compute_store,
+    _head_and_loss,
     _keep,
     _unscaled,
     init_random,
@@ -159,54 +162,36 @@ class _RowGrads:
     process with fewer multiply-adds so far, except that a job sharing an
     operand with the job before it (a bias after its weight) goes with it;
     both processes see the same jobs in the same order and make the same
-    assignment.  The other process copies its ``rows`` of the operands
-    into the arena.  The worker (``me`` 1) copies its own rows there too and
-    reduces in place; the parent keeps its own rows as they are (the
-    backward pass writes into none of them) and joins them to the worker's.
-    So the parent touches half of the arena's operand bytes, not three
-    quarters.
+    assignment.  Each process copies its ``rows`` of every operand into the
+    arena, and every job runs on the arena's whole-batch arrays.
     """
 
-    def __init__(self, arena: _Arena, rows: slice, batch: int, wanted, me: int):
-        self.arena, self.rows, self.batch, self.wanted, self.me = arena, rows, batch, wanted, me
-        self.jobs: list[tuple] = []  # (names, fn, side, [(own rows or None, arena rows)])
+    def __init__(self, arena: _Arena, rows: slice, batch: int, me: int):
+        self.arena, self.rows, self.batch, self.me = arena, rows, batch, me
+        self.jobs: list[tuple] = []  # (names, fn, side, arena operands)
         self.load = [0, 0]
-        self._last = (None, (None, None), 0)  # the last operand, its pair, its job's side
+        self._last = (None, None, 0)  # the last operand, its arena array, its job's side
 
     def defer(self, names, fn, operands) -> None:
-        last, last_pair, side = self._last
+        last, buf, side = self._last
         if not any(a is last for a in operands):
             side = int(self.load[1] < self.load[0])
         width = operands[-1].shape[-1] if len(operands) > 1 else 1
         self.load[side] += math.prod(operands[0].shape[1:]) * width
-        pairs = []
+        bufs = []
         for a in operands:
             if a is not last:
                 buf = self.arena.rows(self.batch, a.shape[1:], a.dtype)
-                kept = side == self.me == 0  # the parent's own rows for its own job
-                if not kept:
-                    buf[self.rows] = a
-                last_pair = (a if kept else None, buf)
-            pairs.append(last_pair)
-        self._last = (operands[-1], pairs[-1], side)
-        self.jobs.append((names, fn, side, pairs))
+                buf[self.rows] = a
+            bufs.append(buf)
+        self._last = (operands[-1], bufs[-1], side)
+        self.jobs.append((names, fn, side, bufs))
 
     def run(self):
-        """(names, gradient) of each job this process runs, over the rows
-        of both processes in row order."""
-        last = (None, None)
-        for names, fn, side, pairs in self.jobs:
-            if side != self.me:
-                continue
-            whole = []
-            for own, buf in pairs:
-                if own is None:
-                    whole.append(buf)
-                    continue
-                if own is not last[0]:
-                    last = (own, np.concatenate((own, buf[self.rows.stop :])))
-                whole.append(last[1])
-            yield names, fn(*whole)
+        """(names, gradient) of each job this process runs."""
+        for names, fn, side, bufs in self.jobs:
+            if side == self.me:
+                yield names, fn(*bufs)
 
 
 class _Operands(list):
@@ -262,19 +247,21 @@ def _arena_bytes(p: dict, cfg: BackboneConfig, rows: int, n_tokens: int) -> int:
 
 class _Worker:
     """A process forked for one fit that runs the rows [ceil(B/2), B) of
-    each ``loss_and_grads`` step, and the arena the two processes share.
+    each of the fit's ``loss_and_grads`` steps, and the arena the two
+    processes share.  The fit's config, trainable set and token count are
+    fixed at the fork.
 
     Per step the parent copies the weights, tokens and dropout draws into
-    the arena and sends a header; the two then trade one message at each
-    hand-over: the worker's final-LayerNorm rows are in, the head's gradient
-    is in, both processes' gradient rows are in, the worker's gradients are
-    in.  The worker never returns into its caller's frames and writes to no
-    terminal; it ends on end-of-file of its command pipe, after sending back
-    an error, or when killed.
+    the arena and sends the batch size and the number of draws; the two
+    then trade one message at each hand-over: the worker's final-LayerNorm
+    rows are in, the head's gradient is in, both processes' gradient rows
+    are in, the worker's gradients are in.  The worker never returns into
+    its caller's frames and writes to no terminal; it ends on end-of-file
+    of its command pipe, after sending back an error, or when killed.
     """
 
-    def __init__(self, p: dict, cfg: BackboneConfig, rows: int, n_tokens: int, cpu: int):
-        self.cfg, self.rows, self.n_tokens = cfg, rows, n_tokens
+    def __init__(self, p: dict, cfg: BackboneConfig, wanted, rows: int, n_tokens: int, cpu: int):
+        self.cfg, self.wanted, self.rows, self.n_tokens = cfg, wanted, rows, n_tokens
         self.dtype = p["input_embedding.w"].dtype
         self.arena = _Arena(_arena_bytes(p, cfg, rows, n_tokens), rows)
         self.p = {name: self.arena.take(a.shape, self.dtype) for name, a in p.items()}
@@ -308,35 +295,33 @@ class _Worker:
         self.inbox, self.outbox = up[0], down[1]
         os.set_blocking(self.inbox, False)
 
-    def fits(self, p: dict, cfg: BackboneConfig, tokens) -> bool:
-        """Whether the worker can take half of this step's rows, bit for bit."""
+    def fits(self, p: dict, cfg: BackboneConfig, tokens, wanted) -> bool:
+        """Whether the worker lives, the step is the fit's (its config,
+        trainable set, dtype and token shape), the worker can take its batch
+        size, and two halves of that batch give its bits."""
         shape = np.shape(tokens)
         return (
             self.pid is not None
-            and cfg == self.cfg
-            and p.keys() == self.p.keys()
-            and all(p[n].shape == a.shape and p[n].dtype == self.dtype for n, a in self.p.items())
-            and len(shape) == 3
+            and (cfg, wanted, p["input_embedding.w"].dtype, shape[1:])
+            == (self.cfg, self.wanted, self.dtype, (self.n_tokens, self.cfg.patch_len))
             and 2 <= shape[0] <= self.rows
-            and shape[1] <= self.n_tokens
-            and shape[2] == cfg.patch_len
-            and self._exact(cfg, shape[0], shape[1])
+            and self._exact(shape[0])
         )
 
-    def _exact(self, cfg, b, n) -> bool:
-        """``_split_is_exact`` for this shape, measured in the worker so that
-        its whole-batch pass leaves no high-water mark in this process."""
-        key = (cfg, b, n, self.dtype)
+    def _exact(self, b: int) -> bool:
+        """``_split_is_exact`` at batch size ``b``, measured in the worker so
+        that its whole-batch pass leaves no high-water mark in this process."""
+        key = (self.cfg, b, self.n_tokens, self.dtype)
         if key not in _EXACT_SPLITS:
-            self._say("probe", (cfg, b, n))
+            self._say("probe", b)
             _EXACT_SPLITS[key] = self._hear("probe")
         return _EXACT_SPLITS[key]
 
-    def _layout(self, cfg, b, n, n_draws):
+    def _layout(self, b: int, n_draws: int):
         """This step's arena arrays, taken in the same order in both processes."""
         self.arena.top = self.mark
-        rows, d = self.arena.rows, (n, cfg.d_model)
-        x = rows(b, (n, cfg.patch_len), self.dtype)
+        rows, d = self.arena.rows, (self.n_tokens, self.cfg.d_model)
+        x = rows(b, (self.n_tokens, self.cfg.patch_len), self.dtype)
         draws = [rows(b, d, np.float64) for _ in range(n_draws)]
         return x, draws, rows(b, d, self.dtype), rows(b, d, self.dtype)
 
@@ -353,52 +338,54 @@ class _Worker:
             raise payload if got == "error" else RuntimeError(f"got {got!r}, expected {tag!r}")
         return payload
 
-    # the parent's side of a step
+    # the parent's side
 
-    def start(self, p, cfg, tokens, wanted, dropout_rng):
-        """Hand the rows [ceil(B/2), B) to the worker; returns this
-        process's (tokens, dropout stream, gradient sink, row count)."""
-        b, n = len(tokens), tokens.shape[1]
+    def start(self, p, tokens, dropout_rng):
+        """Copy the step's weights, tokens and dropout draws into the arena
+        and hand the rows [ceil(B/2), B) to the worker; returns the arena's
+        (tokens, dropout draws, y, dy) and the rows [0, ceil(B/2))."""
+        b = len(tokens)
         for name, w in self.p.items():
             w[...] = p[name]
-        dropout = dropout_rng is not None and cfg.dropout > 0
-        x, draws, self.y, self.dy = self._layout(cfg, b, n, 1 + 2 * cfg.n_layers if dropout else 0)
+        dropout = dropout_rng is not None and self.cfg.dropout > 0
+        x, draws, y, dy = self._layout(b, 1 + 2 * self.cfg.n_layers if dropout else 0)
         x[...] = tokens
         for draw in draws:
             draw[...] = dropout_rng.uniform(draw.shape)
-        self._say("step", (cfg, wanted, b, n, len(draws)))
-        rows = slice(0, (b + 1) // 2)
-        drops = _RowDraws(draws, rows) if draws else None
-        return x, drops, _RowGrads(self.arena, rows, b, wanted, 0), rows.stop
+        self._say("step", (b, len(draws)))
+        return x, draws, y, dy, slice(0, (b + 1) // 2)
 
-    def gather(self, y):
-        """The whole batch's final-LayerNorm output, from this process's rows ``y``."""
-        self.y[: len(y)] = y
-        self._hear("y")
-        return self.y
-
-    def scatter(self, dy) -> None:
-        """Hand the worker its rows of the head's gradient ``dy``."""
-        h = (len(dy) + 1) // 2
-        self.dy[h:] = dy[h:]
-        self._say("dy", None)
-
-    def reduce(self, grads: _RowGrads, k: int) -> dict:
-        """Every gradient over the whole batch, times 2**k in float64
-        (``_unscaled``).  The worker computes about half of them, and this
-        process unscales its own while it does."""
-        self._hear("rows")
-        self._say("rows", None)
-        ours: dict[str, np.ndarray] = {}
-        for names, g in grads.run():
-            _keep(ours, grads.wanted, names, g)
-        ours = _unscaled(ours, k)
-        done: dict[str, np.ndarray] = {}
-        shapes = iter(self._hear("done"))
-        for names, _, side, _ in grads.jobs:
-            if side:
-                _keep(done, grads.wanted, names, self.arena.take(*next(shapes)))
-        return {**ours, **_unscaled(done, k)}
+    def step(self, p, batch, dropout_rng):
+        """``loss_and_grads`` on the compute store ``p`` with the worker:
+        the rows [0, ceil(B/2)) through the blocks, then the head and the
+        loss on the whole batch, then those rows back, and about half of
+        the gradient jobs, each over all B rows (see ``_half_step``).  The
+        worker is killed when the step raises: it may be mid-step."""
+        cfg, wanted = self.cfg, self.wanted
+        try:
+            x, draws, y, arena_dy, rows = self.start(p, batch.tokens, dropout_rng)
+            drops = _RowDraws(draws, rows) if draws else None
+            y[rows], _, tape = _blocks(p, cfg, x[rows], dropout_rng=drops, keep=True)
+            self._hear("y")
+            value, ours, dy, k = _head_and_loss(y, p, cfg, batch, wanted)
+            arena_dy[rows.stop :] = dy[rows.stop :]
+            self._say("dy", None)
+            grads = _RowGrads(self.arena, rows, len(y), 0)
+            _backbone_bwd(dy[rows], tape, p, cfg, grads, wanted)
+            self._hear("rows")
+            self._say("rows", None)
+            for names, g in grads.run():
+                _keep(ours, wanted, names, g)
+            ours = _unscaled(ours, k)  # while the worker runs its jobs
+            theirs: dict[str, np.ndarray] = {}
+            shapes = iter(self._hear("done"))
+            for names, _, side, _ in grads.jobs:
+                if side:
+                    _keep(theirs, wanted, names, self.arena.take(*next(shapes)))
+            return value, {**ours, **_unscaled(theirs, k)}
+        except BaseException:
+            self.close(kill=True)
+            raise
 
     @contextlib.contextmanager
     def aside(self):
@@ -430,22 +417,22 @@ class _Worker:
                 return
             try:
                 if tag == "probe":
-                    self._say("probe", _split_is_exact(*args, self.dtype))
+                    self._say("probe", _split_is_exact(self.cfg, args, self.n_tokens, self.dtype))
                 else:
                     self._half_step(*args)
             except Exception as exc:  # the parent raises it
                 self._say("error", exc)
                 return
 
-    def _half_step(self, cfg, wanted, b, n, n_draws) -> None:
-        x, draws, y, dy = self._layout(cfg, b, n, n_draws)
+    def _half_step(self, b: int, n_draws: int) -> None:
+        x, draws, y, dy = self._layout(b, n_draws)
         rows = slice((b + 1) // 2, b)
         drops = _RowDraws(draws, rows) if draws else None
-        y[rows], _, tape = _blocks(self.p, cfg, x[rows], dropout_rng=drops, keep=True)
+        y[rows], _, tape = _blocks(self.p, self.cfg, x[rows], dropout_rng=drops, keep=True)
         self._say("y", None)
         self._hear("dy")
-        grads = _RowGrads(self.arena, rows, b, wanted, 1)
-        _backbone_bwd(dy[rows], tape, self.p, cfg, grads, wanted)
+        grads = _RowGrads(self.arena, rows, b, 1)
+        _backbone_bwd(dy[rows], tape, self.p, self.cfg, grads, self.wanted)
         self._say("rows", None)
         self._hear("rows")
         shapes = []
@@ -456,9 +443,11 @@ class _Worker:
 
 
 @contextlib.contextmanager
-def fit_on_two_cores(store: dict, cfg: BackboneConfig, rows: int, n_tokens: int):
-    """Run ``loss_and_grads`` steps of 2 to ``rows`` rows of at most
-    ``n_tokens`` tokens on two processes within the block.
+def fit_on_two_cores(store: dict, cfg: BackboneConfig, wanted, rows: int, n_tokens: int):
+    """Run the fit's ``loss_and_grads`` steps (config ``cfg``, trainable set
+    ``wanted``, 2 to ``rows`` rows of ``n_tokens`` tokens) on two processes
+    within the block, which is given a context for its validation passes:
+    ``_Worker.aside``, or a null context when every row runs here.
 
     On entry, when this process may use at least two CPUs, can fork and can
     pin OpenBLAS to one thread, it forks a ``_Worker``; otherwise every row
@@ -475,16 +464,16 @@ def fit_on_two_cores(store: dict, cfg: BackboneConfig, rows: int, n_tokens: int)
     if threads is not None:
         _trim_heap()  # what data preparation freed need not sit beside the arena
         try:
-            worker = _Worker(_compute_store(store), cfg, rows, n_tokens, cpus[1])
+            worker = _Worker(_compute_store(store), cfg, wanted, rows, n_tokens, cpus[1])
         except OSError:  # no fork: every row runs here
             _blas_threads(threads)
     if worker is None:
-        yield
+        yield contextlib.nullcontext
         return
     backbone._WORKER, ended = worker, False
     try:
         os.sched_setaffinity(0, cpus[:1])
-        yield
+        yield worker.aside
         ended = True
     finally:
         backbone._WORKER = None

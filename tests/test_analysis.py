@@ -24,9 +24,10 @@ from fpt.analysis import (
     sgd_conditioning_check,
     sgd_rate_experiment,
 )
-from fpt.backbone import forward, init_random
-from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, mask_count
+from fpt.backbone import AdamState, adam_step, forward, init_random
+from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, mask_count, window_masks
 from fpt.errors import InvalidInput, RankDeficient, ShapeError
+from fpt.metrics import mase
 from fpt.numerics import finite_diff_grad, sym_eig
 from fpt.preprocess import PatchConfig, patchify_windows, revin_normalize
 from fpt.rng import seeded_rng
@@ -610,6 +611,14 @@ _MALFORMED_CALLS = {
         )
     },
     "mask-count-nan": (InvalidInput, lambda: mask_count(math.nan, 48)),
+    "adam-gradient-of-the-wrong-size": (
+        ShapeError,
+        lambda: adam_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, AdamState(lr=1e-3), {"w"}),
+    ),
+    **{f"adam-lr-{lr}": (InvalidInput, partial(AdamState, lr=lr)) for lr in (-1.0, math.nan)},
+    "window-masks-n-masked-1.5": (InvalidInput, lambda: window_masks(1, 1, 8, 1.5, seeded_rng(0))),
+    "mase-period-1.5": (InvalidInput, lambda: mase([1.0], [2.0], np.arange(8.0), 1.5)),
+    "mase-insample-nan": (InvalidInput, lambda: mase([1.0], [2.0], [1.0, math.nan, 2.0, 4.0], 1)),
 }
 
 

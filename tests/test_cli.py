@@ -484,10 +484,14 @@ def _has_mallopt() -> bool:
 
 
 # Minor page faults per all-trainable training step at the c09 shape (B=64,
-# 11 tokens, d_model 64, 2 layers, d_ff 128), after the CLI's heap policy.
+# 11 tokens, d_model 64, 2 layers, d_ff 128), after the CLI's heap policy, in
+# one process or, with the argument "two", split with a worker; then the
+# number of steps the worker took.
 _STEP_FAULTS = """
+import contextlib
 import resource
-from fpt import cli
+import sys
+from fpt import cli, worker
 from fpt.backbone import (
     AdamState, BackboneConfig, Batch, FreezeMask, backward_and_step, init_random,
 )
@@ -502,30 +506,43 @@ rng = seeded_rng(0)
 store = init_random(cfg, rng.child(1))
 batch = Batch(tokens=rng.normal((64, 11, 16)), targets=rng.normal((64, 24)))
 mask, opt = FreezeMask.all_trainable(store), AdamState(lr=1e-3)
-for step in range(23):
-    if step == 3:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _, store = backward_and_step(store, cfg, batch, opt, mask)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+split, start = [], worker._Worker.start
+worker._Worker.start = lambda self, *args: split.append(1) or start(self, *args)
+two = sys.argv[1] == "two"
+with worker.fit_on_two_cores(store, cfg, mask.trainable, 64, 11) if two else contextlib.nullcontext():
+    for step in range(23):
+        if step == 3:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _, store = backward_and_step(store, cfg, batch, opt, mask)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20, len(split))
 """
+
+_two_cpus = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs fork and two usable CPUs",
+)
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt on Linux")
-def test_training_steps_reuse_the_heap():
+@pytest.mark.parametrize("cores", ["one", pytest.param("two", marks=_two_cpus)])
+def test_training_steps_reuse_the_heap(cores):
     """With glibc's defaults every step re-faults its freed backward tape
     (about a thousand minor faults per step); the pinned heap policy keeps
-    it resident."""
+    it resident, also in the parent of a step split with a worker."""
     src = str(Path(fpt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", _STEP_FAULTS],
+        [sys.executable, "-c", _STEP_FAULTS, cores],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    assert float(run.stdout) < 100
+    faults, split = run.stdout.split()
+    assert float(faults) < 100
+    assert int(split) == (23 if cores == "two" else 0)
 
 
 _TASK_COMMAND = {
@@ -1097,23 +1114,14 @@ def stamped_inputs(tmp_path_factory):
         config.update(sections)
     config["train"]["epochs"] = 0
     config["donor"] = {"length": 256, "n_channels": 1}
-    for command, dataset in (("classify", "waves"), ("anomaly", "spiky")):
+    for command, dataset in digest.DATASETS.items():
         named = _with(config, {"dataset": {"name": dataset}})
         (tmp / f"{command}.json").write_text(json.dumps(named))
     (tmp / "run.json").write_text(json.dumps(config))
     np.savetxt(tmp / "x.csv", seeded_rng(3).normal((12, 4)), delimiter=",")
     assert main(["train", "--config", str(tmp / "run.json"), "--output", str(tmp / "out")]) == 0
 
-    def argv(command: str) -> list[str]:
-        path = tmp / f"{command}.json"
-        fields = {
-            "config": str(path if path.exists() else tmp / "run.json"),
-            "model": str(tmp / "out" / "model"),
-            "x": str(tmp / "x.csv"),
-        }
-        return [arg.format(**fields) for arg in digest.RUNS[command]]
-
-    return argv
+    return lambda command: digest.argv(command, tmp, tmp / "out" / "model")
 
 
 def _stamped_json(out: Path) -> dict:
@@ -1187,13 +1195,7 @@ class TestDeterminism:
         ``tools/digest.py`` (which train for two epochs) digests the same
         when the process may use one CPU as when it may use all of them."""
         monkeypatch.chdir(digest_inputs)
-        config = f"{digest.INPUTS}/{digest.RUNS[run][0]}.json"
-        fields = {
-            "config": config if Path(config).exists() else f"{digest.INPUTS}/run.json",
-            "model": "model/model",
-            "x": f"{digest.INPUTS}/x.csv",
-        }
-        argv = [arg.format(**fields) for arg in digest.RUNS[run]]
+        argv = digest.argv(run, digest.INPUTS, "model/model")
         digests = []
         for cpus in ("one", "all"):
             with monkeypatch.context() as m:
@@ -1213,8 +1215,7 @@ def digest_inputs(tmp_path_factory):
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        run = [arg.format(config=f"{digest.INPUTS}/run.json") for arg in digest.RUNS["train"]]
-        assert main(run + ["--output", "model"]) == 0
+        assert main(digest.argv("train", digest.INPUTS, "model/model") + ["--output", "model"]) == 0
     finally:
         os.chdir(cwd)
     return root

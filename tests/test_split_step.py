@@ -5,6 +5,7 @@ outlive the fit, however it ends."""
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,28 @@ def test_weights_match_one_process_bit_for_bit(monkeypatch, worker_steps, case):
         one = _fit(setup, train)
         assert worker_steps[0] == ran
     assert param_hash(two) == param_hash(one)
+    _no_child_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("other", ["trainable-set", "config"])
+def test_a_step_that_is_not_the_fits_runs_in_one_process(worker_steps, other):
+    setup, train = _setup(freeze=True)
+    cfg, wanted = setup.cfg, setup.mask.trainable
+    call = (cfg, None) if other == "trainable-set" else (replace(cfg, causal=True), wanted)
+    batch = train.rows(np.arange(16))
+
+    def bits(cfg, wanted):
+        value, grads = backbone.loss_and_grads(setup.store, cfg, batch, wanted)
+        return value, param_hash(grads)
+
+    alone = bits(*call)
+    with worker.fit_on_two_cores(setup.store, cfg, wanted, 16, train.tokens.shape[1]):
+        inside = bits(*call)
+        assert worker_steps[0] == 0
+        bits(cfg, wanted)  # the fit's own step goes to the worker
+        assert worker_steps[0] == 1
+    assert inside == alone
     _no_child_left()
 
 

@@ -33,8 +33,8 @@ ROOT = Path(__file__).resolve().parents[1]
 INPUTS = "inputs"  # the directory of ``write_inputs``, beside the runs' outputs
 
 # Every command's flags beyond --output, with {config}, {model} and {x}
-# standing for the inputs: the run config (``<command>.json`` where one
-# exists, else ``run.json``), a saved model and a pattern matrix.
+# standing for the inputs: the run config (``<command>.json`` for a command
+# of ``DATASETS``, else ``run.json``), a saved model and a pattern matrix.
 COMMANDS = {
     **{
         command: [command, "--config", "{config}"]
@@ -61,6 +61,22 @@ RUNS = {
     "similarity --mode pca": COMMANDS["similarity"] + ["--mode", "pca", "--pca-m", "2"],
     "mix-sweep --mix-mode interpolate": COMMANDS["mix-sweep"] + ["--mix-mode", "interpolate"],
 }
+
+
+# The commands whose run config names a dataset of their own.
+DATASETS = {"classify": "waves", "anomaly": "spiky"}
+
+
+def argv(run: str, inputs, model) -> list[str]:
+    """The flags of ``run`` beyond --output, on the inputs ``write_inputs``
+    writes in the directory ``inputs`` and the model saved in ``model``."""
+    command = RUNS[run][0]
+    fields = {
+        "config": str(Path(inputs) / f"{command if command in DATASETS else 'run'}.json"),
+        "model": str(model),
+        "x": str(Path(inputs) / "x.csv"),
+    }
+    return [arg.format(**fields) for arg in RUNS[run]]
 
 
 def digest(out: Path, stdout: str, code: int) -> str:
@@ -119,7 +135,7 @@ def write_inputs(root: Path) -> None:
         "donor": {"length": 256, "n_channels": 1},
     }
     (root / "run.json").write_text(json.dumps(config))
-    for command, name in (("classify", "waves"), ("anomaly", "spiky")):
+    for command, name in DATASETS.items():
         named = {**config, "dataset": {**config["dataset"], "name": name}}
         (root / f"{command}.json").write_text(json.dumps(named))
     np.savetxt(root / "x.csv", seeded_rng(3).normal((12, 4)), delimiter=",")
@@ -134,15 +150,9 @@ def run_all(src: Path, root: Path) -> dict[str, tuple[int, str]]:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     digests = {}
     for i, run in enumerate(RUNS):
-        config = f"{INPUTS}/{RUNS[run][0]}.json"
-        fields = {
-            "config": config if (root / config).exists() else f"{INPUTS}/run.json",
-            "model": "work/0/model",
-            "x": f"{INPUTS}/x.csv",
-        }
-        argv = [arg.format(**fields) for arg in RUNS[run]] + ["--output", f"work/{i}"]
+        flags = argv(run, INPUTS, "work/0/model") + ["--output", f"work/{i}"]
         done = subprocess.run(
-            [sys.executable, "-m", "fpt.cli", *argv],
+            [sys.executable, "-m", "fpt.cli", *flags],
             cwd=root,
             env=env,
             capture_output=True,
