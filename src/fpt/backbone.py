@@ -644,6 +644,7 @@ def forward(store: dict, cfg: BackboneConfig, tokens, pca_m: int | None = None):
     projection of its (token-centered) inputs; None keeps softmax attention.
     The outputs are in the store's dtype.
     """
+    validate_store(store, cfg)
     y, trace, _ = _blocks(_compute_store(store), cfg, tokens, pca_m=pca_m)
     return y, trace
 
@@ -670,6 +671,7 @@ def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
     Runs ``_EVAL_CHUNK`` windows per forward pass, so peak memory does not
     grow with B.
     """
+    validate_store(store, cfg)
     p = _compute_store(store)
     x = np.atleast_1d(tokens)
     chunks = range(0, max(len(x), 1), _EVAL_CHUNK)  # an empty batch still has a shape
@@ -763,6 +765,7 @@ def loss_and_grads(
     Each weight gradient is still one GEMM or sum over all B rows, so every
     bit of the result is the one this pass computes alone.
     """
+    validate_store(store, cfg)
     p = _compute_store(store)
     if _WORKER is not None and _WORKER.fits(p, cfg, batch.tokens, wanted):
         return _WORKER.step(p, batch, dropout_rng)

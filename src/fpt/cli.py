@@ -15,8 +15,6 @@ by zero (``_guarded``).
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import hashlib
 import json
 import sys
@@ -64,6 +62,7 @@ from .tasks import (
     run_zero_shot,
     synthetic_pretrain,
 )
+from .worker import _keep_heap, _one_blas_thread
 
 # Exit 3; every other FptError is a config or input error and exits 2.
 _NUMERICAL_ERRORS = (NumericalFailure, RankDeficient, DegenerateScale)
@@ -81,7 +80,8 @@ _COMMAND_TASKS = {
 
 
 def main(argv=None) -> int:
-    _keep_heap()
+    _keep_heap()  # the process's native settings, once, for every command
+    _one_blas_thread()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -107,34 +107,6 @@ def _guarded(func, args) -> int:
             return func(args)
         except FloatingPointError as exc:
             raise NumericalFailure(f"floating-point {exc}") from None
-
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_heap() -> None:
-    """Keep freed heap memory in the process for the next training step.
-
-    By default glibc serves a large array from its own mmap and unmaps it on
-    free, and trims the heap top back to the OS, so the backward tape of
-    every step (about 9 MB at the c09 shape) lands on fresh pages and pays a minor fault per page.
-    Pinning both thresholds (setting either one alone turns off glibc's
-    dynamic mmap threshold and is slower than neither) lets the next step
-    reuse the freed memory.  The arithmetic is unchanged.  A no-op off
-    Linux or where the C library has no ``mallopt``.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _build_parser() -> argparse.ArgumentParser:

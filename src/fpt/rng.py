@@ -94,12 +94,6 @@ class RandomStream:
         """Uniform random permutation of range(n) via argsort of raw keys."""
         return np.argsort(self._raw(n), kind="stable")
 
-    def choice_no_replace(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices drawn uniformly from range(n)."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        return self.permutation(n)[:k]
-
     def child(self, index: int) -> "RandomStream":
         """Independent stream derived from (this key, index).
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInput
 from .rng import RandomStream
 
 
@@ -86,7 +87,9 @@ def inject_spikes(
     lo, hi = region
     sigma = float(v.std())
     labels = np.zeros(v.shape[0], dtype=np.int64)
-    picks = lo + rng.choice_no_replace(hi - lo, n_spikes)
+    if not 0 <= n_spikes <= hi - lo:
+        raise InvalidInput(f"n_spikes must be in [0, {hi - lo}], got {n_spikes}")
+    picks = lo + rng.permutation(hi - lo)[:n_spikes]
     signs = np.where(rng.uniform(n_spikes) < 0.5, -1.0, 1.0)
     for j, t in enumerate(sorted(int(p) for p in picks)):
         v[t, :] += signs[j] * magnitude_sigmas * sigma

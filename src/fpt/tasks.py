@@ -43,7 +43,7 @@ from .data import (
 )
 from .errors import InsufficientData, InvalidInput, MissingWeights, NumericalFailure
 from .metrics import MetricReport, mae, mape, mse, nd, prf1, smape
-from .numerics import check_int
+from .numerics import check_int, is_number
 from .preprocess import PatchConfig, denormalize, normalize_windows, patchify_windows
 from .rng import RandomStream, seeded_rng
 from .synthetic import donor_values
@@ -64,7 +64,7 @@ class TrainConfig:
     def __post_init__(self):
         check_int(self.epochs, "epochs", 0)
         check_int(self.batch_size, "batch_size", 1)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_number(self.learning_rate) and self.learning_rate > 0):
             raise InvalidInput("learning_rate must be finite and > 0")
         check_int(self.early_stop_patience, "patience", 1)
         check_int(self.seed, "seed", 0)
@@ -237,7 +237,7 @@ def _fit(
             if steps >= max_steps:
                 break
             if validate:
-                with aside():  # the step's shared buffers leave this process meanwhile
+                with aside():  # the arena is unmapped, then the pass's heap trimmed
                     vl = _eval_loss(store, cfg, val)
                 history["val"].append(vl)
                 if vl < best_val:

@@ -10,6 +10,11 @@ process computes, bit for bit.
 and trade short pickled messages over two pipes.  Each weight gradient is
 one GEMM or column sum over all of a batch's rows, run by one of the two
 processes.
+
+It also owns the process's native settings, which nothing undoes: glibc's
+heap thresholds (``_keep_heap``, set by ``cli.main``), one OpenBLAS thread
+(``_one_blas_thread``, set by ``cli.main`` and every fit) and a heap trimmed
+as a fit starts and after each of its validation passes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import os
 import pickle
 import select
 import signal
+import sys
 import time
 
 import numpy as np
@@ -41,11 +47,10 @@ from .backbone import (
 from .rng import RandomStream
 
 
-@functools.cache
-def _openblas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, found
-    by its path in ``/proc/self/maps``, under whichever symbol prefix and
-    suffix the build uses; None when there is none."""
+def _openblas(stem: str, argtypes: list):
+    """The function ``int openblas_<stem>(argtypes)`` of the OpenBLAS numpy
+    loaded, found by its path in ``/proc/self/maps``, under whichever symbol
+    prefix and suffix the build uses; None when there is none."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line})
@@ -58,18 +63,55 @@ def _openblas_thread_setter():
             continue
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_"):
-                fn = getattr(lib, f"{prefix}openblas_set_num_threads_local{suffix}", None)
+                fn = getattr(lib, f"{prefix}openblas_{stem}{suffix}", None)
                 if fn is not None:
-                    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+                    fn.argtypes, fn.restype = argtypes, ctypes.c_int
                     return fn
     return None
 
 
-def _blas_threads(n: int) -> int | None:
-    """Set this process's OpenBLAS thread count to ``n``; returns the count
-    it replaces, or None (changing nothing) when it cannot be set."""
-    setter = _openblas_thread_setter()
-    return None if setter is None else setter(n)
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Set this process's OpenBLAS to one thread, for good; whether it could
+    (where the setter is not found, nothing changes)."""
+    setter = _openblas("set_num_threads_local", [ctypes.c_int])
+    if setter is not None:
+        setter(1)
+    return setter is not None
+
+
+# The C library (None off Linux) and its glibc mallopt parameters (malloc.h)
+_LIBC = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed heap memory in the process for the next training step.
+
+    By default glibc serves a large array from its own mmap and unmaps it on
+    free, and trims the heap top back to the OS, so the backward tape of
+    every step (about 9 MB at the c09 shape) lands on fresh pages and pays a
+    minor fault per page.  Pinning both thresholds (setting either one alone
+    turns off glibc's dynamic mmap threshold and is slower than neither) lets
+    the next step reuse the freed memory.  The arithmetic is unchanged.  A
+    no-op where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(_LIBC, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+def _trim_heap() -> None:
+    """Hand the heap's free pages back to the system (glibc ``malloc_trim``;
+    elsewhere nothing)."""
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def _send(fd: int, msg) -> None:
@@ -132,14 +174,6 @@ class _Arena:
         """Unmap every page from this process.  The contents stay in the
         shared mapping, and the next access maps a page back."""
         self.map.madvise(mmap.MADV_DONTNEED)
-
-
-def _trim_heap() -> None:
-    """Hand the heap's free pages back to the system (glibc ``malloc_trim``;
-    elsewhere nothing)."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim(0)
 
 
 class _RowDraws:
@@ -387,15 +421,6 @@ class _Worker:
             self.close(kill=True)
             raise
 
-    @contextlib.contextmanager
-    def aside(self):
-        """Run the block (a validation pass) with the arena unmapped from
-        this process, then hand back the heap the block freed, so that
-        neither peak adds to the other's."""
-        self.arena.release()
-        yield
-        _trim_heap()
-
     def close(self, kill: bool) -> None:
         """End the worker and reap it; ``kill`` stops it mid-step."""
         if self.pid is None:
@@ -446,37 +471,40 @@ class _Worker:
 def fit_on_two_cores(store: dict, cfg: BackboneConfig, wanted, rows: int, n_tokens: int):
     """Run the fit's ``loss_and_grads`` steps (config ``cfg``, trainable set
     ``wanted``, 2 to ``rows`` rows of ``n_tokens`` tokens) on two processes
-    within the block, which is given a context for its validation passes:
-    ``_Worker.aside``, or a null context when every row runs here.
+    within the block, which is given a context for its validation passes.
 
-    On entry, when this process may use at least two CPUs, can fork and can
-    pin OpenBLAS to one thread, it forks a ``_Worker``; otherwise every row
-    runs here.  Until the block ends OpenBLAS keeps one thread in each
-    process, and this thread and the worker each keep one of the first two
-    usable CPUs (a worker woken onto its waker's CPU stalls both).  The
-    worker ends with the block: it is closed and reaped, and killed first
-    when the block raises; then the thread count and CPU set come back.
+    On entry it trims the heap and sets one OpenBLAS thread; when that is
+    set and this process may use two CPUs, it forks a ``_Worker``, and
+    otherwise every row runs here.  While the worker lives, this thread and
+    the worker each keep one of the first two usable CPUs (a worker woken
+    onto its waker's CPU stalls both).  The worker ends with the block: it
+    is closed and reaped, and killed first when the block raises; then the
+    CPU set comes back.  The validation context unmaps the arena, if any,
+    for the pass, then trims the heap.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    worker = threads = None
-    if backbone._WORKER is None and rows >= 2 and len(cpus) >= 2 and hasattr(os, "fork"):
-        threads = _blas_threads(1)
-    if threads is not None:
-        _trim_heap()  # what data preparation freed need not sit beside the arena
-        try:
+    _trim_heap()
+    worker = None
+    if _one_blas_thread() and backbone._WORKER is None and rows >= 2 and len(cpus) >= 2:
+        with contextlib.suppress(OSError):  # the fork failed: every row runs here
             worker = _Worker(_compute_store(store), cfg, wanted, rows, n_tokens, cpus[1])
-        except OSError:  # no fork: every row runs here
-            _blas_threads(threads)
+
+    @contextlib.contextmanager
+    def validation():
+        if worker is not None:
+            worker.arena.release()
+        yield
+        _trim_heap()
+
     if worker is None:
-        yield contextlib.nullcontext
+        yield validation
         return
     backbone._WORKER, ended = worker, False
     try:
         os.sched_setaffinity(0, cpus[:1])
-        yield worker.aside
+        yield validation
         ended = True
     finally:
         backbone._WORKER = None
         worker.close(kill=not ended)
         os.sched_setaffinity(0, cpus)
-        _blas_threads(threads)

@@ -24,14 +24,22 @@ from fpt.analysis import (
     sgd_conditioning_check,
     sgd_rate_experiment,
 )
-from fpt.backbone import AdamState, adam_step, forward, init_random
+from fpt.backbone import (
+    AdamState,
+    Batch,
+    adam_step,
+    forward,
+    init_random,
+    loss_and_grads,
+    predict,
+)
 from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, mask_count, window_masks
-from fpt.errors import InvalidInput, RankDeficient, ShapeError
+from fpt.errors import FormatError, InvalidInput, RankDeficient, ShapeError
 from fpt.metrics import mase
 from fpt.numerics import finite_diff_grad, sym_eig
 from fpt.preprocess import PatchConfig, patchify_windows, revin_normalize
 from fpt.rng import seeded_rng
-from fpt.synthetic import sinusoid
+from fpt.synthetic import inject_spikes, sinusoid
 from fpt.tasks import TrainConfig, mixed_weights_similarity_sweep, synthetic_pretrain
 
 
@@ -533,9 +541,16 @@ def test_spectral_norm_target_must_be_finite_and_nonnegative(target):
 
 _PATTERNS = seeded_rng(4).normal((6, 3))
 
+def _store_without(name: str) -> dict:
+    store = init_random(tiny_backbone(), seeded_rng(0))
+    del store[name]
+    return store
+
+
 # One malformed argument per public analysis or preprocess function (and the
-# PCA rank of the backbone's forward pass), or per field of a run record, and
-# the typed error it raises in place of a raw numpy error or a silent no-op.
+# PCA rank and the store of the backbone's passes, and the spike fixture), or
+# per field of a run record, and the typed error it raises in place of a raw
+# numpy error or a silent no-op.
 _MALFORMED_CALLS = {
     "pca-rank-not-an-integer": (InvalidInput, lambda: optimal_pca_attention(_PATTERNS, 1.5)),
     "oracle-zero-restarts": (
@@ -619,6 +634,26 @@ _MALFORMED_CALLS = {
     "window-masks-n-masked-1.5": (InvalidInput, lambda: window_masks(1, 1, 8, 1.5, seeded_rng(0))),
     "mase-period-1.5": (InvalidInput, lambda: mase([1.0], [2.0], np.arange(8.0), 1.5)),
     "mase-insample-nan": (InvalidInput, lambda: mase([1.0], [2.0], [1.0, math.nan, 2.0, 4.0], 1)),
+    "train-learning-rate-x": (InvalidInput, lambda: TrainConfig(learning_rate="x")),
+    **{
+        f"{fn.__name__}-{name}": (FormatError, partial(fn, store, tiny_backbone(), arg))
+        for fn, arg in (
+            (forward, np.zeros((1, 3, 8))),
+            (predict, np.zeros((1, 3, 8))),
+            (loss_and_grads, Batch(tokens=np.zeros((1, 3, 8)), targets=np.zeros((1, 1)))),
+        )
+        for name, store in (
+            ("store-without-ln-f-gamma", _store_without("ln_f.gamma")),
+            ("empty-store", {}),
+        )
+    },
+    **{
+        f"inject-spikes-{n}-in-10-steps": (
+            InvalidInput,
+            partial(inject_spikes, np.zeros(10), n, 3.0, (0, 10), seeded_rng(0)),
+        )
+        for n in (-1, 11)
+    },
 }
 
 

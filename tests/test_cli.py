@@ -491,13 +491,13 @@ _STEP_FAULTS = """
 import contextlib
 import resource
 import sys
-from fpt import cli, worker
+from fpt import worker
 from fpt.backbone import (
     AdamState, BackboneConfig, Batch, FreezeMask, backward_and_step, init_random,
 )
 from fpt.rng import seeded_rng
 
-cli._keep_heap()
+worker._keep_heap()
 cfg = BackboneConfig(
     n_layers=2, d_model=64, n_heads=4, d_ff=128, max_tokens=512,
     patch_len=16, head_in=11 * 64, head_out=24,

@@ -1,7 +1,7 @@
 """Static checks, with the stdlib ``ast`` module only: every name a module
 of the package imports is used in that module, every module-level private
-helper is used somewhere in the package, and every defaulted parameter is
-passed by some caller."""
+helper is used somewhere in the package, every defaulted parameter is
+passed by some caller, and one module owns the process's native settings."""
 
 import ast
 from pathlib import Path
@@ -137,3 +137,35 @@ def test_the_check_sees_an_unpassed_default():
     )
     calling = "f(0, 1, e=5)\nK(1)\nk.m(z=2)\ng(*args)\n"
     assert _unpassed_defaults([defining], [calling]) == ["f(c)", "f(d)", "m(y)"]
+
+
+def _importers(sources: dict[str, str], module: str) -> list[str]:
+    """The sources that import the top-level ``module``, in either form."""
+    return sorted(
+        {
+            name
+            for name, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == module for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and not node.level
+            and node.module.split(".")[0] == module
+        }
+    )
+
+
+def test_only_the_worker_imports_ctypes():
+    """The heap thresholds and the OpenBLAS thread count are set in
+    ``fpt.worker`` alone."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _MODULES}
+    assert _importers(sources, "ctypes") == ["worker.py"]
+
+
+def test_the_check_sees_a_ctypes_import():
+    sources = {
+        "a.py": "import ctypes.util\nimport ctypes\n",
+        "b.py": "from ctypes import CDLL\n",
+        "c.py": "from . import ctypes\nimport os\n",
+    }
+    assert _importers(sources, "ctypes") == ["a.py", "b.py"]

@@ -40,12 +40,6 @@ def test_permutation_is_a_permutation():
     assert sorted(perm.tolist()) == list(range(500))
 
 
-def test_choice_without_replacement_distinct():
-    picks = seeded_rng(6).choice_no_replace(100, 30)
-    assert len(set(picks.tolist())) == 30
-    assert all(0 <= p < 100 for p in picks)
-
-
 def test_integers_in_range():
     vals = seeded_rng(8).integers(17, size=5000)
     assert vals.min() >= 0 and vals.max() < 17

@@ -1,9 +1,12 @@
 """Training on two cores: the rows [ceil(B/2), B) of each step run in a
 worker forked for the fit (``fpt.worker.fit_on_two_cores``).  The weights
 must be the ones one process computes, bit for bit, and no process may
-outlive the fit, however it ends."""
+outlive the fit, however it ends.  Both paths of a fit share one process
+mode: one OpenBLAS thread, and a heap handed back to the system on entry."""
 
+import ctypes
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpt
 from fpt import backbone, tasks, worker
 from fpt.backbone import BackboneConfig, Batch, FreezeMask, init_random, param_hash
 from fpt.cli import main
@@ -186,3 +190,88 @@ def test_an_interrupt_mid_epoch_ends_the_worker(monkeypatch, worker_steps):
     assert worker_steps[0] == 2
     _no_child_left()
     assert os.sched_getaffinity(0) == cpus
+
+
+def _run(script: str, *args) -> str:
+    """The stdout of ``script`` run in a fresh interpreter on this checkout."""
+    src = str(Path(fpt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return run.stdout
+
+
+# Resident MiB before and inside a fit that runs in one process (one usable
+# CPU), after 48 MiB of heap arrays were freed under the CLI's heap policy.
+_HEAP_AT_FIT_START = """
+import os
+import numpy as np
+from fpt import worker
+from fpt.backbone import BackboneConfig, init_random
+from fpt.rng import seeded_rng
+
+def resident_mib():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+worker._keep_heap()
+cfg = BackboneConfig(
+    n_layers=1, d_model=16, n_heads=2, d_ff=32, max_tokens=8, patch_len=8, head_in=64, head_out=2,
+)
+store = init_random(cfg, seeded_rng(0))
+freed = [np.ones(1 << 17) for _ in range(48)]
+del freed
+before = resident_mib()
+with worker.fit_on_two_cores(store, cfg, frozenset(store), 16, 4):
+    print(before, resident_mib())
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "malloc_trim"))
+    or not hasattr(os, "sched_setaffinity"),
+    reason="needs glibc and CPU affinity",
+)
+def test_a_fit_in_one_process_hands_back_the_freed_heap():
+    before, inside = map(float, _run(_HEAP_AT_FIT_START).split())
+    assert inside < before - 24, (before, inside)
+
+
+# OpenBLAS's thread count, on the last line, after a command through the
+# CLI, or after a fit through the library, in a fresh process.
+_BLAS_THREADS_AFTER = """
+import sys
+from fpt import tasks, worker
+from fpt.backbone import BackboneConfig, Batch, FreezeMask, init_random
+from fpt.cli import main
+from fpt.rng import seeded_rng
+
+if sys.argv[1] == "command":
+    main(["analyze", "maxent", "--q", "0.5", "--g", "0.5", "--output", sys.argv[2]])
+else:
+    cfg = BackboneConfig(
+        n_layers=1, d_model=16, n_heads=2, d_ff=32, max_tokens=8, patch_len=8, head_in=64,
+        head_out=2,
+    )
+    rng = seeded_rng(0)
+    store = init_random(cfg, rng.child(1))
+    setup = tasks.AblationSetup(store, FreezeMask.all_trainable(store), cfg)
+    train = Batch(tokens=rng.normal((32, 4, 8)), targets=rng.normal((32, 2)))
+    tasks._fit(setup, train, None, tasks.TrainConfig(epochs=1, batch_size=16), rng.child(2))
+print(worker._openblas("get_num_threads", [])())
+"""
+
+
+@pytest.mark.skipif(
+    worker._openblas("get_num_threads", []) is None, reason="needs OpenBLAS's thread count"
+)
+@pytest.mark.parametrize("after", ["command", "fit"])
+def test_one_blas_thread_after(after, tmp_path):
+    assert _run(_BLAS_THREADS_AFTER, after, str(tmp_path / "out")).splitlines()[-1] == "1"
