@@ -22,6 +22,7 @@ from .numerics import (
     check_matrix,
     check_rank,
     finite_diff_grad,
+    is_number,
     softmax,
     softmax_rows,
     spectral_norm,
@@ -320,7 +321,7 @@ def sgd_conditioning_check(g, y, eps: float, rng: RandomStream) -> SgdRateResult
     n, d = g.shape
     if y.shape[0] != n:
         raise InvalidInput(f"targets must have {n} rows, got {y.shape[0]}")
-    if not eps > 0:
+    if not (is_number(eps) and eps > 0):
         raise InvalidInput(f"eps must be positive, got {eps}")
     eigen = sym_eig((g.T @ g) / n)
     sigma = float(eigen.eigenvalues[-1])
@@ -409,6 +410,7 @@ def sgd_rate_experiment(sigmas, eps: float, seed: int) -> list[dict]:
     ``_SGD_REPLICATES`` independent sample streams; the median step count
     damps crossing-time jitter so the 1/sigma scaling is visible.
     """
+    check_int(seed, "seed", 0)
     rows = []  # every sigma is checked, by building its problem, before the first SGD run
     problems = [conditioned_least_squares_problem(sigma, seeded_rng(seed)) for sigma in sigmas]
     for sigma, (g, y) in zip(sigmas, problems):
@@ -439,9 +441,9 @@ def maxent_dual_solve(q: float, g: float) -> float:
     minimizer in closed form is ln(g / (q (1 - g))), which the bisection
     reproduces to within ``_MAXENT_TOL``.
     """
-    if not 0.0 < q < 1.0:
+    if not (is_number(q) and 0.0 < q < 1.0):
         raise InvalidInput("q must be in (0, 1)")
-    if not 0.0 < g < 1.0:
+    if not (is_number(g) and 0.0 < g < 1.0):
         raise InvalidInput("g must be in (0, 1): the dual is unbounded or degenerate")
 
     def deriv(lam: float) -> float:

@@ -300,7 +300,7 @@ def mix_weights(
     (1-ratio)*pretrained + ratio*random.
     Trainable-group tensors always come from ``pretrained`` unchanged.
     """
-    if not 0.0 <= ratio <= 1.0:
+    if not (is_number(ratio) and 0.0 <= ratio <= 1.0):
         raise InvalidInput("ratio must be in [0, 1]")
     if mode not in ("replace", "interpolate"):
         raise InvalidInput("mode must be 'replace' or 'interpolate'")
@@ -383,14 +383,12 @@ def _gelu_bwd(dg, u, t):
     return dt
 
 
-def _ln_bwd(dy, cache, *into):
+def _ln_bwd(dy, cache, grads, wanted, prefix):
     """``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
-    ``dxhat = dy * gamma``, and the gamma and beta gradients.  Returns (dx,
-    dgamma, dbeta), or, given ``into = (grads, wanted, prefix)``, dx alone,
-    with the gradients of ``prefix + "gamma"`` and ``prefix + "beta"`` set
-    through ``_set_grad``.  It writes into no array it hands on."""
+    ``dxhat = dy * gamma``; the gradients of ``prefix + "gamma"`` and
+    ``prefix + "beta"`` are set through ``_set_grad``.  It writes into no
+    array it hands on."""
     xhat, inv, gamma = cache
-    grads, wanted, prefix = into or ({}, None, "")
     d = dy.shape[-1]
     _set_grad(grads, wanted, prefix + "gamma", _colsum, dy * xhat)
     _set_grad(grads, wanted, prefix + "beta", _colsum, dy)
@@ -400,7 +398,7 @@ def _ln_bwd(dy, cache, *into):
     dx -= m1
     dx -= xhat * m2
     dx *= inv
-    return dx if into else (dx, grads["gamma"], grads["beta"])
+    return dx
 
 
 def _mm(a, w, b=None):
@@ -767,7 +765,7 @@ def loss_and_grads(
     """
     validate_store(store, cfg)
     p = _compute_store(store)
-    if _WORKER is not None and _WORKER.fits(p, cfg, batch.tokens, wanted):
+    if _WORKER is not None and _WORKER.fits(p, cfg, batch, wanted):
         return _WORKER.step(p, batch, dropout_rng)
     y, _, tape = _blocks(p, cfg, batch.tokens, dropout_rng=dropout_rng, keep=True)
     value, head, dy, k = _head_and_loss(y, p, cfg, batch, wanted)

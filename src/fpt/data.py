@@ -357,7 +357,7 @@ def few_shot_subset(
     The kept portion is the training suffix by default (most recent data,
     adjacent to validation); validation and test are untouched.
     """
-    if not 0.0 < percent <= 1.0:
+    if not (is_number(percent) and 0.0 < percent <= 1.0):
         raise InvalidInput("percent must be in (0, 1]")
     if position not in ("suffix", "prefix"):
         raise InvalidInput("position must be 'suffix' or 'prefix'")
@@ -377,7 +377,7 @@ def mask_count(ratio: float, cells: int) -> int:
     """The number of cells a mask of ``ratio`` hides among ``cells``:
     round(ratio * cells), halves rounded up, and at least one.  A ratio
     outside (0, 1), NaN included, raises ``InvalidInput``."""
-    if not 0.0 < ratio < 1.0:
+    if not (is_number(ratio) and 0.0 < ratio < 1.0):
         raise InvalidInput(f"mask ratio must be in (0, 1), got {ratio!r}")
     return max(1, int(math.floor(ratio * cells + 0.5)))
 

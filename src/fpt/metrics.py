@@ -176,9 +176,9 @@ class MetricReport:
 
     def metric(self, name: str, scope: str = "avg") -> float:
         for r in self.rows:
-            if r["scope"] == scope:
+            if r["scope"] == scope and name in r["metrics"]:
                 return r["metrics"][name]
-        raise KeyError(f"no row with scope {scope!r}")
+        raise InvalidInput(f"no metric {name!r} in a row with scope {scope!r}")
 
     def to_json(self) -> str:
         return json.dumps(

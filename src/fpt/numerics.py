@@ -12,7 +12,6 @@ machine, numpy build and BLAS kernel, not across them.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -147,7 +146,7 @@ def finite_diff_grad(f: Callable, x, h: float = 1e-5) -> np.ndarray:
     """Central-difference derivative of ``f`` at the array ``x``: the
     gradient, shaped like ``x``, of a scalar ``f``, and the Jacobian, shaped
     ``f(x).shape + x.shape``, of an array-valued one."""
-    if not (math.isfinite(h) and h > 0):
+    if not (is_number(h) and h > 0):
         raise InvalidInput(f"finite difference step must be finite and positive, got {h!r}")
     x0 = np.ascontiguousarray(x, dtype=np.float64).copy()
     if x0.size == 0:

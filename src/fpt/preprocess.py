@@ -7,13 +7,12 @@ overlapping) fixed-length segments used as tokens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidInput
-from .numerics import check_int
+from .numerics import check_int, is_number
 
 DEFAULT_EPS = 1e-5
 
@@ -95,7 +94,7 @@ def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
     ``eps`` that is not a finite number >= 0, and a row whose variance
     overflows float64, raise ``InvalidInput``.
     """
-    if not (math.isfinite(eps) and eps >= 0):
+    if not (is_number(eps) and eps >= 0):
         raise InvalidInput(f"eps must be a finite number >= 0, got {eps!r}")
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 2:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -54,7 +56,7 @@ class RandomStream:
     def _raw(self, n: int) -> np.ndarray:
         """Next ``n`` uint64 words of the stream."""
         if n < 0:
-            raise ValueError("draw count must be nonnegative")
+            raise InvalidInput(f"draw count must be nonnegative, got {n}")
         lo = self._count + 1
         self._count += n
         return _words(self._key, lo, n)
@@ -85,7 +87,7 @@ class RandomStream:
     def integers(self, n: int, size=()) -> np.ndarray:
         """Uniform integers in [0, n). Requires n < 2**53."""
         if not 0 < n < 2**53:
-            raise ValueError("integer range must be in (0, 2**53)")
+            raise InvalidInput(f"integer range must be in (0, 2**53), got {n}")
         u = self.uniform(_as_shape(size) or (1,))
         out = np.floor(np.asarray(u) * n).astype(np.int64)
         return out.reshape(_as_shape(size)) if _as_shape(size) else int(out[0])

@@ -405,9 +405,9 @@ def run_imputation(
     the reported MSE/MAE are computed on masked coordinates only.  At least
     one point per window is always masked.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if not ratios or not all(0.0 < r < 1.0 for r in ratios):
-        raise InvalidInput("mask ratios must lie in (0, 1)")
+    ratios = tuple(ratios) if np.iterable(ratios) else ()
+    if not ratios or not all(is_number(r) and 0.0 < r < 1.0 for r in ratios):
+        raise InvalidInput("mask ratios must be numbers in (0, 1)")
     wspec, cfg = _reconstruction_setup(base_cfg, patch, lookback, stride)
     report = MetricReport(
         metadata=_base_metadata(
@@ -419,7 +419,7 @@ def run_imputation(
         )
     )
     stores: dict[float, dict] = {}
-    for ri, ratio in enumerate(ratios):
+    for ri, ratio in enumerate(map(float, ratios)):
         rng = seeded_rng(tcfg.seed).child(100 + ri)
         n_masked = mask_count(ratio, lookback)
         train, val, test = (
@@ -455,8 +455,8 @@ def run_classification(
     labels = np.asarray(dataset.labels, dtype=np.int64)
     inferred = int(labels.max()) + 1
     n_classes = inferred if n_classes is None else n_classes
-    if n_classes < 2 or len(np.unique(labels)) < 2:
-        raise InvalidInput("classification needs at least two classes present")
+    if not isinstance(n_classes, (int, np.integer)) or n_classes < 2 or len(np.unique(labels)) < 2:
+        raise InvalidInput("classification needs an integer n_classes >= 2 and two classes present")
     if inferred > n_classes:
         raise InvalidInput(f"label {inferred - 1} is out of range for n_classes {n_classes}")
     length = dataset.n_steps
@@ -529,7 +529,7 @@ def run_anomaly(
     """Self-supervised reconstruction; the detection threshold is the given
     quantile of per-point training errors, and test points whose error
     exceeds it are flagged."""
-    if not 0.0 < quantile < 1.0:
+    if not (is_number(quantile) and 0.0 < quantile < 1.0):
         raise InvalidInput("quantile must be in (0, 1)")
     if dataset.labels is None or dataset.label_kind != "timestep":
         raise InvalidInput("anomaly detection needs one binary label per timestep")
@@ -622,6 +622,8 @@ def synthetic_pretrain(
     freeze/transfer arms have stand-in pretrained weights."""
     check_int(length, "donor length", 1)
     check_int(n_channels, "donor n_channels", 1)
+    if not (is_number(noise) and noise >= 0):
+        raise InvalidInput(f"donor noise must be a finite number >= 0, got {noise!r}")
     rng = seeded_rng(tcfg.seed).child(777)
     values = donor_values(length, n_channels, rng, noise=noise)
     donor = TimeSeriesDataset(name="synthetic-donor", values=values)
@@ -652,9 +654,9 @@ def mixed_weights_similarity_sweep(
     after a brief fine-tune of the trainable group, record each layer's
     token similarity on a fixed eval batch and the test MSE.
     """
-    ratios = [float(r) for r in ratios]
-    if any(not 0.0 <= r <= 1.0 for r in ratios):
-        raise InvalidInput("ratios must lie in [0, 1]")
+    ratios = tuple(ratios) if np.iterable(ratios) else (None,)  # a scalar fails the check
+    if not all(is_number(r) and 0.0 <= r <= 1.0 for r in ratios):
+        raise InvalidInput("ratios must be numbers in [0, 1]")
     derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
     random_store = init_random(derived_cfg, rng.child(1))
     train = _samples(dataset, wspec, patch, revin_eps, "train")
@@ -664,7 +666,7 @@ def mixed_weights_similarity_sweep(
         epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
     )
     rows = []
-    for i, ratio in enumerate(ratios):
+    for i, ratio in enumerate(map(float, ratios)):
         mixed = mix_weights(pretrained, random_store, ratio, rng.child(10 + i), mode=mode)
         setup = AblationSetup(mixed, FreezeMask.default_fpt(mixed), derived_cfg)
         store, _ = _fit(setup, train, None, tcfg, rng.child(100 + i), max_steps=finetune_steps)

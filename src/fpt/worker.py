@@ -4,12 +4,11 @@ process computes, bit for bit.
 
 ``fit_on_two_cores`` starts the worker for a fit and ends it; inside it,
 ``backbone.loss_and_grads`` hands each of the fit's steps to
-``_Worker.step``, the parent's half of the split, while the worker runs
-``_Worker._half_step``.  The two processes share one anonymous ``mmap``
-(the arena) for the weights, the batch and the rows of gradient operands,
-and trade short pickled messages over two pipes.  Each weight gradient is
-one GEMM or column sum over all of a batch's rows, run by one of the two
-processes.
+``_Worker.step``, and each process runs ``_Worker._half`` on its rows.  The
+two share one anonymous ``mmap`` (the arena) for the weights, the batch and
+the rows of gradient operands, and trade short pickled messages over two
+pipes.  Each weight gradient is one GEMM or column sum over all of a
+batch's rows, run by one of the two processes.
 
 It also owns the process's native settings, which nothing undoes: glibc's
 heap thresholds (``_keep_heap``, set by ``cli.main``), one OpenBLAS thread
@@ -36,6 +35,7 @@ import numpy as np
 from . import backbone
 from .backbone import (
     BackboneConfig,
+    Batch,
     _backbone_bwd,
     _blocks,
     _compute_store,
@@ -177,15 +177,14 @@ class _Arena:
 
 
 class _RowDraws:
-    """The dropout stream of the rows ``rows`` of a batch: its i-th
-    ``uniform`` call returns those rows of the i-th of ``draws``, made at
-    the whole batch's shape in the order ``_blocks`` asks for them."""
+    """The dropout stream of the rows ``rows`` of a ``batch``-row step: it draws
+    from ``stream`` at the whole batch's shape, as one process does."""
 
-    def __init__(self, draws, rows: slice):
-        self.draws, self.rows = iter(draws), rows
+    def __init__(self, stream: RandomStream, rows: slice, batch: int):
+        self.stream, self.rows, self.batch = stream, rows, batch
 
     def uniform(self, shape):
-        return next(self.draws)[self.rows]
+        return self.stream.uniform((self.batch, *shape[1:]))[self.rows]
 
 
 class _RowGrads:
@@ -266,17 +265,16 @@ def _split_is_exact(cfg: BackboneConfig, b: int, n: int, dtype) -> bool:
 
 def _arena_bytes(p: dict, cfg: BackboneConfig, rows: int, n_tokens: int) -> int:
     """An upper bound on what ``_Worker`` takes from its arena: the weights;
-    per row and token the tokens, the dropout draws (float64), the final
-    LayerNorm's output and its gradient, and the operands ``_RowGrads``
-    copies (two per LayerNorm, twelve of width d_model and two of width d_ff
-    per block, the tokens and dh for the embedding); the worker's gradients,
-    at most the weights; and each array's rounding to 64 bytes."""
+    per row the loss fields (``_Worker._fields``, 8 bytes a number at most);
+    per row and token the tokens, y and the operands ``_RowGrads`` copies
+    (two per LayerNorm, twelve of width d_model and two of width d_ff per
+    block, the tokens and dh for the embedding); the worker's gradients, at
+    most the weights; and each array's rounding to 64 bytes."""
     d, depth = cfg.d_model, cfg.n_layers
-    width = 2 * cfg.patch_len + 5 * d + depth * (12 * d + 2 * cfg.d_ff)
-    draws = 8 * (1 + 2 * depth) * d if cfg.dropout > 0 else 0
+    width = 2 * cfg.patch_len + 4 * d + depth * (12 * d + 2 * cfg.d_ff)
+    per_row = n_tokens * width * p["input_embedding.w"].itemsize + 8 * (2 * cfg.head_out + 3)
     weights = sum(a.nbytes for a in p.values())
-    per_row = p["input_embedding.w"].itemsize * width + draws
-    return rows * n_tokens * per_row + 2 * weights + 64 * (2 * len(p) + 16 * depth + 16)
+    return rows * per_row + 2 * weights + 64 * (2 * len(p) + 12 * depth + 11)
 
 
 class _Worker:
@@ -285,13 +283,11 @@ class _Worker:
     processes share.  The fit's config, trainable set and token count are
     fixed at the fork.
 
-    Per step the parent copies the weights, tokens and dropout draws into
-    the arena and sends the batch size and the number of draws; the two
-    then trade one message at each hand-over: the worker's final-LayerNorm
-    rows are in, the head's gradient is in, both processes' gradient rows
-    are in, the worker's gradients are in.  The worker never returns into
-    its caller's frames and writes to no terminal; it ends on end-of-file
-    of its command pipe, after sending back an error, or when killed.
+    Per step the parent copies the weights and the batch into the arena and
+    sends the batch's layout and the dropout stream; both run ``_half``, and
+    the worker's gradients come back.  The worker never returns into its
+    caller's frames and writes to no terminal; it ends on end-of-file of its
+    command pipe, after sending back an error, or when killed.
     """
 
     def __init__(self, p: dict, cfg: BackboneConfig, wanted, rows: int, n_tokens: int, cpu: int):
@@ -308,39 +304,49 @@ class _Worker:
                 os.close(fd)
             raise
         self.pid = pid or None  # the worker has no worker to end: close() does nothing there
-        if pid == 0:
-            code = 1
-            try:
+        code = 1
+        try:
+            self.inbox, self.outbox = (up[0], down[1]) if pid else (down[0], up[1])
+            for fd in {*down, *up} - {self.inbox, self.outbox}:
+                os.close(fd)
+            os.set_blocking(self.inbox, False)
+            if pid == 0:
                 os.sched_setaffinity(0, {cpu})
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the worker
-                os.close(down[1])
-                os.close(up[0])
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, 1)
                 os.dup2(null, 2)
-                self.inbox, self.outbox = down[0], up[1]
-                os.set_blocking(self.inbox, False)
                 self._serve()
                 code = 0
-            finally:
+        finally:
+            if pid == 0:  # the worker never returns into its caller's frames
                 os._exit(code)
-        os.close(down[0])
-        os.close(up[1])
-        self.inbox, self.outbox = up[0], down[1]
-        os.set_blocking(self.inbox, False)
 
-    def fits(self, p: dict, cfg: BackboneConfig, tokens, wanted) -> bool:
-        """Whether the worker lives, the step is the fit's (its config,
-        trainable set, dtype and token shape), the worker can take its batch
-        size, and two halves of that batch give its bits."""
-        shape = np.shape(tokens)
+    def fits(self, p: dict, cfg: BackboneConfig, batch: Batch, wanted) -> bool:
+        """Whether the worker lives, the step is the fit's (its config, trainable
+        set, dtype and token shape), the arena takes its batch, and two halves
+        of that batch give its bits."""
+        shape = np.shape(batch.tokens)
         return (
             self.pid is not None
             and (cfg, wanted, p["input_embedding.w"].dtype, shape[1:])
             == (self.cfg, self.wanted, self.dtype, (self.n_tokens, self.cfg.patch_len))
             and 2 <= shape[0] <= self.rows
+            and self._fields(batch) is not None
             and self._exact(shape[0])
         )
+
+    def _fields(self, batch: Batch):
+        """(name, row shape, dtype) of the arena copy of the tokens and of each
+        field of ``batch`` the loss reads; None when one of those is not a
+        float64-castable number in the shape ``_loss_and_dout`` asks for: that
+        step runs, and raises, in one process."""
+        e, b = (self.cfg.head_out,), len(batch.tokens)
+        rows = {"targets": e, "mask": e, "labels": (), "out_scale": (), "out_mean": ()}
+        fields = [(n, rows[n], np.asarray(a)) for n in rows if (a := getattr(batch, n)) is not None]
+        ok = all(a.shape == (b, *r) and np.can_cast(a.dtype, np.float64) for _, r, a in fields)
+        tokens = ("tokens", (self.n_tokens, self.cfg.patch_len), self.dtype)
+        return [tokens, *((n, r, a.dtype) for n, r, a in fields)] if ok else None
 
     def _exact(self, b: int) -> bool:
         """``_split_is_exact`` at batch size ``b``, measured in the worker so
@@ -351,16 +357,16 @@ class _Worker:
             _EXACT_SPLITS[key] = self._hear("probe")
         return _EXACT_SPLITS[key]
 
-    def _layout(self, b: int, n_draws: int):
-        """This step's arena arrays, taken in the same order in both processes."""
+    def _layout(self, b: int, fields):
+        """This step's arena batch, with the ``fields`` of ``_fields``, and y,
+        taken in the same order in both processes."""
         self.arena.top = self.mark
-        rows, d = self.arena.rows, (self.n_tokens, self.cfg.d_model)
-        x = rows(b, (self.n_tokens, self.cfg.patch_len), self.dtype)
-        draws = [rows(b, d, np.float64) for _ in range(n_draws)]
-        return x, draws, rows(b, d, self.dtype), rows(b, d, self.dtype)
+        batch = Batch(**{name: self.arena.rows(b, shape, dtype) for name, shape, dtype in fields})
+        return batch, self.arena.rows(b, (self.n_tokens, self.cfg.d_model), self.dtype)
 
     def _say(self, tag, payload) -> None:
-        _send(self.outbox, (tag, payload))
+        with contextlib.suppress(BrokenPipeError):  # the other has exited: _hear says so
+            _send(self.outbox, (tag, payload))
 
     def _hear(self, tag):
         try:
@@ -372,50 +378,50 @@ class _Worker:
             raise payload if got == "error" else RuntimeError(f"got {got!r}, expected {tag!r}")
         return payload
 
+    def _half(self, me: int, p, batch: Batch, y, dropout_rng):
+        """One process's half of a step on the arena's ``batch`` and ``y``: its
+        rows ([0, ceil(B/2)) in the parent, ``me`` 0) through the blocks, the
+        head and the loss on all rows (the head's gradients in the parent
+        alone), its rows back; returns (value, head gradients, _RowGrads, k)."""
+        b, cfg = len(y), self.cfg
+        rows = (slice(0, (b + 1) // 2), slice((b + 1) // 2, b))[me]
+        drops = None if dropout_rng is None else _RowDraws(dropout_rng, rows, b)
+        y[rows], _, tape = _blocks(p, cfg, batch.tokens[rows], dropout_rng=drops, keep=True)
+        self._say("y", None)  # then both processes wait until both halves of y are in
+        self._hear("y")
+        value, head, dy, k = _head_and_loss(y, p, cfg, batch, frozenset() if me else self.wanted)
+        grads = _RowGrads(self.arena, rows, b, me)
+        _backbone_bwd(dy[rows], tape, p, cfg, grads, self.wanted)
+        self._say("rows", None)
+        self._hear("rows")
+        return value, head, grads, k
+
     # the parent's side
 
-    def start(self, p, tokens, dropout_rng):
-        """Copy the step's weights, tokens and dropout draws into the arena
-        and hand the rows [ceil(B/2), B) to the worker; returns the arena's
-        (tokens, dropout draws, y, dy) and the rows [0, ceil(B/2))."""
-        b = len(tokens)
+    def start(self, p, batch: Batch, dropout_rng):
+        """Copy the step's weights and batch into the arena and hand the worker
+        its half and a copy of the dropout stream; returns the arena's batch and y."""
         for name, w in self.p.items():
             w[...] = p[name]
-        dropout = dropout_rng is not None and self.cfg.dropout > 0
-        x, draws, y, dy = self._layout(b, 1 + 2 * self.cfg.n_layers if dropout else 0)
-        x[...] = tokens
-        for draw in draws:
-            draw[...] = dropout_rng.uniform(draw.shape)
-        self._say("step", (b, len(draws)))
-        return x, draws, y, dy, slice(0, (b + 1) // 2)
+        fields = self._fields(batch)
+        ours, y = self._layout(len(batch.tokens), fields)
+        for name, *_ in fields:
+            getattr(ours, name)[...] = getattr(batch, name)
+        self._say("step", (len(y), fields, dropout_rng))
+        return ours, y
 
-    def step(self, p, batch, dropout_rng):
-        """``loss_and_grads`` on the compute store ``p`` with the worker:
-        the rows [0, ceil(B/2)) through the blocks, then the head and the
-        loss on the whole batch, then those rows back, and about half of
-        the gradient jobs, each over all B rows (see ``_half_step``).  The
-        worker is killed when the step raises: it may be mid-step."""
-        cfg, wanted = self.cfg, self.wanted
+    def step(self, p, batch: Batch, dropout_rng):
+        """``loss_and_grads`` on the compute store ``p``: the parent's ``_half``,
+        its gradient jobs, then the worker's gradients.  The worker is killed
+        when the step raises: it may be mid-step."""
         try:
-            x, draws, y, arena_dy, rows = self.start(p, batch.tokens, dropout_rng)
-            drops = _RowDraws(draws, rows) if draws else None
-            y[rows], _, tape = _blocks(p, cfg, x[rows], dropout_rng=drops, keep=True)
-            self._hear("y")
-            value, ours, dy, k = _head_and_loss(y, p, cfg, batch, wanted)
-            arena_dy[rows.stop :] = dy[rows.stop :]
-            self._say("dy", None)
-            grads = _RowGrads(self.arena, rows, len(y), 0)
-            _backbone_bwd(dy[rows], tape, p, cfg, grads, wanted)
-            self._hear("rows")
-            self._say("rows", None)
+            value, ours, grads, k = self._half(0, p, *self.start(p, batch, dropout_rng), dropout_rng)
             for names, g in grads.run():
-                _keep(ours, wanted, names, g)
+                _keep(ours, self.wanted, names, g)
             ours = _unscaled(ours, k)  # while the worker runs its jobs
             theirs: dict[str, np.ndarray] = {}
-            shapes = iter(self._hear("done"))
-            for names, _, side, _ in grads.jobs:
-                if side:
-                    _keep(theirs, wanted, names, self.arena.take(*next(shapes)))
+            for names, shape, dtype in self._hear("done"):
+                _keep(theirs, self.wanted, names, self.arena.take(shape, dtype))
             return value, {**ours, **_unscaled(theirs, k)}
         except BaseException:
             self.close(kill=True)
@@ -449,21 +455,12 @@ class _Worker:
                 self._say("error", exc)
                 return
 
-    def _half_step(self, b: int, n_draws: int) -> None:
-        x, draws, y, dy = self._layout(b, n_draws)
-        rows = slice((b + 1) // 2, b)
-        drops = _RowDraws(draws, rows) if draws else None
-        y[rows], _, tape = _blocks(self.p, self.cfg, x[rows], dropout_rng=drops, keep=True)
-        self._say("y", None)
-        self._hear("dy")
-        grads = _RowGrads(self.arena, rows, b, 1)
-        _backbone_bwd(dy[rows], tape, self.p, self.cfg, grads, self.wanted)
-        self._say("rows", None)
-        self._hear("rows")
+    def _half_step(self, b: int, fields, dropout_rng) -> None:
+        grads = self._half(1, self.p, *self._layout(b, fields), dropout_rng)[2]
         shapes = []
-        for _, g in grads.run():
+        for names, g in grads.run():
             self.arena.take(g.shape, g.dtype)[...] = g
-            shapes.append((g.shape, g.dtype))
+            shapes.append((names, g.shape, g.dtype))
         self._say("done", shapes)
 
 

@@ -1,7 +1,9 @@
 import ast
 import copy
 import importlib
+import json
 import math
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -30,17 +32,36 @@ from fpt.backbone import (
     adam_step,
     forward,
     init_random,
+    load_weights,
     loss_and_grads,
+    mix_weights,
     predict,
+    save_weights,
+    validate_store,
 )
-from fpt.data import SplitSpec, TimeSeriesDataset, WindowSpec, mask_count, window_masks
+from fpt.data import (
+    SplitSpec,
+    TimeSeriesDataset,
+    WindowSpec,
+    few_shot_subset,
+    mask_count,
+    window_masks,
+)
 from fpt.errors import FormatError, InvalidInput, RankDeficient, ShapeError
-from fpt.metrics import mase
+from fpt.metrics import MetricReport, mase, mse, prf1
 from fpt.numerics import finite_diff_grad, sym_eig
-from fpt.preprocess import PatchConfig, patchify_windows, revin_normalize
+from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows, revin_normalize
 from fpt.rng import seeded_rng
 from fpt.synthetic import inject_spikes, sinusoid
-from fpt.tasks import TrainConfig, mixed_weights_similarity_sweep, synthetic_pretrain
+from fpt.tasks import (
+    TrainConfig,
+    make_ablation,
+    mixed_weights_similarity_sweep,
+    run_anomaly,
+    run_classification,
+    run_imputation,
+    synthetic_pretrain,
+)
 
 
 class TestTokenSimilarity:
@@ -547,6 +568,28 @@ def _store_without(name: str) -> dict:
     return store
 
 
+def _store_with(name: str, value) -> dict:
+    return {**init_random(tiny_backbone(), seeded_rng(0)), name: value}
+
+
+def _load_edited(edit) -> dict:
+    """``load_weights`` of a saved tiny store whose manifest ``edit`` changed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_weights(init_random(tiny_backbone(), seeded_rng(0)), tmp)
+        path = Path(tmp, "manifest.json")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return load_weights(tmp, tiny_backbone())
+
+
+_SINE = TimeSeriesDataset(name="sine", values=sinusoid(400, 24.0)[:, None])
+_TWO_CLASSES = TimeSeriesDataset(
+    name="two", values=np.zeros((64, 4)), labels=np.array([0, 1, 0, 1]), label_kind="series"
+)
+_RUN = (tiny_backbone(), TrainConfig(epochs=1), PatchConfig(8, 4))
+
+
 # One malformed argument per public analysis or preprocess function (and the
 # PCA rank and the store of the backbone's passes, and the spike fixture), or
 # per field of a run record, and the typed error it raises in place of a raw
@@ -654,6 +697,108 @@ _MALFORMED_CALLS = {
         )
         for n in (-1, 11)
     },
+    # the scalar arguments of the runners and of the numerics, and the stream
+    "anomaly-quantile-string": (InvalidInput, lambda: run_anomaly(_SINE, "0.9", 48, *_RUN)),
+    "few-shot-percent-string": (InvalidInput, lambda: few_shot_subset(_SINE, "0.5")),
+    "classification-n-classes-string": (
+        InvalidInput,
+        lambda: run_classification(_TWO_CLASSES, *_RUN, n_classes="3"),
+    ),
+    "maxent-q-string": (InvalidInput, lambda: maxent_dual_solve("x", 0.5)),
+    "sgd-rate-eps-string": (InvalidInput, lambda: sgd_rate_experiment([1.0], "x", 0)),
+    "sgd-rate-seed-negative": (InvalidInput, lambda: sgd_rate_experiment([1.0], 1e-3, -1)),
+    "finite-diff-step-string": (InvalidInput, lambda: finite_diff_grad(np.sum, np.ones(2), "x")),
+    "normalize-windows-eps-string": (
+        InvalidInput,
+        lambda: normalize_windows(np.ones((2, 8)), "x"),
+    ),
+    **{
+        f"imputation-ratios-{name}": (
+            InvalidInput,
+            partial(run_imputation, _SINE, ratios, 48, *_RUN),
+        )
+        for name, ratios in (("5", 5), ("ab", "ab"))
+    },
+    "mix-sweep-ratios-ab": (
+        InvalidInput,
+        lambda: mixed_weights_similarity_sweep(
+            {}, tiny_backbone(), _SINE, WindowSpec(48, 12), PatchConfig(8, 4), "ab", seeded_rng(0)
+        ),
+    ),
+    "rng-uniform-shape-negative": (InvalidInput, lambda: seeded_rng(0).uniform(-1)),
+    "rng-permutation-negative": (InvalidInput, lambda: seeded_rng(0).permutation(-1)),
+    "rng-integers-0": (InvalidInput, lambda: seeded_rng(0).integers(0)),
+    "report-metric-without-rows": (InvalidInput, lambda: MetricReport().metric("MSE")),
+    "mask-count-ratio-string": (InvalidInput, lambda: mask_count("0.5", 48)),
+    "mix-weights-ratio-string": (
+        InvalidInput,
+        lambda: mix_weights(*[init_random(tiny_backbone(), seeded_rng(0))] * 2, "0.5", seeded_rng(1)),
+    ),
+    **{
+        f"donor-noise-{noise}": (
+            InvalidInput,
+            lambda noise=noise: synthetic_pretrain(
+                tiny_backbone(), WindowSpec(48, 12), PatchConfig(8, 4), TrainConfig(epochs=1),
+                length=256, n_channels=1, noise=noise,
+            ),
+        )
+        for noise in (-0.05, math.nan)
+    },
+    # typed-error branches that no other test reaches
+    "backbone-dropout-1": (InvalidInput, lambda: tiny_backbone(dropout=1.0)),
+    "backbone-head-mode-x": (InvalidInput, lambda: tiny_backbone(head_mode="x")),
+    "backbone-pool-head-in-1": (InvalidInput, lambda: tiny_backbone(head_mode="pool")),
+    "store-extra-tensor": (
+        FormatError,
+        lambda: validate_store(_store_with("extra", np.zeros(1)), tiny_backbone()),
+    ),
+    "store-misshapen-tensor": (
+        ShapeError,
+        lambda: validate_store(_store_with("ln_f.gamma", np.zeros(3)), tiny_backbone()),
+    ),
+    "container-format-version-2": (
+        FormatError,
+        lambda: _load_edited(lambda m: m.update(format_version=2)),
+    ),
+    "container-unexpected-tensor": (
+        FormatError,
+        lambda: _load_edited(lambda m: m["tensors"].append({**m["tensors"][0], "name": "x"})),
+    ),
+    **{
+        f"mix-weights-{name}": (
+            error,
+            lambda other=other, ratio=ratio, mode=mode: mix_weights(
+                init_random(tiny_backbone(), seeded_rng(0)), other, ratio, seeded_rng(1), mode
+            ),
+        )
+        for name, error, other, ratio, mode in (
+            ("ratio-1.5", InvalidInput, init_random(tiny_backbone(), seeded_rng(2)), 1.5, "replace"),
+            ("mode-x", InvalidInput, init_random(tiny_backbone(), seeded_rng(2)), 0.5, "x"),
+            ("other-names", ShapeError, _store_without("ln_f.beta"), 0.5, "replace"),
+            ("misshapen", ShapeError, _store_with("ln_f.beta", np.zeros(3)), 0.5, "replace"),
+        )
+    },
+    "loss-without-targets-or-labels": (
+        InvalidInput,
+        lambda: loss_and_grads(
+            init_random(tiny_backbone(head_in=48), seeded_rng(0)), tiny_backbone(head_in=48),
+            Batch(tokens=np.zeros((1, 3, 8))),
+        ),
+    ),
+    "ablation-arm-x": (InvalidInput, lambda: make_ablation("x", tiny_backbone(), seeded_rng(0))),
+    "sym-eig-2x3": (InvalidInput, lambda: sym_eig(np.zeros((2, 3)))),
+    "sym-eig-empty-stack": (ShapeError, lambda: sym_eig(np.zeros((0, 2, 2)))),
+    **{
+        f"dataset-{kind}-labels-of-length-3": (
+            InvalidInput,
+            partial(TimeSeriesDataset, "x", np.zeros((8, 2)), np.zeros(3), kind),
+        )
+        for kind in ("series", "timestep")
+    },
+    "prf1-length-mismatch": (ShapeError, lambda: prf1([0, 1], [0, 1, 1])),
+    "prf1-non-binary": (InvalidInput, lambda: prf1([0, 2], [0, 1])),
+    "mse-empty": (ShapeError, lambda: mse([], [])),
+    "mase-insample-no-longer-than-m": (InvalidInput, lambda: mase([1.0], [2.0], [1.0, 2.0], 2)),
 }
 
 

@@ -505,7 +505,9 @@ class TestBitwiseKernels:
         y_ref, cache_ref = _ref_layer_norm(x, gamma, beta, 1e-5)
         assert np.array_equal(y, y_ref) and _same(cache, cache_ref)
         dy_before = dy.copy()
-        assert _same(_ln_bwd(dy, cache), _ref_ln_bwd(dy, cache_ref))
+        grads = {}
+        dx = _ln_bwd(dy, cache, grads, None, "")
+        assert _same((dx, grads["gamma"], grads["beta"]), _ref_ln_bwd(dy, cache_ref))
         assert np.array_equal(dy, dy_before)
 
     @pytest.mark.parametrize("shape", [(64, 4, 11, 11), (2, 3, 5)])
@@ -630,9 +632,7 @@ def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
         dy = dflat.reshape(y.shape)
     else:
         dy = np.repeat(dflat[:, None, :], y.shape[1], axis=1) / y.shape[1]
-    dh, dgamma, dbeta = _ln_bwd(dy, lnf_cache)
-    _set_grad(grads, wanted, "ln_f.gamma", lambda: dgamma)
-    _set_grad(grads, wanted, "ln_f.beta", lambda: dbeta)
+    dh = _ln_bwd(dy, lnf_cache, grads, wanted, "ln_f.")
     for i in reversed(range(cfg.n_layers)):
         prefix = f"blocks.{i}."
         ln1_cache, attn_cache, attn_mask, ln2_cache, a2, u, g, tanh_cache, mlp_mask = caches[i]
@@ -644,15 +644,11 @@ def _ref_loss_and_grads(store, cfg, batch, wanted=None, dropout_rng=None):
         _set_grad(grads, wanted, prefix + "mlp.w1", lambda: _wgrad(a2, du))
         _set_grad(grads, wanted, prefix + "mlp.b1", lambda: _colsum(du))
         da2 = _mm(du, p[prefix + "mlp.w1"].T)
-        dh_ln2, dgamma, dbeta = _ln_bwd(da2, ln2_cache)
-        _set_grad(grads, wanted, prefix + "ln2.gamma", lambda: dgamma)
-        _set_grad(grads, wanted, prefix + "ln2.beta", lambda: dbeta)
+        dh_ln2 = _ln_bwd(da2, ln2_cache, grads, wanted, prefix + "ln2.")
         dh += dh_ln2
         dattn_out = dh if attn_mask is None else dh * attn_mask
         da1 = _ref_attn_bwd(dattn_out, attn_cache, p, prefix, cfg, grads, wanted)
-        dh_ln1, dgamma, dbeta = _ln_bwd(da1, ln1_cache)
-        _set_grad(grads, wanted, prefix + "ln1.gamma", lambda: dgamma)
-        _set_grad(grads, wanted, prefix + "ln1.beta", lambda: dbeta)
+        dh_ln1 = _ln_bwd(da1, ln1_cache, grads, wanted, prefix + "ln1.")
         dh += dh_ln1
     if emb_mask is not None:
         dh = dh * emb_mask

@@ -683,6 +683,7 @@ class TestConfigSchema:
             ("forecast", {"revin_eps": math.nan}),
             ("forecast", {"revin_eps": math.inf}),
             ("ablate", {"donor": {"noise": math.nan}}),
+            ("ablate", {"donor": {"noise": -0.05}}),
             ("imputation", {"imputation": {"mask_ratios": [0.5, math.nan]}}),
             ("forecast", {"train": {"seed": 2**64}}),
             ("forecast", {"train": {"seed": -1}}),

@@ -169,3 +169,31 @@ def test_the_check_sees_a_ctypes_import():
         "c.py": "from . import ctypes\nimport os\n",
     }
     assert _importers(sources, "ctypes") == ["a.py", "b.py"]
+
+
+_BUILTIN_ERRORS = {"ValueError", "TypeError", "KeyError", "IndexError"}
+
+
+def _builtin_raises(source: str) -> list[str]:
+    """``line N: Name`` for every ``raise`` of a builtin error in
+    ``_BUILTIN_ERRORS``, called or bare."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in _BUILTIN_ERRORS:
+                found.append(f"line {node.lineno}: {exc.id}")
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_module_raises_a_builtin_error(path):
+    """The package raises its own ``FptError`` types, which the CLI maps to
+    exit codes, never a bare ``ValueError``, ``TypeError``, ``KeyError`` or
+    ``IndexError``."""
+    assert _builtin_raises(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_builtin_raise():
+    source = "raise ValueError('x')\nraise KeyError\nraise InvalidInput('y')\nraise\n"
+    assert _builtin_raises(source) == ["line 1: ValueError", "line 2: KeyError"]

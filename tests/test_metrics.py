@@ -109,6 +109,13 @@ def test_prf1_point_adjust_expands_segment():
     assert r_raw == pytest.approx(0.2)
 
 
+def test_prf1_point_adjust_credits_a_segment_that_ends_the_series():
+    truth = np.array([0, 1, 0, 0, 1, 1, 1])
+    pred = np.array([0, 0, 0, 0, 0, 1, 0])
+    assert prf1(pred, truth, point_adjust=True) == (1.0, 0.75, pytest.approx(6 / 7))
+    assert prf1(pred, truth)[1] == 0.25
+
+
 def test_mae_le_sqrt_mse():
     rng = seeded_rng(3)
     for _ in range(200):

@@ -6,6 +6,7 @@ mode: one OpenBLAS thread, and a heap handed back to the system on entry."""
 
 import ctypes
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ import fpt
 from fpt import backbone, tasks, worker
 from fpt.backbone import BackboneConfig, Batch, FreezeMask, init_random, param_hash
 from fpt.cli import main
-from fpt.errors import NumericalFailure
+from fpt.errors import InvalidInput, NumericalFailure, ShapeError
 from fpt.rng import seeded_rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -31,8 +32,10 @@ two_cpus = pytest.mark.skipif(
 )
 
 
-def _setup(dtype=np.float32, head_mode="flatten", freeze=False, **over):
-    """The c09 backbone shape with 45 random training rows."""
+def _setup(dtype=np.float32, head_mode="flatten", freeze=False, loss="mse", **over):
+    """The c09 backbone shape with 45 random training rows; ``loss`` "labels"
+    trains on integer labels, and "masked" on a masked MSE in the original
+    units of a per-row scale and mean."""
     d, n = 64, 11
     cfg = BackboneConfig(
         n_layers=2, d_model=d, n_heads=4, d_ff=128, max_tokens=64, patch_len=16,
@@ -42,6 +45,11 @@ def _setup(dtype=np.float32, head_mode="flatten", freeze=False, **over):
     store = init_random(cfg, rng.child(1), dtype=dtype)
     mask = FreezeMask.default_fpt(store) if freeze else FreezeMask.all_trainable(store)
     train = Batch(tokens=rng.normal((45, n, 16)), targets=rng.normal((45, 24)))
+    if loss == "labels":
+        train = Batch(tokens=train.tokens, labels=rng.integers(24, (45,)))
+    elif loss == "masked":
+        train.mask = rng.uniform((45, 24)) < 0.5
+        train.out_scale, train.out_mean = rng.uniform(45, 0.5, 2.0), rng.normal(45)
     return tasks.AblationSetup(store, mask, cfg), train
 
 
@@ -92,6 +100,8 @@ _CASES = {
     "causal": {"causal": True},
     "dropout": {"dropout": 0.1},
     "fpt-freeze": {"freeze": True},
+    "labels": {"head_mode": "pool", "loss": "labels"},
+    "masked": {"loss": "masked"},
     "all-of-them": {
         "dtype": np.float64, "head_mode": "pool", "causal": True, "dropout": 0.1, "freeze": True,
     },
@@ -132,6 +142,18 @@ def test_a_step_that_is_not_the_fits_runs_in_one_process(worker_steps, other):
         bits(cfg, wanted)  # the fit's own step goes to the worker
         assert worker_steps[0] == 1
     assert inside == alone
+    _no_child_left()
+
+
+@two_cpus
+def test_a_batch_the_arena_has_no_room_for_raises_its_one_process_error(worker_steps):
+    setup, train = _setup()
+    cfg, wanted = setup.cfg, setup.mask.trainable
+    batch = Batch(tokens=train.tokens[:16], targets=np.zeros((16, 2 * cfg.head_out)))
+    with worker.fit_on_two_cores(setup.store, cfg, wanted, 16, train.tokens.shape[1]):
+        with pytest.raises(ShapeError, match="targets"):
+            backbone.loss_and_grads(setup.store, cfg, batch, wanted)
+        assert worker_steps[0] == 0
     _no_child_left()
 
 
@@ -188,6 +210,44 @@ def test_an_interrupt_mid_epoch_ends_the_worker(monkeypatch, worker_steps):
     with pytest.raises(KeyboardInterrupt):
         _fit(*_setup())
     assert worker_steps[0] == 2
+    _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cpus
+def test_a_dropout_step_draws_from_its_stream_as_one_process_does(worker_steps):
+    setup, train = _setup(dropout=0.1)
+    cfg, wanted, batch = setup.cfg, setup.mask.trainable, train.rows(np.arange(16))
+    one, two = seeded_rng(5), seeded_rng(5)
+    backbone.loss_and_grads(setup.store, cfg, batch, wanted, one)
+    with worker.fit_on_two_cores(setup.store, cfg, wanted, 16, train.tokens.shape[1]):
+        backbone.loss_and_grads(setup.store, cfg, batch, wanted, two)
+    assert worker_steps[0] == 1
+    assert two.uniform() == one.uniform()
+    _no_child_left()
+
+
+@two_cpus
+def test_labels_outside_the_head_end_a_fit_in_both_processes(worker_steps):
+    cpus = os.sched_getaffinity(0)
+    setup, train = _setup(head_mode="pool", loss="labels")
+    train.labels[7] = setup.cfg.head_out
+    with pytest.raises(InvalidInput, match="labels"):
+        _fit(setup, train)
+    assert worker_steps[0] == 1
+    _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cpus
+def test_a_worker_that_dies_mid_step_ends_the_fit(monkeypatch, worker_steps):
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(
+        worker._Worker, "_half_step", lambda self, *args: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    with pytest.raises(RuntimeError, match="the other process of a two-process fit exited"):
+        _fit(*_setup())
+    assert worker_steps[0] == 1
     _no_child_left()
     assert os.sched_getaffinity(0) == cpus
 
