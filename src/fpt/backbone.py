@@ -650,6 +650,10 @@ def forward(store: dict, cfg: BackboneConfig, tokens, pca_m: int | None = None):
 def _head_fwd(y, p, cfg):
     if cfg.head_mode == "flatten":
         b, n, d = y.shape
+        if n * d != cfg.head_in:
+            raise ShapeError(
+                f"a flatten head reads head_in={cfg.head_in} values, got {n} tokens of {d}"
+            )
         flat = y.reshape(b, n * d)
     else:
         flat = y.mean(axis=1)
@@ -678,6 +682,12 @@ def predict(store: dict, cfg: BackboneConfig, tokens) -> np.ndarray:
     )
 
 
+def _loss_field_rows(head_out: int) -> dict[str, tuple[int, ...]]:
+    """The row shape of each ``Batch`` field the loss reads, for a head of
+    ``head_out`` outputs."""
+    return {"targets": (head_out,), "mask": (head_out,), "labels": (), "out_scale": (), "out_mean": ()}
+
+
 def _loss_and_dout(out, batch: Batch):
     """The loss value and its gradient ``dout`` with respect to the head
     output ``out``, both in float64 whatever the dtype of ``out``; the
@@ -686,9 +696,8 @@ def _loss_and_dout(out, batch: Batch):
     in [0, head_out) raise ``InvalidInput``."""
     out = np.asarray(out, dtype=np.float64)
     b, e = out.shape
-    want = {"targets": (b, e), "mask": (b, e), "labels": (b,), "out_scale": (b,), "out_mean": (b,)}
-    for name, shape in want.items():
-        got = getattr(batch, name)
+    for name, row in _loss_field_rows(e).items():
+        got, shape = getattr(batch, name), (b, *row)
         if got is not None and np.shape(got) != shape:
             raise ShapeError(f"batch {name} must be {shape} to match the head, got {np.shape(got)}")
     if batch.labels is not None:
@@ -893,22 +902,6 @@ def adam_step(
         out[n] = flat[lo : lo + a.size].reshape(a.shape).astype(a.dtype, copy=False)
         lo += a.size
     return out
-
-
-def backward_and_step(
-    store: dict,
-    cfg: BackboneConfig,
-    batch: Batch,
-    state: AdamState,
-    freeze: FreezeMask,
-    dropout_rng: RandomStream | None = None,
-) -> tuple[float, dict]:
-    """Gradient step on the trainable tensors; frozen tensors pass through
-    bit-identical."""
-    value, grads = loss_and_grads(
-        store, cfg, batch, wanted=freeze.trainable, dropout_rng=dropout_rng
-    )
-    return value, adam_step(store, grads, state, freeze.trainable)
 
 
 def gpt0_config(cfg: BackboneConfig) -> BackboneConfig:

@@ -74,13 +74,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class ImputationMask:
-    """Binary mask over a window: 1 = observed, 0 = masked."""
-
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class TimeSeriesDataset:
     """A multivariate series with split and label metadata.
 
@@ -395,11 +388,3 @@ def window_masks(
     mask = np.ones(order.shape)
     np.put_along_axis(mask, order[:, :n_masked], 0.0, axis=1)
     return mask
-
-
-def random_mask(shape: tuple[int, int], ratio: float, rng: RandomStream) -> ImputationMask:
-    """Mask ``mask_count(ratio, cells)`` of a (steps, channels) window's
-    cells, drawn by ``window_masks`` as one row of steps * channels cells."""
-    steps, channels = int(shape[0]), int(shape[1])
-    mask = window_masks(1, 1, steps * channels, mask_count(ratio, steps * channels), rng)
-    return ImputationMask(mask=mask.reshape(steps, channels))

@@ -14,22 +14,6 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput
 from .numerics import check_int, is_number
 
-DEFAULT_EPS = 1e-5
-
-
-@dataclass(frozen=True)
-class InstanceStats:
-    """Per-window statistics captured at normalization time."""
-
-    mean: float
-    std: float  # population standard deviation, before eps
-    eps: float
-
-    @property
-    def std_eff(self) -> float:
-        """The divisor actually used: sqrt(var + eps)."""
-        return float(np.sqrt(self.std**2 + self.eps))
-
 
 @dataclass(frozen=True)
 class PatchConfig:
@@ -48,26 +32,6 @@ class PatchConfig:
         return (length - self.patch_len) // self.stride + 1
 
 
-def revin_normalize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, InstanceStats]:
-    """Standardize one window by its own mean and variance.
-
-    Returns (x - mean) / sqrt(var + eps) along with the stats needed to
-    invert the transform.  Constant windows map to all-zeros.
-    """
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size < 1:
-        raise InvalidInput("window must contain at least one value")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput("window contains non-finite values")
-    norm, means, _ = normalize_windows(v[None, :], eps)
-    return norm[0], InstanceStats(mean=float(means[0]), std=float(np.sqrt(v.var())), eps=eps)
-
-
-def revin_denormalize(y, stats: InstanceStats) -> np.ndarray:
-    """Invert revin_normalize: y * sqrt(var + eps) + mean, shaped like y."""
-    return denormalize(y, stats.std_eff, stats.mean).reshape(np.shape(y))
-
-
 def denormalize(y, scale, mean) -> np.ndarray:
     """``y * scale + mean`` in float64, one scale and mean per row of ``y``
     broadcast over its last axis; a factor given as None is left out."""
@@ -77,34 +41,30 @@ def denormalize(y, scale, mean) -> np.ndarray:
     return out if mean is None else out + np.asarray(mean)[..., None]
 
 
-def patchify(x, cfg: PatchConfig) -> np.ndarray:
-    """Slice a window into (n_patches, patch_len) tokens.
-
-    Patch i covers x[i*stride : i*stride + patch_len]; any trailing
-    remainder shorter than a full patch is dropped.
-    """
-    return patchify_windows(np.asarray(x, dtype=np.float64).reshape(1, -1), cfg)[0]
-
-
-def normalize_windows(windows: np.ndarray, eps: float = DEFAULT_EPS):
+def normalize_windows(windows: np.ndarray, eps: float):
     """Standardize each row of a (batch, length) array by its own mean and
     variance; rows with zero variance and eps=0 map to all-zeros.
 
     Returns (normalized, means, std_effs) with per-row statistics.  An
-    ``eps`` that is not a finite number >= 0, and a row whose variance
-    overflows float64, raise ``InvalidInput``.
+    ``eps`` that is not a finite number >= 0, a row that holds a non-finite
+    value and a row whose variance overflows float64 raise ``InvalidInput``.
     """
     if not (is_number(eps) and eps >= 0):
         raise InvalidInput(f"eps must be a finite number >= 0, got {eps!r}")
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 2:
-        raise InvalidInput("normalize_windows expects a (batch, length) array")
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise InvalidInput(f"normalize_windows expects a (batch, length >= 1) array, got {w.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = w.mean(axis=1)
         stds = np.sqrt(w.var(axis=1) + eps)
-    bad = np.count_nonzero(~np.isfinite(stds))
-    if bad:
-        raise InvalidInput(f"{bad} of {len(w)} windows have a variance that overflows float64")
+    bad = ~np.isfinite(stds)
+    if bad.any():
+        held = np.count_nonzero(~np.isfinite(w[bad]).all(axis=1))
+        if held:
+            raise InvalidInput(f"{held} of {len(w)} windows hold a non-finite value")
+        raise InvalidInput(
+            f"{np.count_nonzero(bad)} of {len(w)} windows have a variance that overflows float64"
+        )
     safe = np.where(stds == 0.0, 1.0, stds)
     out = (w - means[:, None]) / safe[:, None]
     out[stds == 0.0] = 0.0

@@ -117,9 +117,10 @@ class RandomStream:
 def _as_shape(shape) -> tuple:
     if shape == () or shape is None:
         return ()
-    if isinstance(shape, int):
-        return (shape,)
-    return tuple(int(s) for s in shape)
+    dims = (shape,) if isinstance(shape, int) else tuple(int(s) for s in shape)
+    if min(dims, default=0) < 0:
+        raise InvalidInput(f"a draw's shape must have no negative dimension, got {shape!r}")
+    return dims
 
 
 def seeded_rng(seed: int) -> RandomStream:

@@ -23,11 +23,12 @@ from .backbone import (
     Batch,
     FreezeMask,
     _loss_and_dout,
-    backward_and_step,
+    adam_step,
     forward,
     gpt0_config,
     init_random,
     load_weights,
+    loss_and_grads,
     mix_weights,
     param_hash,
     predict,
@@ -228,9 +229,11 @@ def _fit(
                     break
                 idx = order[lo : lo + tcfg.batch_size]
                 drop_rng = rng.child(1_000_000 + steps) if cfg.dropout > 0 else None
-                value, store = backward_and_step(
-                    store, cfg, train.rows(idx), opt, setup.mask, dropout_rng=drop_rng
+                value, grads = loss_and_grads(
+                    store, cfg, train.rows(idx), wanted=setup.mask.trainable, dropout_rng=drop_rng
                 )
+                store = adam_step(store, grads, opt, setup.mask.trainable)
+                del grads  # one gradient set alive at a time: the next step's pass runs without it
                 if epoch == 0:
                     history["train_first_epoch"].append(value)
                 steps += 1

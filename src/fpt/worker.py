@@ -41,6 +41,7 @@ from .backbone import (
     _compute_store,
     _head_and_loss,
     _keep,
+    _loss_field_rows,
     _unscaled,
     init_random,
 )
@@ -272,7 +273,8 @@ def _arena_bytes(p: dict, cfg: BackboneConfig, rows: int, n_tokens: int) -> int:
     most the weights; and each array's rounding to 64 bytes."""
     d, depth = cfg.d_model, cfg.n_layers
     width = 2 * cfg.patch_len + 4 * d + depth * (12 * d + 2 * cfg.d_ff)
-    per_row = n_tokens * width * p["input_embedding.w"].itemsize + 8 * (2 * cfg.head_out + 3)
+    fields = sum(math.prod(r) for r in _loss_field_rows(cfg.head_out).values())
+    per_row = n_tokens * width * p["input_embedding.w"].itemsize + 8 * fields
     weights = sum(a.nbytes for a in p.values())
     return rows * per_row + 2 * weights + 64 * (2 * len(p) + 12 * depth + 11)
 
@@ -341,8 +343,7 @@ class _Worker:
         field of ``batch`` the loss reads; None when one of those is not a
         float64-castable number in the shape ``_loss_and_dout`` asks for: that
         step runs, and raises, in one process."""
-        e, b = (self.cfg.head_out,), len(batch.tokens)
-        rows = {"targets": e, "mask": e, "labels": (), "out_scale": (), "out_mean": ()}
+        b, rows = len(batch.tokens), _loss_field_rows(self.cfg.head_out)
         fields = [(n, rows[n], np.asarray(a)) for n in rows if (a := getattr(batch, n)) is not None]
         ok = all(a.shape == (b, *r) and np.can_cast(a.dtype, np.float64) for _, r, a in fields)
         tokens = ("tokens", (self.n_tokens, self.cfg.patch_len), self.dtype)

@@ -24,13 +24,13 @@ from fpt.backbone import (
     BackboneConfig,
     Batch,
     FreezeMask,
-    backward_and_step,
+    adam_step,
     init_random,
     loss_and_grads,
 )
-from fpt.data import TimeSeriesDataset, WindowSpec, random_mask
+from fpt.data import TimeSeriesDataset, WindowSpec, mask_count, window_masks
 from fpt.metrics import mae, mape, mase, mse, nd, owa, prf1, smape
-from fpt.preprocess import PatchConfig, patchify, revin_denormalize, revin_normalize
+from fpt.preprocess import PatchConfig, denormalize, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import sine_mixture, sinusoid
 from fpt.tasks import TrainConfig, run_ablation_suite, run_forecast, run_zero_shot, synthetic_pretrain
@@ -94,7 +94,8 @@ def test_c02_freeze_contract():
     rng = seeded_rng(22)
     for _ in range(100):
         batch = Batch(tokens=rng.normal((4, 3, 4)), targets=rng.normal((4, 4)))
-        _, store = backward_and_step(store, cfg, batch, state, mask)
+        _, grads = loss_and_grads(store, cfg, batch, wanted=mask.trainable)
+        store = adam_step(store, grads, state, mask.trainable)
     frozen_ok = all(
         np.array_equal(store[n], initial[n])
         for n in store
@@ -230,8 +231,8 @@ def test_c08_revin_patching_masks():
             x = np.full(24, float(i)) + rng.normal(24, scale=1e-8)
         else:
             x = rng.normal(24, loc=rng.uniform((), -5, 5), scale=rng.uniform((), 0.01, 10))
-        out, stats = revin_normalize(x, eps=1e-5)
-        worst_rt = max(worst_rt, float(np.abs(revin_denormalize(out, stats) - x).max()))
+        out, mu, sd = normalize_windows(x[None], 1e-5)
+        worst_rt = max(worst_rt, float(np.abs(denormalize(out, sd, mu)[0] - x).max()))
 
     counts_ok = True
     checked = 0
@@ -243,12 +244,13 @@ def test_c08_revin_patching_masks():
             continue
         checked += 1
         brute = sum(1 for start in range(0, length, s) if start + p <= length)
-        counts_ok &= patchify(np.zeros(length), PatchConfig(p, s)).shape == (brute, p)
+        tokens = patchify_windows(np.zeros((1, length)), PatchConfig(p, s))
+        counts_ok &= tokens.shape == (1, brute, p)
 
     mask_counts = []
     for ratio in (0.125, 0.25, 0.375, 0.5):
-        mask = random_mask((96, 1), ratio, seeded_rng(82))
-        mask_counts.append(int((mask.mask == 0).sum()))
+        mask = window_masks(1, 1, 96, mask_count(ratio, 96), seeded_rng(82))
+        mask_counts.append(int((mask == 0).sum()))
     masks_ok = mask_counts == [12, 24, 36, 48]
     ok = worst_rt < 1e-10 and counts_ok and masks_ok
     _report(

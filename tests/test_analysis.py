@@ -50,7 +50,7 @@ from fpt.data import (
 from fpt.errors import FormatError, InvalidInput, RankDeficient, ShapeError
 from fpt.metrics import MetricReport, mase, mse, prf1
 from fpt.numerics import finite_diff_grad, sym_eig
-from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows, revin_normalize
+from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import inject_spikes, sinusoid
 from fpt.tasks import (
@@ -649,7 +649,7 @@ _MALFORMED_CALLS = {
             pca_m=1.5,
         ),
     ),
-    "revin-eps-nan": (InvalidInput, lambda: revin_normalize(np.arange(8.0), math.nan)),
+    "revin-eps-nan": (InvalidInput, lambda: normalize_windows(np.arange(8.0)[None], math.nan)),
     **{
         f"finite-diff-step-{h}": (InvalidInput, partial(finite_diff_grad, np.sum, np.ones(2), h))
         for h in (math.nan, math.inf)
@@ -726,6 +726,8 @@ _MALFORMED_CALLS = {
         ),
     ),
     "rng-uniform-shape-negative": (InvalidInput, lambda: seeded_rng(0).uniform(-1)),
+    "rng-uniform-shape-negative-2d": (InvalidInput, lambda: seeded_rng(0).uniform((-1, -1))),
+    "rng-normal-shape-negative": (InvalidInput, lambda: seeded_rng(0).normal(-1)),
     "rng-permutation-negative": (InvalidInput, lambda: seeded_rng(0).permutation(-1)),
     "rng-integers-0": (InvalidInput, lambda: seeded_rng(0).integers(0)),
     "report-metric-without-rows": (InvalidInput, lambda: MetricReport().metric("MSE")),
@@ -785,6 +787,16 @@ _MALFORMED_CALLS = {
             Batch(tokens=np.zeros((1, 3, 8))),
         ),
     ),
+    **{
+        f"{fn.__name__}-flatten-head-in-1-for-3-tokens": (
+            ShapeError,
+            partial(fn, init_random(tiny_backbone(), seeded_rng(0)), tiny_backbone(), arg),
+        )
+        for fn, arg in (
+            (predict, np.zeros((2, 3, 8))),
+            (loss_and_grads, Batch(tokens=np.zeros((2, 3, 8)), targets=np.zeros((2, 1)))),
+        )
+    },
     "ablation-arm-x": (InvalidInput, lambda: make_ablation("x", tiny_backbone(), seeded_rng(0))),
     "sym-eig-2x3": (InvalidInput, lambda: sym_eig(np.zeros((2, 3)))),
     "sym-eig-empty-stack": (ShapeError, lambda: sym_eig(np.zeros((0, 2, 2)))),

@@ -27,7 +27,6 @@ from fpt.backbone import (
     _set_grad,
     _wgrad,
     adam_step,
-    backward_and_step,
     expected_shapes,
     forward,
     init_random,
@@ -481,6 +480,14 @@ def _ref_adam(store, grads, state, trainable, lr):
 _KERNEL_SHAPES = [(64, 11, 64), (64, 11, 128), (2, 3, 5)]
 
 
+def _train_step(store, cfg, batch, state, mask, dropout_rng=None):
+    """One training step as ``tasks._fit`` runs it: (loss, new store)."""
+    value, grads = loss_and_grads(
+        store, cfg, batch, wanted=mask.trainable, dropout_rng=dropout_rng
+    )
+    return value, adam_step(store, grads, state, mask.trainable)
+
+
 def _same(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
@@ -582,7 +589,7 @@ class TestBitwiseKernels:
         hashes = [param_hash(store)]
         stores = [store]
         for step in range(3):
-            _, store = backward_and_step(
+            _, store = _train_step(
                 store, cfg, batch, state, mask, dropout_rng=seeded_rng(50 + step)
             )
             stores.append(store)
@@ -879,9 +886,7 @@ class TestTrainingStep:
         state = AdamState(lr=1e-3)
         initial = {k: v.copy() for k, v in store.items()}
         for step in range(10):
-            _, store = backward_and_step(
-                store, cfg, self._batch(cfg, seed=30 + step), state, mask
-            )
+            _, store = _train_step(store, cfg, self._batch(cfg, seed=30 + step), state, mask)
         for name in store:
             if ".attn." in name or ".mlp." in name:
                 assert np.array_equal(store[name], initial[name]), name
@@ -893,9 +898,7 @@ class TestTrainingStep:
         store = init_random(cfg, seeded_rng(2))
         mask = FreezeMask.all_trainable(store)
         before = param_hash(store)
-        _, after = backward_and_step(
-            store, cfg, self._batch(cfg), AdamState(lr=0.0), mask
-        )
+        _, after = _train_step(store, cfg, self._batch(cfg), AdamState(lr=0.0), mask)
         assert param_hash(after) == before
 
     def test_default_mask_contents(self):
@@ -917,14 +920,14 @@ class TestTrainingStep:
         store = init_random(cfg, seeded_rng(4))
         mask = FreezeMask.all_trainable(store)
         batch = self._batch(cfg)
-        l1, s1 = backward_and_step(
+        l1, s1 = _train_step(
             store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
         )
-        l2, s2 = backward_and_step(
+        l2, s2 = _train_step(
             store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(9)
         )
         assert l1 == l2 and param_hash(s1) == param_hash(s2)
-        l3, _ = backward_and_step(
+        l3, _ = _train_step(
             store, cfg, batch, AdamState(lr=1e-3), mask, dropout_rng=seeded_rng(10)
         )
         assert l3 != l1

@@ -493,7 +493,7 @@ import resource
 import sys
 from fpt import worker
 from fpt.backbone import (
-    AdamState, BackboneConfig, Batch, FreezeMask, backward_and_step, init_random,
+    AdamState, BackboneConfig, Batch, FreezeMask, adam_step, init_random, loss_and_grads,
 )
 from fpt.rng import seeded_rng
 
@@ -513,7 +513,8 @@ with worker.fit_on_two_cores(store, cfg, mask.trainable, 64, 11) if two else con
     for step in range(23):
         if step == 3:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        _, store = backward_and_step(store, cfg, batch, opt, mask)
+        _, grads = loss_and_grads(store, cfg, batch, wanted=mask.trainable)
+        store = adam_step(store, grads, opt, mask.trainable)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20, len(split))
 """
 

@@ -13,7 +13,7 @@ from fpt.data import (
     load_from_manifest,
     make_windows,
     mask_count,
-    random_mask,
+    window_masks,
 )
 from fpt.errors import FormatError, InsufficientData, InvalidInput, IoError
 from fpt.rng import seeded_rng
@@ -226,38 +226,40 @@ class TestFewShot:
 
 
 class TestRandomMask:
+    """The imputation runner's mask: ``mask_count`` cells of each window row,
+    drawn by ``window_masks``."""
+
     def test_table_one_counts(self):
         for ratio, expect in ((0.125, 12), (0.25, 24), (0.375, 36), (0.5, 48)):
-            mask = random_mask((96, 1), ratio, seeded_rng(7))
-            assert int((mask.mask == 0).sum()) == expect
+            mask = window_masks(1, 1, 96, mask_count(ratio, 96), seeded_rng(7))
+            assert int((mask == 0).sum()) == expect
 
     def test_deterministic(self):
-        a = random_mask((96, 2), 0.25, seeded_rng(9)).mask
-        b = random_mask((96, 2), 0.25, seeded_rng(9)).mask
+        a = window_masks(2, 3, 96, mask_count(0.25, 96), seeded_rng(9))
+        b = window_masks(2, 3, 96, mask_count(0.25, 96), seeded_rng(9))
         assert np.array_equal(a, b)
 
     def test_binary_entries(self):
-        mask = random_mask((50, 3), 0.4, seeded_rng(10)).mask
+        mask = window_masks(3, 1, 50, mask_count(0.4, 50), seeded_rng(10))
         assert set(np.unique(mask)) <= {0.0, 1.0}
-        assert mask.shape == (50, 3)
+        assert mask.shape == (3, 50)
 
     def test_invalid_ratio(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidInput):
-                random_mask((10, 1), bad, seeded_rng(11))
+                mask_count(bad, 10)
 
     def test_masks_at_least_one_cell_as_the_imputation_runner_does(self):
-        """ratio * cells below one half still masks one cell: the runner's
-        count, ``mask_count``, is the only count."""
-        mask = random_mask((96, 1), 0.004, seeded_rng(13)).mask
+        """ratio * cells below one half still masks one cell."""
+        mask = window_masks(1, 1, 96, mask_count(0.004, 96), seeded_rng(13))
         assert int((mask == 0).sum()) == mask_count(0.004, 96) == 1
 
     def test_realized_ratio_within_bound(self):
         rng = seeded_rng(12)
-        for _ in range(20):
+        for i in range(20):
             ratio = float(rng.uniform((), 0.05, 0.95))
-            mask = random_mask((64, 2), ratio, rng)
-            realized = float((mask.mask == 0).mean())
+            mask = window_masks(1, 1, 128, mask_count(ratio, 128), rng.child(i))
+            realized = float((mask == 0).mean())
             assert abs(realized - ratio) <= 2 / 128
 
 

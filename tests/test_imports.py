@@ -1,7 +1,8 @@
 """Static checks, with the stdlib ``ast`` module only: every name a module
 of the package imports is used in that module, every module-level private
-helper is used somewhere in the package, every defaulted parameter is
-passed by some caller, and one module owns the process's native settings."""
+helper is used somewhere in the package, every public one is named by code
+outside the tests, every defaulted parameter is passed by some caller, and
+one module owns the process's native settings."""
 
 import ast
 from pathlib import Path
@@ -37,9 +38,11 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["line 3: b", "line 1: os"]
 
 
-def _orphaned_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
-    """Per module, the module-level ``_``-prefixed functions and classes that
-    no code in ``sources`` names outside the helper's own definition."""
+def _unnamed_defs(sources: dict[str, str], defining, private: bool) -> dict[str, list[str]]:
+    """Per module of ``defining`` (keys of ``sources``), the module-level
+    functions and classes, ``_``-prefixed when ``private`` and public
+    otherwise, that no code in ``sources`` names outside their own
+    definition."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     names_in = {}  # top-level statement -> every name it reads, imports or looks up
     for tree in trees.values():
@@ -53,20 +56,20 @@ def _orphaned_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
     return {
         mod: [
             stmt.name
-            for stmt in tree.body
+            for stmt in trees[mod].body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and stmt.name.startswith("_")
+            and stmt.name.startswith("_") == private
             and not stmt.name.startswith("__")
             and not any(stmt.name in names for other, names in names_in.items() if other is not stmt)
         ]
-        for mod, tree in trees.items()
+        for mod in defining
     }
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_every_private_helper_is_used_in_the_package(path):
     sources = {p.name: p.read_text(encoding="utf-8") for p in _MODULES}
-    assert _orphaned_helpers(sources)[path.name] == []
+    assert _unnamed_defs(sources, sources, private=True)[path.name] == []
 
 
 def test_the_check_sees_an_orphaned_helper():
@@ -76,7 +79,9 @@ def test_the_check_sees_an_orphaned_helper():
         "b.py": "from .a import _Kept\nfrom . import a\nx = a._used() or _Kept\n"
         "def _orphan():\n    pass\n",
     }
-    assert _orphaned_helpers(sources) == {"a.py": ["_self_only"], "b.py": ["_orphan"]}
+    assert _unnamed_defs(sources, sources, private=True) == {
+        "a.py": ["_self_only"], "b.py": ["_orphan"]
+    }
 
 
 _CALLERS = [
@@ -84,6 +89,38 @@ _CALLERS = [
     for folder in ("src/fpt", "tests", "tools", "perfbench")
     for path in sorted((Path(__file__).resolve().parents[1] / folder).rglob("*.py"))
 ]
+
+
+# Public names that only tests name: two metrics acceptance c11 audits
+# against loop references, and the spike fixture of the anomaly tests.
+_NAMED_BY_TESTS_ALONE = {"metrics.mase", "metrics.owa", "synthetic.inject_spikes"}
+
+
+def test_every_public_name_is_named_outside_the_tests():
+    """Each public module-level function and class of the package is named by
+    the package, ``tools`` or ``perfbench`` outside its test files, so no
+    copy of a rule survives for the tests alone."""
+    sources = {
+        str(p): p.read_text(encoding="utf-8")
+        for p in _CALLERS
+        if "tests" not in p.parts and not p.name.startswith("test_")
+    }
+    package = [mod for mod in sources if Path(mod).parent.name == "fpt"]
+    found = _unnamed_defs(sources, package, private=False)
+    unnamed = {f"{Path(mod).stem}.{name}" for mod, names in found.items() for name in names}
+    assert sorted(unnamed - _NAMED_BY_TESTS_ALONE) == []
+
+
+def test_the_check_sees_an_unnamed_public_def():
+    sources = {
+        "a.py": "def used():\n    pass\ndef self_only():\n    return self_only()\n"
+        "class Kept:\n    pass\ndef _private():\n    pass\n",
+        "b.py": "from .a import Kept\nfrom . import a\nx = a.used() or Kept\n"
+        "def unnamed():\n    pass\n",
+    }
+    assert _unnamed_defs(sources, ["a.py", "b.py"], private=False) == {
+        "a.py": ["self_only"], "b.py": ["unnamed"]
+    }
 
 
 def _unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:

@@ -198,7 +198,7 @@ def test_fpt_train_exits_3_when_the_worker_overflows(monkeypatch, worker_steps, 
 
 @two_cpus
 def test_an_interrupt_mid_epoch_ends_the_worker(monkeypatch, worker_steps):
-    cpus, adam, calls = os.sched_getaffinity(0), backbone.adam_step, []
+    cpus, adam, calls = os.sched_getaffinity(0), tasks.adam_step, []
 
     def interrupted(*args):
         calls.append(1)
@@ -206,7 +206,7 @@ def test_an_interrupt_mid_epoch_ends_the_worker(monkeypatch, worker_steps):
             raise KeyboardInterrupt
         return adam(*args)
 
-    monkeypatch.setattr(backbone, "adam_step", interrupted)
+    monkeypatch.setattr(tasks, "adam_step", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _fit(*_setup())
     assert worker_steps[0] == 2
