@@ -42,18 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    InvalidInput,
-    IoError,
-    NumericalFailure,
-    ShapeError,
-)
+from .errors import FormatError, InvalidInput, IoError, NumericalFailure, ShapeError
 from .numerics import check_int, check_rank, is_number, layer_norm_last, softmax, sym_eig
 from .preprocess import denormalize
 from .rng import RandomStream
 
 LN_EPS = 1e-5
+_MAX_WEIGHTS = 2**24  # 64 MiB of float32: a lab model, refused before anything is allocated
 INIT_STD = 0.02
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
@@ -93,6 +88,11 @@ class BackboneConfig:
             raise InvalidInput("head_mode must be 'flatten' or 'pool'")
         if self.head_mode == "pool" and self.head_in != self.d_model:
             raise InvalidInput("pool head requires head_in == d_model")
+        d, f = int(self.d_model), int(self.d_ff)  # Python ints, which cannot wrap
+        block = 4 * d * d + 2 * d * f + 9 * d + f  # expected_shapes' sizes, summed
+        n = (int(self.patch_len) + int(self.max_tokens) + 3) * d + int(self.n_layers) * block
+        if n + (int(self.head_in) + 1) * int(self.head_out) > _MAX_WEIGHTS:
+            raise InvalidInput(f"the model holds more than {_MAX_WEIGHTS} weights")
 
 
 def expected_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
@@ -186,26 +186,26 @@ def param_hash(store: dict) -> str:
 
 
 def save_weights(store: dict, path) -> None:
-    """Write the weight container (directory with manifest.json, weights.bin)."""
+    """Write the weight container (directory with manifest.json, weights.bin);
+    the store is checked first, so ``load_weights`` accepts every one written."""
+    if not isinstance(store, dict) or not all(isinstance(name, str) for name in store):
+        raise FormatError("a weight store maps string names to tensors")
+    entries, blob = [], bytearray()
+    for name in sorted(store):
+        arr = store[name]
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+            raise FormatError(f"{name}: a tensor must be a numeric array, got {arr!r:.40}")
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise NumericalFailure(f"{name}: holds values that are not finite as float32")
+        entries.append({"name": name, "dtype": "f32", "shape": list(arr.shape), "offset": len(blob)})
+        blob.extend(arr.tobytes())
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        entries = []
-        blob = bytearray()
-        for name in sorted(store):
-            arr = np.ascontiguousarray(store[name], dtype="<f4")
-            entries.append(
-                {
-                    "name": name,
-                    "dtype": "f32",
-                    "shape": list(arr.shape),
-                    "offset": len(blob),
-                }
-            )
-            blob.extend(arr.tobytes())
-        manifest = {"format_version": 1, "tensors": entries}
         with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
+            json.dump({"format_version": 1, "tensors": entries}, fh, indent=2)
         with open(path / "weights.bin", "wb") as fh:
             fh.write(bytes(blob))
     except OSError as exc:
@@ -286,11 +286,7 @@ def load_weights(path, cfg: BackboneConfig) -> dict:
 
 
 def mix_weights(
-    pretrained: dict,
-    random_store: dict,
-    ratio: float,
-    rng: RandomStream,
-    mode: str = "replace",
+    pretrained: dict, random_store: dict, ratio: float, rng: RandomStream, mode: str
 ) -> dict:
     """Perturb the frozen-group tensors with entries from a random store.
 

@@ -268,11 +268,13 @@ _WINDOWED = _FORECASTING + ("imputation", "anomaly")  # the tasks that read a lo
 _ONE_DATASET = tuple(t for t in _ALL if t != "zeroshot")  # zeroshot names source and target
 
 # One row per run-config key: (dotted path, type, default or _REQUIRED, tasks
-# that read it).  Types and defaults only: the constructors and runners make
-# the range checks, and the InvalidInput they raise exits 2.  Null stands for
-# the default only where the default is None.  The keys of the window, patch,
-# backbone, train and donor sections are the keyword names of WindowSpec,
-# PatchConfig, BackboneConfig, TrainConfig and synthetic_pretrain.
+# that read it).  It is the one home of the run defaults: TrainConfig,
+# WindowSpec and the runners take every value from their caller.  Types and
+# defaults only: the constructors and runners make the range checks, and the
+# InvalidInput they raise exits 2.  Null stands for the default only where the
+# default is None.  The keys of the window, patch, backbone, train and donor
+# sections are the keyword names of WindowSpec, PatchConfig, BackboneConfig,
+# TrainConfig and synthetic_pretrain.
 _SCHEMA = (
     ("dataset.manifest", str, _REQUIRED, _ALL),
     ("dataset.name", str, _REQUIRED, _ONE_DATASET),
@@ -520,7 +522,7 @@ def _cmd_ablate(args) -> int:
         )
     out = _outdir(args)
     if weights is None:
-        store = synthetic_pretrain(base, wspec, patch, tcfg, **_kwargs(v, "donor"))
+        store = synthetic_pretrain(base, wspec, patch, tcfg, v["revin_eps"], **_kwargs(v, "donor"))
         weights = out / "donor"
         save_weights(store, weights)
     dataset = _load_dataset(v)
@@ -643,10 +645,8 @@ def _cmd_mix_sweep(args) -> int:
         wspec,
         patch,
         args.ratios,
-        seeded_rng(tcfg.seed),
+        tcfg,
         finetune_steps=args.finetune_steps,
-        learning_rate=tcfg.learning_rate,
-        batch_size=tcfg.batch_size,
         revin_eps=v["revin_eps"],
         mode=args.mix_mode,
     )

@@ -65,7 +65,7 @@ class SplitBounds:
 class WindowSpec:
     lookback: int
     horizon: int
-    stride: int = 1
+    stride: int
 
     def __post_init__(self):
         check_int(self.lookback, "lookback", 1)
@@ -342,13 +342,11 @@ def make_windows(
     return inputs, targets
 
 
-def few_shot_subset(
-    d: TimeSeriesDataset, percent: float, position: str = "suffix"
-) -> TimeSeriesDataset:
+def few_shot_subset(d: TimeSeriesDataset, percent: float, position: str) -> TimeSeriesDataset:
     """Restrict the training split to ceil(percent * train_len) timesteps.
 
-    The kept portion is the training suffix by default (most recent data,
-    adjacent to validation); validation and test are untouched.
+    ``position`` "suffix" keeps the most recent data, adjacent to
+    validation, and "prefix" the earliest; validation and test are untouched.
     """
     if not (is_number(percent) and 0.0 < percent <= 1.0):
         raise InvalidInput("percent must be in (0, 1]")

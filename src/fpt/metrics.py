@@ -89,7 +89,7 @@ def nd(y, yhat) -> float:
     return float(np.sum(np.abs(a - b)) / denom)
 
 
-def prf1(pred, truth, point_adjust: bool = False) -> tuple[float, float, float]:
+def prf1(pred, truth, point_adjust: bool) -> tuple[float, float, float]:
     """Precision, recall, F1 for binary sequences.
 
     With point_adjust, a single hit anywhere inside a contiguous true-anomaly

@@ -43,7 +43,7 @@ def sine_mixture(length: int, rng: RandomStream, noise: float = 0.0) -> np.ndarr
     return out
 
 
-def donor_values(length: int, n_channels: int, rng: RandomStream, noise: float = 0.02) -> np.ndarray:
+def donor_values(length: int, n_channels: int, rng: RandomStream, noise: float) -> np.ndarray:
     """(T, C) corpus of independent random sinusoid mixtures."""
     cols = [sine_mixture(length, rng.child(c), noise=noise) for c in range(n_channels)]
     return np.stack(cols, axis=1)

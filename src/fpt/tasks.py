@@ -55,12 +55,12 @@ _PRETRAINED_ARMS = ("fpt", "no_freeze")  # the arms that start from supplied wei
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    early_stop_patience: int = 3
-    seed: int = 0
-    ablation: str = "no_pretrain"
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    early_stop_patience: int
+    seed: int
+    ablation: str
 
     def __post_init__(self):
         check_int(self.epochs, "epochs", 0)
@@ -73,8 +73,11 @@ class TrainConfig:
             raise InvalidInput(f"ablation must be one of {ABLATION_ARMS}")
 
 
-def _pretrained(weights, cfg: BackboneConfig) -> dict:
-    """A store, or a weight container loaded from its path, checked against cfg."""
+def _pretrained(weights, cfg: BackboneConfig, arm: str) -> dict:
+    """A store, or a weight container loaded from its path, checked against
+    cfg; ``arm`` names the ablation arm that needs it."""
+    if weights is None:
+        raise MissingWeights(f"ablation arm {arm!r} requires pretrained weights")
     if isinstance(weights, dict):
         validate_store(weights, cfg)
         return weights
@@ -88,9 +91,7 @@ class AblationSetup:
     cfg: BackboneConfig
 
 
-def make_ablation(
-    arm: str, cfg: BackboneConfig, rng: RandomStream, weights=None
-) -> AblationSetup:
+def make_ablation(arm: str, cfg: BackboneConfig, rng: RandomStream, weights) -> AblationSetup:
     """Initial (store, freeze mask, effective config) for one ablation arm.
 
     fpt: provided weights, frozen attention/feed-forward.  no_freeze: same
@@ -104,10 +105,8 @@ def make_ablation(
         cfg = gpt0_config(cfg)
     if arm not in _PRETRAINED_ARMS:
         store = init_random(cfg, rng)
-    elif weights is None:
-        raise MissingWeights(f"ablation arm {arm!r} requires pretrained weights")
     else:
-        store = _pretrained(weights, cfg)
+        store = _pretrained(weights, cfg, arm)
     full = arm in ("no_freeze", "no_pretrain")  # the arms that train every tensor
     mask = FreezeMask.all_trainable(store) if full else FreezeMask.default_fpt(store)
     return AblationSetup(store, mask, cfg)
@@ -300,8 +299,8 @@ def _forecast_scores(store, cfg, test: Batch, fns: dict, baseline_fns: dict):
 
 
 def _reconstruction_setup(base_cfg, patch, lookback, stride):
-    """Window spec and backbone config of a reconstruction run; the stride
-    defaults to an eighth of the lookback."""
+    """Window spec and backbone config of a reconstruction run; a stride of
+    None is an eighth of the lookback."""
     stride = max(1, lookback // 8) if stride is None else stride
     wspec = WindowSpec(lookback=lookback, horizon=0, stride=stride)
     return wspec, _derive_config(base_cfg, patch, lookback, head_out=lookback)
@@ -313,8 +312,8 @@ def run_forecast(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    weights=None,
-    revin_eps: float = 1e-5,
+    weights,
+    revin_eps: float,
 ) -> tuple[MetricReport, dict]:
     """Train on the training split, early-stop on validation, report
     MSE/MAE on the test split (original units), plus a repeat-last
@@ -337,9 +336,9 @@ def run_few_shot(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    weights=None,
-    revin_eps: float = 1e-5,
-    position: str = "suffix",
+    weights,
+    revin_eps: float,
+    position: str,
 ) -> tuple[MetricReport, dict]:
     """Forecasting with only percent of the training timesteps kept."""
     subset = few_shot_subset(dataset, percent, position)
@@ -356,9 +355,9 @@ def run_zero_shot(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    metric: str = "smape",
-    weights=None,
-    revin_eps: float = 1e-5,
+    metric: str,
+    weights,
+    revin_eps: float,
 ) -> tuple[MetricReport, dict]:
     """Train on the source dataset; evaluate the target test split with zero
     parameter updates.  The parameter hash is recorded before and after
@@ -398,9 +397,9 @@ def run_imputation(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    weights=None,
-    revin_eps: float = 1e-5,
-    stride: int | None = None,
+    weights,
+    revin_eps: float,
+    stride: int | None,
 ) -> tuple[MetricReport, dict[float, dict]]:
     """Reconstruct randomly masked windows; one model per mask ratio.
 
@@ -447,9 +446,9 @@ def run_classification(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    weights=None,
-    revin_eps: float = 1e-5,
-    n_classes: int | None = None,
+    weights,
+    revin_eps: float,
+    n_classes: int | None,
 ) -> tuple[MetricReport, dict]:
     """Sequence-level classification: one sample series per channel,
     mean-pooled final tokens into a linear head, accuracy on test samples."""
@@ -524,10 +523,10 @@ def run_anomaly(
     base_cfg: BackboneConfig,
     tcfg: TrainConfig,
     patch: PatchConfig,
-    point_adjust: bool = False,
-    weights=None,
-    revin_eps: float = 1e-5,
-    stride: int | None = None,
+    point_adjust: bool,
+    weights,
+    revin_eps: float,
+    stride: int | None,
 ) -> tuple[MetricReport, dict]:
     """Self-supervised reconstruction; the detection threshold is the given
     quantile of per-point training errors, and test points whose error
@@ -577,8 +576,7 @@ def run_ablation_suite(
     tcfg: TrainConfig,
     patch: PatchConfig,
     weights,
-    arms=ABLATION_ARMS,
-    revin_eps: float = 1e-5,
+    revin_eps: float,
 ) -> MetricReport:
     """Run every ablation arm on one forecasting setup and tabulate MSE/MAE.
 
@@ -592,23 +590,17 @@ def run_ablation_suite(
         _samples(dataset, wspec, patch, revin_eps, split) for split in ("train", "val", "test")
     )
     probe = test.tokens[:8]
-    if set(_PRETRAINED_ARMS) & set(arms) and weights is not None:
-        # one read of the container serves every pretrained arm
-        weights = _pretrained(weights, cfg)
+    weights = _pretrained(weights, cfg, "fpt")  # one read of the container serves both arms
     step0: dict[str, np.ndarray] = {}
-    for arm in arms:
+    for arm in ABLATION_ARMS:
         arm_tcfg = replace(tcfg, ablation=arm)
-        arm_weights = weights if arm in _PRETRAINED_ARMS else None
-        store, setup, history = _train(
-            cfg, arm_tcfg, arm_weights, train, val, seeded_rng(tcfg.seed)
-        )
+        store, setup, history = _train(cfg, arm_tcfg, weights, train, val, seeded_rng(tcfg.seed))
         step0[arm] = predict(setup.store, setup.cfg, probe)
         report.metadata["history"][arm] = history
         report.add_row(arm, _forecast_scores(store, setup.cfg, test, _MSE_MAE, {})[0])
-    if "fpt" in step0 and "no_freeze" in step0:
-        report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
-            np.abs(step0["fpt"] - step0["no_freeze"]).max()
-        )
+    report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
+        np.abs(step0["fpt"] - step0["no_freeze"]).max()
+    )
     return report.finalize()
 
 
@@ -617,9 +609,10 @@ def synthetic_pretrain(
     wspec: WindowSpec,
     patch: PatchConfig,
     tcfg: TrainConfig,
-    length: int = 4096,
-    n_channels: int = 4,
-    noise: float = 0.05,
+    revin_eps: float,
+    length: int,
+    n_channels: int,
+    noise: float,
 ) -> dict:
     """Train a donor backbone on a procedurally generated corpus so that the
     freeze/transfer arms have stand-in pretrained weights."""
@@ -632,7 +625,7 @@ def synthetic_pretrain(
     donor = TimeSeriesDataset(name="synthetic-donor", values=values)
     donor_tcfg = replace(tcfg, ablation="no_pretrain")
     cfg = _forecast_config(base_cfg, patch, wspec)
-    store, _, _ = _train_mse(donor, wspec, cfg, donor_tcfg, patch, None, eps=1e-5)
+    store, _, _ = _train_mse(donor, wspec, cfg, donor_tcfg, patch, None, revin_eps)
     return store
 
 
@@ -646,28 +639,26 @@ def mixed_weights_similarity_sweep(
     wspec,
     patch,
     ratios,
-    rng: RandomStream,
-    finetune_steps: int = 50,
-    learning_rate: float = 1e-3,
-    batch_size: int = 64,
-    revin_eps: float = 1e-5,
-    mode: str = "replace",
+    tcfg: TrainConfig,
+    finetune_steps: int,
+    revin_eps: float,
+    mode: str,
 ) -> list[dict]:
     """Mix pretrained frozen blocks with random weights at several ratios;
-    after a brief fine-tune of the trainable group, record each layer's
-    token similarity on a fixed eval batch and the test MSE.
+    after a brief fine-tune of the trainable group, at ``tcfg``'s batch
+    size and learning rate, record each layer's token similarity on a fixed
+    eval batch and the test MSE.  Every draw comes from ``tcfg.seed``.
     """
     ratios = tuple(ratios) if np.iterable(ratios) else (None,)  # a scalar fails the check
     if not all(is_number(r) and 0.0 <= r <= 1.0 for r in ratios):
         raise InvalidInput("ratios must be numbers in [0, 1]")
     derived_cfg = _derive_config(cfg, patch, wspec.lookback, wspec.horizon)
+    rng = seeded_rng(tcfg.seed)
     random_store = init_random(derived_cfg, rng.child(1))
     train = _samples(dataset, wspec, patch, revin_eps, "train")
     test = _samples(dataset, wspec, patch, revin_eps, "test")
     probe = test.tokens[:_SWEEP_EVAL_BATCH]
-    tcfg = TrainConfig(
-        epochs=1_000_000, batch_size=batch_size, learning_rate=learning_rate, seed=rng.seed
-    )
+    tcfg = replace(tcfg, epochs=1_000_000)  # finetune_steps alone ends each fit
     rows = []
     for i, ratio in enumerate(map(float, ratios)):
         mixed = mix_weights(pretrained, random_store, ratio, rng.child(10 + i), mode=mode)

@@ -4,6 +4,7 @@ from fpt.backbone import BackboneConfig
 from fpt.data import TimeSeriesDataset, WindowSpec
 from fpt.preprocess import PatchConfig
 from fpt.synthetic import sinusoid
+from fpt.tasks import TrainConfig
 
 
 def tiny_backbone(**over) -> BackboneConfig:
@@ -20,6 +21,21 @@ def tiny_backbone(**over) -> BackboneConfig:
     )
     params.update(over)
     return BackboneConfig(**params)
+
+
+def train_config(**over) -> TrainConfig:
+    """Training settings for library calls: the values the library once
+    defaulted (now the run config's job), overridden by keyword."""
+    params = dict(
+        epochs=10,
+        batch_size=64,
+        learning_rate=1e-3,
+        early_stop_patience=3,
+        seed=0,
+        ablation="no_pretrain",
+    )
+    params.update(over)
+    return TrainConfig(**params)
 
 
 @pytest.fixture

@@ -278,15 +278,19 @@ def _e2e_backbone() -> BackboneConfig:
 
 
 def _e2e_tcfg() -> TrainConfig:
-    return TrainConfig(epochs=5, batch_size=64, learning_rate=1e-3, seed=7,
-                       ablation="no_pretrain")
+    return TrainConfig(epochs=5, batch_size=64, learning_rate=1e-3, early_stop_patience=3,
+                       seed=7, ablation="no_pretrain")
 
 
 def test_c09_end_to_end_forecasting():
     """Noiseless period-24 sinusoid: low test MSE, beats repeat-last, deterministic."""
     start = time.monotonic()
-    r1, _ = run_forecast(_sine_fixture(), _E2E_WSPEC, _e2e_backbone(), _e2e_tcfg(), _E2E_PATCH)
-    r2, _ = run_forecast(_sine_fixture(), _E2E_WSPEC, _e2e_backbone(), _e2e_tcfg(), _E2E_PATCH)
+    r1, _ = run_forecast(
+        _sine_fixture(), _E2E_WSPEC, _e2e_backbone(), _e2e_tcfg(), _E2E_PATCH, None, 1e-5
+    )
+    r2, _ = run_forecast(
+        _sine_fixture(), _E2E_WSPEC, _e2e_backbone(), _e2e_tcfg(), _E2E_PATCH, None, 1e-5
+    )
     elapsed = time.monotonic() - start
     mse_value = r1.metric("MSE", "O=24")
     baseline = r1.metadata["baseline"]["MSE"]
@@ -313,12 +317,17 @@ def test_c10_ablation_plumbing():
         n_layers=2, d_model=32, n_heads=4, d_ff=64, max_tokens=64,
         patch_len=16, head_in=1, head_out=1,
     )
-    tcfg = TrainConfig(epochs=6, batch_size=64, learning_rate=1e-3, seed=11)
-    donor = synthetic_pretrain(base, wspec, patch, tcfg, length=2048, n_channels=3, noise=0.05)
+    tcfg = TrainConfig(
+        epochs=6, batch_size=64, learning_rate=1e-3, early_stop_patience=3, seed=11,
+        ablation="no_pretrain",
+    )
+    donor = synthetic_pretrain(
+        base, wspec, patch, tcfg, revin_eps=1e-5, length=2048, n_channels=3, noise=0.05
+    )
     fixture = TimeSeriesDataset(
         name="transfer-fixture", values=sine_mixture(600, seeded_rng(511), noise=0.15)[:, None]
     )
-    report = run_ablation_suite(fixture, wspec, base, tcfg, patch, donor)
+    report = run_ablation_suite(fixture, wspec, base, tcfg, patch, donor, revin_eps=1e-5)
     values = {r["scope"]: r["metrics"] for r in report.rows if r["scope"] != "avg"}
     all_arms = set(values) == {"fpt", "no_freeze", "no_pretrain", "no_pretrain_freeze", "gpt0"}
     finite = all(np.isfinite(list(m.values())).all() for m in values.values())
@@ -375,7 +384,7 @@ def test_c11_metric_oracles():
             p_ref = tp / (tp + fp)
             r_ref = tp / (tp + fn)
             f_ref = 0.0 if p_ref + r_ref == 0 else 2 * p_ref * r_ref / (p_ref + r_ref)
-            p, r, f1 = prf1(pred, truth)
+            p, r, f1 = prf1(pred, truth, point_adjust=False)
             worst = max(worst, abs(p - p_ref), abs(r - r_ref), abs(f1 - f_ref))
     sym = abs(smape([1.0, 2.0], [3.0, 0.5]) - smape([3.0, 0.5], [1.0, 2.0]))
     convention = abs(smape([1.0], [3.0]) - 100.0)
@@ -398,10 +407,15 @@ def test_c12_zero_shot_contract():
         n_layers=2, d_model=16, n_heads=2, d_ff=32, max_tokens=32,
         patch_len=8, head_in=1, head_out=1,
     )
-    tcfg = TrainConfig(epochs=4, batch_size=64, learning_rate=1e-3, seed=3)
+    tcfg = TrainConfig(
+        epochs=4, batch_size=64, learning_rate=1e-3, early_stop_patience=3, seed=3,
+        ablation="no_pretrain",
+    )
     ds = TimeSeriesDataset(name="sine", values=sinusoid(800, 24.0)[:, None])
-    forecast, _ = run_forecast(ds, wspec, base, tcfg, patch)
-    zero, _ = run_zero_shot(ds, ds, wspec, base, tcfg, patch, metric="smape")
+    forecast, _ = run_forecast(ds, wspec, base, tcfg, patch, weights=None, revin_eps=1e-5)
+    zero, _ = run_zero_shot(
+        ds, ds, wspec, base, tcfg, patch, metric="smape", weights=None, revin_eps=1e-5
+    )
     equal = (
         zero.metric("MSE", "O=12") == forecast.metric("MSE", "O=12")
         and zero.metric("MAE", "O=12") == forecast.metric("MAE", "O=12")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_backbone
+from conftest import tiny_backbone, train_config
 from fpt import analysis
 from fpt.analysis import (
     attention_map,
@@ -47,14 +47,13 @@ from fpt.data import (
     mask_count,
     window_masks,
 )
-from fpt.errors import FormatError, InvalidInput, RankDeficient, ShapeError
+from fpt.errors import FormatError, InvalidInput, NumericalFailure, RankDeficient, ShapeError
 from fpt.metrics import MetricReport, mase, mse, prf1
 from fpt.numerics import finite_diff_grad, sym_eig
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import inject_spikes, sinusoid
 from fpt.tasks import (
-    TrainConfig,
     make_ablation,
     mixed_weights_similarity_sweep,
     run_anomaly,
@@ -502,7 +501,7 @@ class TestMixSweep:
         pretrained, base, ds, wspec, patch = self._fixture()
         rows = mixed_weights_similarity_sweep(
             pretrained, base, ds, wspec, patch, [0.0, 0.5, 1.0],
-            seeded_rng(33), finetune_steps=5,
+            train_config(seed=33), finetune_steps=5, revin_eps=1e-5, mode="replace",
         )
         assert len(rows) == 3
         for row in rows:
@@ -512,12 +511,9 @@ class TestMixSweep:
 
     def test_zero_ratio_reruns_identical(self):
         pretrained, base, ds, wspec, patch = self._fixture()
-        a = mixed_weights_similarity_sweep(
-            pretrained, base, ds, wspec, patch, [0.0], seeded_rng(34), finetune_steps=5
-        )
-        b = mixed_weights_similarity_sweep(
-            pretrained, base, ds, wspec, patch, [0.0], seeded_rng(34), finetune_steps=5
-        )
+        sweep = (pretrained, base, ds, wspec, patch, [0.0], train_config(seed=34), 5, 1e-5)
+        a = mixed_weights_similarity_sweep(*sweep, mode="replace")
+        b = mixed_weights_similarity_sweep(*sweep, mode="replace")
         assert a == b
 
 
@@ -587,7 +583,9 @@ _SINE = TimeSeriesDataset(name="sine", values=sinusoid(400, 24.0)[:, None])
 _TWO_CLASSES = TimeSeriesDataset(
     name="two", values=np.zeros((64, 4)), labels=np.array([0, 1, 0, 1]), label_kind="series"
 )
-_RUN = (tiny_backbone(), TrainConfig(epochs=1), PatchConfig(8, 4))
+_RUN = (tiny_backbone(), train_config(epochs=1), PatchConfig(8, 4))
+_NO_DONOR = {"weights": None, "revin_eps": 1e-5}
+_NO_CONTAINER = Path(__file__) / "container"  # under a file: no directory can be made there
 
 
 # One malformed argument per public analysis or preprocess function (and the
@@ -627,17 +625,18 @@ _MALFORMED_CALLS = {
         )
         for lr in (0.0, math.nan, -1.0)
     },
-    "train-learning-rate-inf": (InvalidInput, lambda: TrainConfig(learning_rate=math.inf)),
-    "train-epochs-1.5": (InvalidInput, lambda: TrainConfig(epochs=1.5)),
-    "train-batch-size-true": (InvalidInput, lambda: TrainConfig(batch_size=True)),
-    "window-lookback-48.5": (InvalidInput, lambda: WindowSpec(48.5, 12)),
+    "train-learning-rate-inf": (InvalidInput, lambda: train_config(learning_rate=math.inf)),
+    "train-epochs-1.5": (InvalidInput, lambda: train_config(epochs=1.5)),
+    "train-batch-size-true": (InvalidInput, lambda: train_config(batch_size=True)),
+    "window-lookback-48.5": (InvalidInput, lambda: WindowSpec(48.5, 12, 1)),
     "patch-len-8.0": (InvalidInput, lambda: PatchConfig(8.0, 4)),
     "backbone-d-model-16.0": (InvalidInput, lambda: tiny_backbone(d_model=16.0)),
     "split-nan": (InvalidInput, lambda: SplitSpec(math.nan, 0.1, 0.2)),
     "donor-length-100.5": (
         InvalidInput,
         lambda: synthetic_pretrain(
-            tiny_backbone(), WindowSpec(48, 12), PatchConfig(8, 4), TrainConfig(), length=100.5
+            tiny_backbone(), WindowSpec(48, 12, 1), PatchConfig(8, 4), train_config(),
+            revin_eps=1e-5, length=100.5, n_channels=4, noise=0.05,
         ),
     ),
     "pca-forward-rank-not-an-integer": (
@@ -677,7 +676,7 @@ _MALFORMED_CALLS = {
     "window-masks-n-masked-1.5": (InvalidInput, lambda: window_masks(1, 1, 8, 1.5, seeded_rng(0))),
     "mase-period-1.5": (InvalidInput, lambda: mase([1.0], [2.0], np.arange(8.0), 1.5)),
     "mase-insample-nan": (InvalidInput, lambda: mase([1.0], [2.0], [1.0, math.nan, 2.0, 4.0], 1)),
-    "train-learning-rate-x": (InvalidInput, lambda: TrainConfig(learning_rate="x")),
+    "train-learning-rate-x": (InvalidInput, lambda: train_config(learning_rate="x")),
     **{
         f"{fn.__name__}-{name}": (FormatError, partial(fn, store, tiny_backbone(), arg))
         for fn, arg in (
@@ -698,11 +697,14 @@ _MALFORMED_CALLS = {
         for n in (-1, 11)
     },
     # the scalar arguments of the runners and of the numerics, and the stream
-    "anomaly-quantile-string": (InvalidInput, lambda: run_anomaly(_SINE, "0.9", 48, *_RUN)),
-    "few-shot-percent-string": (InvalidInput, lambda: few_shot_subset(_SINE, "0.5")),
+    "anomaly-quantile-string": (
+        InvalidInput,
+        lambda: run_anomaly(_SINE, "0.9", 48, *_RUN, False, stride=None, **_NO_DONOR),
+    ),
+    "few-shot-percent-string": (InvalidInput, lambda: few_shot_subset(_SINE, "0.5", "suffix")),
     "classification-n-classes-string": (
         InvalidInput,
-        lambda: run_classification(_TWO_CLASSES, *_RUN, n_classes="3"),
+        lambda: run_classification(_TWO_CLASSES, *_RUN, n_classes="3", **_NO_DONOR),
     ),
     "maxent-q-string": (InvalidInput, lambda: maxent_dual_solve("x", 0.5)),
     "sgd-rate-eps-string": (InvalidInput, lambda: sgd_rate_experiment([1.0], "x", 0)),
@@ -715,14 +717,15 @@ _MALFORMED_CALLS = {
     **{
         f"imputation-ratios-{name}": (
             InvalidInput,
-            partial(run_imputation, _SINE, ratios, 48, *_RUN),
+            partial(run_imputation, _SINE, ratios, 48, *_RUN, stride=None, **_NO_DONOR),
         )
         for name, ratios in (("5", 5), ("ab", "ab"))
     },
     "mix-sweep-ratios-ab": (
         InvalidInput,
         lambda: mixed_weights_similarity_sweep(
-            {}, tiny_backbone(), _SINE, WindowSpec(48, 12), PatchConfig(8, 4), "ab", seeded_rng(0)
+            {}, tiny_backbone(), _SINE, WindowSpec(48, 12, 1), PatchConfig(8, 4), "ab",
+            train_config(), 50, 1e-5, "replace",
         ),
     ),
     "rng-uniform-shape-negative": (InvalidInput, lambda: seeded_rng(0).uniform(-1)),
@@ -734,14 +737,16 @@ _MALFORMED_CALLS = {
     "mask-count-ratio-string": (InvalidInput, lambda: mask_count("0.5", 48)),
     "mix-weights-ratio-string": (
         InvalidInput,
-        lambda: mix_weights(*[init_random(tiny_backbone(), seeded_rng(0))] * 2, "0.5", seeded_rng(1)),
+        lambda: mix_weights(
+            *[init_random(tiny_backbone(), seeded_rng(0))] * 2, "0.5", seeded_rng(1), "replace"
+        ),
     ),
     **{
         f"donor-noise-{noise}": (
             InvalidInput,
             lambda noise=noise: synthetic_pretrain(
-                tiny_backbone(), WindowSpec(48, 12), PatchConfig(8, 4), TrainConfig(epochs=1),
-                length=256, n_channels=1, noise=noise,
+                tiny_backbone(), WindowSpec(48, 12, 1), PatchConfig(8, 4), train_config(epochs=1),
+                revin_eps=1e-5, length=256, n_channels=1, noise=noise,
             ),
         )
         for noise in (-0.05, math.nan)
@@ -750,6 +755,10 @@ _MALFORMED_CALLS = {
     "backbone-dropout-1": (InvalidInput, lambda: tiny_backbone(dropout=1.0)),
     "backbone-head-mode-x": (InvalidInput, lambda: tiny_backbone(head_mode="x")),
     "backbone-pool-head-in-1": (InvalidInput, lambda: tiny_backbone(head_mode="pool")),
+    **{
+        f"backbone-{name}-10**6": (InvalidInput, partial(tiny_backbone, **{name: 10**6}))
+        for name in ("n_layers", "d_model", "d_ff")
+    },
     "store-extra-tensor": (
         FormatError,
         lambda: validate_store(_store_with("extra", np.zeros(1)), tiny_backbone()),
@@ -758,6 +767,21 @@ _MALFORMED_CALLS = {
         ShapeError,
         lambda: validate_store(_store_with("ln_f.gamma", np.zeros(3)), tiny_backbone()),
     ),
+    # save_weights checks the store before it writes: at a path no directory
+    # can be made at, a check made only while writing raises IoError instead
+    "save-weights-nan": (
+        NumericalFailure,
+        partial(save_weights, {"a": np.array([np.nan], np.float32)}, _NO_CONTAINER),
+    ),
+    "save-weights-1e300-overflows-float32": (
+        NumericalFailure,
+        partial(save_weights, {"a": np.array([1e300])}, _NO_CONTAINER),
+    ),
+    "save-weights-name-3": (FormatError, partial(save_weights, {3: np.zeros(2)}, _NO_CONTAINER)),
+    **{
+        f"save-weights-tensor-{name}": (FormatError, partial(save_weights, {"a": x}, _NO_CONTAINER))
+        for name, x in (("string", "x"), ("ragged-list", [1.0, [2.0]]))
+    },
     "container-format-version-2": (
         FormatError,
         lambda: _load_edited(lambda m: m.update(format_version=2)),
@@ -797,7 +821,10 @@ _MALFORMED_CALLS = {
             (loss_and_grads, Batch(tokens=np.zeros((2, 3, 8)), targets=np.zeros((2, 1)))),
         )
     },
-    "ablation-arm-x": (InvalidInput, lambda: make_ablation("x", tiny_backbone(), seeded_rng(0))),
+    "ablation-arm-x": (
+        InvalidInput,
+        lambda: make_ablation("x", tiny_backbone(), seeded_rng(0), None),
+    ),
     "sym-eig-2x3": (InvalidInput, lambda: sym_eig(np.zeros((2, 3)))),
     "sym-eig-empty-stack": (ShapeError, lambda: sym_eig(np.zeros((0, 2, 2)))),
     **{
@@ -807,8 +834,8 @@ _MALFORMED_CALLS = {
         )
         for kind in ("series", "timestep")
     },
-    "prf1-length-mismatch": (ShapeError, lambda: prf1([0, 1], [0, 1, 1])),
-    "prf1-non-binary": (InvalidInput, lambda: prf1([0, 2], [0, 1])),
+    "prf1-length-mismatch": (ShapeError, lambda: prf1([0, 1], [0, 1, 1], False)),
+    "prf1-non-binary": (InvalidInput, lambda: prf1([0, 2], [0, 1], False)),
     "mse-empty": (ShapeError, lambda: mse([], [])),
     "mase-insample-no-longer-than-m": (InvalidInput, lambda: mase([1.0], [2.0], [1.0, 2.0], 2)),
 }

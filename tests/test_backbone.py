@@ -60,6 +60,20 @@ def test_init_shapes_and_conventions():
     assert abs(float(weights.std()) - 0.02) < 0.005
 
 
+def test_the_weight_cap_counts_the_expected_shapes():
+    """A config of exactly ``_MAX_WEIGHTS`` weights, as ``expected_shapes``
+    counts them, is accepted, and one weight more is refused before any
+    tensor is drawn."""
+    head = 2  # the weights of tiny_backbone's 1x1 head: w and b
+    rest = sum(math.prod(s) for s in expected_shapes(tiny_backbone()).values()) - head
+    at_cap = tiny_backbone(head_in=backbone._MAX_WEIGHTS - rest - 1)
+    assert sum(math.prod(s) for s in expected_shapes(at_cap).values()) == backbone._MAX_WEIGHTS
+    with pytest.raises(InvalidInput, match="weights"):
+        tiny_backbone(head_in=at_cap.head_in + 1)
+    with pytest.raises(InvalidInput, match="weights"):  # 4 d**2 would wrap to 0 in int32
+        tiny_backbone(d_model=np.int32(2**16))
+
+
 def test_init_deterministic():
     cfg = tiny_backbone()
     a = init_random(cfg, seeded_rng(5))
@@ -180,14 +194,14 @@ class TestMixWeights:
         cfg = tiny_backbone()
         pre = init_random(cfg, seeded_rng(1))
         rnd = init_random(cfg, seeded_rng(2))
-        mixed = mix_weights(pre, rnd, 0.0, seeded_rng(3))
+        mixed = mix_weights(pre, rnd, 0.0, seeded_rng(3), "replace")
         assert param_hash(mixed) == param_hash(pre)
 
     def test_ratio_one_frozen_equals_random(self):
         cfg = tiny_backbone()
         pre = init_random(cfg, seeded_rng(1))
         rnd = init_random(cfg, seeded_rng(2))
-        mixed = mix_weights(pre, rnd, 1.0, seeded_rng(3))
+        mixed = mix_weights(pre, rnd, 1.0, seeded_rng(3), "replace")
         for name in pre:
             if ".attn." in name or ".mlp." in name:
                 assert np.array_equal(mixed[name], rnd[name]), name
@@ -201,7 +215,7 @@ class TestMixWeights:
         )
         pre = init_random(cfg, seeded_rng(1))
         rnd = init_random(cfg, seeded_rng(2))
-        mixed = mix_weights(pre, rnd, 0.5, seeded_rng(3))
+        mixed = mix_weights(pre, rnd, 0.5, seeded_rng(3), "replace")
         replaced = total = 0
         for name in pre:
             if ".attn.w" in name or ".mlp.w" in name:
@@ -215,7 +229,7 @@ class TestMixWeights:
         pre = init_random(cfg, seeded_rng(1))
         rnd = init_random(cfg, seeded_rng(2))
         for ratio in (0.3, 1.0):
-            mixed = mix_weights(pre, rnd, ratio, seeded_rng(4))
+            mixed = mix_weights(pre, rnd, ratio, seeded_rng(4), "replace")
             for name in ("input_embedding.w", "pos_embedding", "ln_f.gamma", "output_head.w"):
                 assert np.array_equal(mixed[name], pre[name])
 

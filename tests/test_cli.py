@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -735,6 +736,80 @@ class TestConfigSchema:
         config["backbone"]["dropout"] = None
         assert _run_task(tmp, cfg_path, "forecast", config) == 2
         assert "config.backbone.dropout: expected a number" in _error_lines(capsys)[0]
+
+
+# The values a config mutation gives one leaf
+_MUTANTS = (None, -1, 0, 1e308, math.nan, "x", [], {}, True, 0.5, 10**6)
+
+
+def _leaves(node: dict, prefix: str = "") -> list[str]:
+    """The dotted path of every value under ``node`` that is not an object."""
+    paths = []
+    for key, value in node.items():
+        paths += _leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
+    return paths
+
+
+def _non_finite(node, path: str = "") -> list[str]:
+    """The dotted path of every NaN or infinity in a parsed JSON value."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _non_finite(value, f"{path}.{key}")]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _non_finite(value, f"{path}.{i}")]
+    return [path] if isinstance(node, float) and not math.isfinite(node) else []
+
+
+def test_config_mutations_exit_cleanly(tmp_path, capsys):
+    """A seeded sample of 100 single-leaf mutations of the workspace run
+    config, across the task commands at one epoch, each leaf set to one of
+    ``_MUTANTS``.  Every run exits 0 with only finite numbers in its report,
+    or exits 2 or 3 with one ``error: <Type>:`` line and no traceback.  The
+    one NaN allowed is ``prf1``'s recall and F1 on a test split without an
+    anomaly, which the report's warnings record."""
+    _write_task_datasets(tmp_path)
+    base = json.loads((tmp_path / "run.json").read_text())
+    configs = {
+        task: _with(base, {**_TASK_SECTIONS.get(task, {}), "train": {"epochs": 1}})
+        for task in _TASK_COMMAND
+    }
+    for task, name in _TASK_DATASET.items():
+        configs[task]["dataset"]["name"] = name
+    cases = [
+        (task, path, value)
+        for task, config in configs.items()
+        for path in _leaves(config)
+        for value in _MUTANTS
+    ]
+    faults = []
+    for i in seeded_rng(0).permutation(len(cases))[:100]:
+        task, path, value = cases[i]
+        config = json.loads(json.dumps(configs[task]))
+        node, key = _leaf(config, path)
+        node[key] = value
+        cfg_path, out = tmp_path / f"m{i}.json", tmp_path / f"m{i}"
+        cfg_path.write_text(json.dumps(config))
+        argv = [_TASK_COMMAND[task], "--config", str(cfg_path), "--output", str(out)]
+        case = f"{task} {path}={value!r}"
+        try:
+            code = main(argv + ["--synthetic-pretrain"] * (task == "ablate"))
+        except Exception as exc:  # reported with its case, not as the test's own error
+            faults.append(f"{case}: raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code == 0:
+            report = out / ("ablation.json" if task == "ablate" else "report.json")
+            report = json.loads(report.read_text())
+            bad = _non_finite(report)
+            if any("recall and F1 undefined" in w for w in report["metadata"]["warnings"]):
+                bad = [p for p in bad if p.rsplit(".", 1)[1] not in ("recall", "F1")]
+            if bad:
+                faults.append(f"{case}: exit 0 with non-finite {bad}")
+        elif code not in (2, 3) or "Traceback" in err or len(errors) != 1:
+            faults.append(f"{case}: exit {code}, stderr {err!r}")
+        elif not re.match(r"error: [A-Za-z]+: ", errors[0]):
+            faults.append(f"{case}: untyped {errors[0]!r}")
+    assert faults == []
 
 
 class TestTaskCommands:

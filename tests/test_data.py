@@ -186,21 +186,21 @@ class TestFewShot:
         ds = TimeSeriesDataset(
             name="x", values=np.zeros((10000, 1)), split=SplitSpec(1.0, 0.0, 0.0)
         )
-        sub = few_shot_subset(ds, 0.10)
+        sub = few_shot_subset(ds, 0.10, "suffix")
         t0, t1 = sub.split_bounds().train
         assert t1 - t0 == 1000
         assert t1 == 10000  # suffix keeps the most recent steps
 
     def test_identity_at_one(self):
         ds = TimeSeriesDataset(name="x", values=np.zeros((500, 1)))
-        sub = few_shot_subset(ds, 1.0)
+        sub = few_shot_subset(ds, 1.0, "suffix")
         assert sub.split_bounds() == ds.split_bounds()
 
     def test_ceil_on_etth_like_length(self):
         ds = TimeSeriesDataset(
             name="x", values=np.zeros((12194, 1)), split=SplitSpec(1.0, 0.0, 0.0)
         )
-        sub = few_shot_subset(ds, 0.05)
+        sub = few_shot_subset(ds, 0.05, "suffix")
         t0, t1 = sub.split_bounds().train
         assert t1 - t0 == 610
 
@@ -208,7 +208,7 @@ class TestFewShot:
         ds = TimeSeriesDataset(name="x", values=np.zeros((1000, 1)))
         lens = []
         for p in (1.0, 0.5, 0.1, 0.05):
-            t0, t1 = few_shot_subset(ds, p).split_bounds().train
+            t0, t1 = few_shot_subset(ds, p, "suffix").split_bounds().train
             lens.append(t1 - t0)
         assert lens == sorted(lens, reverse=True)
 
@@ -222,7 +222,7 @@ class TestFewShot:
     def test_invalid_percent(self):
         ds = TimeSeriesDataset(name="x", values=np.zeros((100, 1)))
         with pytest.raises(InvalidInput):
-            few_shot_subset(ds, 0.0)
+            few_shot_subset(ds, 0.0, "suffix")
 
 
 class TestRandomMask:

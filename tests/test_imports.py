@@ -1,8 +1,9 @@
 """Static checks, with the stdlib ``ast`` module only: every name a module
 of the package imports is used in that module, every module-level private
 helper is used somewhere in the package, every public one is named by code
-outside the tests, every defaulted parameter is passed by some caller, and
-one module owns the process's native settings."""
+outside the tests, every defaulted parameter is passed by some caller, the
+library entry points of a run declare no default, and one module owns the
+process's native settings."""
 
 import ast
 from pathlib import Path
@@ -174,6 +175,58 @@ def test_the_check_sees_an_unpassed_default():
     )
     calling = "f(0, 1, e=5)\nK(1)\nk.m(z=2)\ng(*args)\n"
     assert _unpassed_defaults([defining], [calling]) == ["f(c)", "f(d)", "m(y)"]
+
+
+# The entry points that take every run value from their caller, so that
+# cli._SCHEMA and the analyze flags are the one home of a run default: per
+# module, the functions and dataclasses named, and "*" for every public
+# module-level function.
+_TAKE_EVERY_VALUE = {
+    "tasks.py": ("*", "TrainConfig"),
+    "data.py": ("few_shot_subset", "WindowSpec"),
+    "metrics.py": ("prf1",),
+    "backbone.py": ("mix_weights",),
+    "synthetic.py": ("donor_values",),
+}
+
+
+def _declared_defaults(source: str, names) -> list[str]:
+    """``function(parameter)`` for every defaulted parameter of a module-level
+    function of ``source`` in ``names`` (or public, when ``names`` holds
+    "*"), and ``Class.field`` for every field default of a class in
+    ``names``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and (
+            node.name in names or "*" in names and not node.name.startswith("_")
+        ):
+            args = node.args
+            params = args.posonlyargs + args.args
+            defaulted = params[len(params) - len(args.defaults) :]
+            defaulted += [p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{node.name}({p.arg})" for p in defaulted]
+        elif isinstance(node, ast.ClassDef) and node.name in names:
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and f.value is not None]
+            found += [f"{node.name}.{f.target.id}" for f in fields]
+    return found
+
+
+@pytest.mark.parametrize("module", _TAKE_EVERY_VALUE)
+def test_run_entry_points_declare_no_default(module):
+    source = (Path(fpt.__file__).parent / module).read_text(encoding="utf-8")
+    assert _declared_defaults(source, _TAKE_EVERY_VALUE[module]) == []
+
+
+def test_the_check_sees_a_declared_default():
+    source = (
+        "def run(a, b=1, *, c=2, d):\n    pass\n"
+        "def _helper(x=0):\n    pass\n"
+        "def other(y=0):\n    pass\n"
+        "class Cfg:\n    e: int\n    f: int = 1\n    def g(self, h=0):\n        pass\n"
+        "class Kept:\n    i: int = 1\n"
+    )
+    assert _declared_defaults(source, ("*", "Cfg")) == ["run(b)", "run(c)", "other(y)", "Cfg.f"]
+    assert _declared_defaults(source, ("other", "_helper")) == ["_helper(x)", "other(y)"]
 
 
 def _importers(sources: dict[str, str], module: str) -> list[str]:

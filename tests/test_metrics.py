@@ -82,19 +82,19 @@ def test_mape_nd():
 
 
 def test_prf1_exact_match():
-    p, r, f1 = prf1([0, 1, 1, 0], [0, 1, 1, 0])
+    p, r, f1 = prf1([0, 1, 1, 0], [0, 1, 1, 0], point_adjust=False)
     assert (p, r, f1) == (1.0, 1.0, 1.0)
 
 
 def test_prf1_no_flags():
     with pytest.warns(UserWarning):
-        p, r, f1 = prf1([0, 0, 0], [0, 1, 0])
+        p, r, f1 = prf1([0, 0, 0], [0, 1, 0], point_adjust=False)
     assert r == 0.0 and f1 == 0.0
 
 
 def test_prf1_no_true_anomalies():
     with pytest.warns(UserWarning):
-        p, r, f1 = prf1([0, 1, 0], [0, 0, 0])
+        p, r, f1 = prf1([0, 1, 0], [0, 0, 0], point_adjust=False)
     assert math.isnan(r) and math.isnan(f1)
 
 
@@ -113,7 +113,7 @@ def test_prf1_point_adjust_credits_a_segment_that_ends_the_series():
     truth = np.array([0, 1, 0, 0, 1, 1, 1])
     pred = np.array([0, 0, 0, 0, 0, 1, 0])
     assert prf1(pred, truth, point_adjust=True) == (1.0, 0.75, pytest.approx(6 / 7))
-    assert prf1(pred, truth)[1] == 0.25
+    assert prf1(pred, truth, point_adjust=False)[1] == 0.25
 
 
 def test_mae_le_sqrt_mse():

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import train_config
 import fpt
 from fpt import backbone, tasks, worker
 from fpt.backbone import BackboneConfig, Batch, FreezeMask, init_random, param_hash
@@ -55,7 +56,7 @@ def _setup(dtype=np.float32, head_mode="flatten", freeze=False, loss="mse", **ov
 
 def _fit(setup, train, steps=20):
     """``steps`` Adam steps in batches of 16: each epoch ends in an odd batch of 13."""
-    tcfg = tasks.TrainConfig(epochs=100, batch_size=16, learning_rate=1e-2)
+    tcfg = train_config(epochs=100, batch_size=16, learning_rate=1e-2)
     return tasks._fit(setup, train, None, tcfg, seeded_rng(12), max_steps=steps)[0]
 
 
@@ -324,7 +325,11 @@ else:
     store = init_random(cfg, rng.child(1))
     setup = tasks.AblationSetup(store, FreezeMask.all_trainable(store), cfg)
     train = Batch(tokens=rng.normal((32, 4, 8)), targets=rng.normal((32, 2)))
-    tasks._fit(setup, train, None, tasks.TrainConfig(epochs=1, batch_size=16), rng.child(2))
+    tcfg = tasks.TrainConfig(
+        epochs=1, batch_size=16, learning_rate=1e-3, early_stop_patience=3, seed=0,
+        ablation="no_pretrain",
+    )
+    tasks._fit(setup, train, None, tcfg, rng.child(2))
 print(worker._openblas("get_num_threads", [])())
 """
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import tiny_backbone
+from conftest import tiny_backbone, train_config
 from fpt import backbone, tasks
 from fpt.backbone import forward, gpt0_config, init_random, param_hash, predict
 from fpt.data import (
@@ -20,6 +20,7 @@ from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import classification_values, inject_spikes, sinusoid
 from fpt.tasks import (
+    ABLATION_ARMS,
     TrainConfig,
     _derive_config,
     _reconstruction_errors,
@@ -38,12 +39,11 @@ from fpt.tasks import (
 
 WSPEC = WindowSpec(lookback=48, horizon=12, stride=2)
 PATCH = PatchConfig(8, 4)
+_RUN = {"weights": None, "revin_eps": 1e-5}  # no donor, the run config's eps
 
 
 def _tcfg(**over) -> TrainConfig:
-    params = dict(epochs=4, batch_size=64, learning_rate=1e-3, seed=3)
-    params.update(over)
-    return TrainConfig(**params)
+    return train_config(**{"epochs": 4, "seed": 3, **over})
 
 
 def _sine_ds(T=800, noise=0.0, seed=50, name="sine") -> TimeSeriesDataset:
@@ -81,14 +81,14 @@ def test_train_config_allows_zero_epochs():
 
 
 def test_run_records_take_numpy_integers():
-    assert WindowSpec(np.int64(48), np.int32(12)).lookback == 48
+    assert WindowSpec(np.int64(48), np.int32(12), 1).lookback == 48
     assert _tcfg(epochs=np.int64(2)).epochs == 2
 
 
 @pytest.mark.parametrize("max_steps", [0, 3])
 def test_fit_runs_exactly_the_step_budget(max_steps):
     cfg = _derive_config(tiny_backbone(), PATCH, WSPEC.lookback, WSPEC.horizon)
-    setup = make_ablation("no_pretrain", cfg, seeded_rng(1))
+    setup = make_ablation("no_pretrain", cfg, seeded_rng(1), None)
     train = _samples(_sine_ds(), WSPEC, PATCH, 1e-5, "train")
     tcfg = _tcfg(epochs=10, batch_size=8)
     store, history = tasks._fit(setup, train, None, tcfg, seeded_rng(2), max_steps)
@@ -100,8 +100,24 @@ def test_fit_runs_exactly_the_step_budget(max_steps):
 def test_synthetic_pretrain_rejects_empty_corpus(length, n_channels):
     with pytest.raises(InvalidInput):
         synthetic_pretrain(
-            tiny_backbone(), WSPEC, PATCH, _tcfg(), length=length, n_channels=n_channels
+            tiny_backbone(), WSPEC, PATCH, _tcfg(), length=length, n_channels=n_channels,
+            revin_eps=1e-5, noise=0.05,
         )
+
+
+def test_synthetic_pretrain_trains_at_the_runs_revin_eps():
+    """The donor corpus is normalized at the run's revin_eps, as the task's
+    own splits are."""
+
+    def donor(eps):
+        store = synthetic_pretrain(
+            tiny_backbone(), WSPEC, PATCH, _tcfg(epochs=1), revin_eps=eps, length=256,
+            n_channels=1, noise=0.05,
+        )
+        return param_hash(store)
+
+    assert donor(1e-5) == donor(1e-5)
+    assert donor(1e-5) != donor(1e-2)
 
 
 class TestSamples:
@@ -194,21 +210,21 @@ class TestMakeAblation:
         assert nf.mask.trainable == frozenset(nf.store)
         assert param_hash(nf.store) == param_hash(weights)
 
-        np_arm = make_ablation("no_pretrain", cfg, rng)
+        np_arm = make_ablation("no_pretrain", cfg, rng, None)
         assert np_arm.mask.trainable == frozenset(np_arm.store)
 
-        npf = make_ablation("no_pretrain_freeze", cfg, rng)
+        npf = make_ablation("no_pretrain_freeze", cfg, rng, None)
         frozen = set(npf.store) - npf.mask.trainable
         assert frozen and all(".attn." in n or ".mlp." in n for n in frozen)
 
-        g0 = make_ablation("gpt0", cfg, rng)
+        g0 = make_ablation("gpt0", cfg, rng, None)
         assert g0.cfg.n_layers == 0
         assert not any("blocks." in n for n in g0.store)
         assert g0.mask.trainable == frozenset(g0.store)
 
     def test_fpt_without_weights(self):
         with pytest.raises(MissingWeights):
-            make_ablation("fpt", tiny_backbone(), seeded_rng(1))
+            make_ablation("fpt", tiny_backbone(), seeded_rng(1), None)
 
     def test_gpt0_config_helper(self):
         assert gpt0_config(tiny_backbone()).n_layers == 0
@@ -216,19 +232,19 @@ class TestMakeAblation:
 
 class TestForecast:
     def test_learns_sinusoid_and_beats_naive(self):
-        report, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH)
+        report, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
         mse = report.metric("MSE", "O=12")
         assert mse < 0.05
         assert mse < report.metadata["baseline"]["MSE"]
         assert report.metric("MAE", "O=12") < report.metadata["baseline"]["MAE"]
 
     def test_deterministic_across_runs(self):
-        a, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH)
-        b, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH)
+        a, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
+        b, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
         assert a.to_json() == b.to_json()
 
     def test_first_epoch_loss_trend(self):
-        report, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH)
+        report, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
         losses = report.metadata["history"]["train_first_epoch"]
         assert len(losses) >= 3
         assert all(np.isfinite(losses))
@@ -243,7 +259,7 @@ class TestForecast:
 
         def mse_over_scale2(scale):
             ds = TimeSeriesDataset(name="sine", values=scale * sinusoid(800, 24.0)[:, None])
-            report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
+            report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, **_RUN)
             return report.metric("MSE", "O=12") / scale**2
 
         assert mse_over_scale2(1e20) == pytest.approx(mse_over_scale2(1.0), rel=1e-4)
@@ -255,17 +271,17 @@ class TestForecast:
         with np.errstate(over="warn"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalFailure, match="Adam"):
-                run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
+                run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, **_RUN)
 
     def test_requires_horizon(self):
         with pytest.raises(InvalidInput):
-            run_forecast(_sine_ds(), WindowSpec(48, 0, 1), tiny_backbone(), _tcfg(), PATCH)
+            run_forecast(_sine_ds(), WindowSpec(48, 0, 1), tiny_backbone(), _tcfg(), PATCH, **_RUN)
 
     def test_multichannel_pools_windows(self):
         rng = seeded_rng(60)
         values = np.stack([sinusoid(500, 24.0), sinusoid(500, 12.0)], axis=1)
         ds = TimeSeriesDataset(name="two", values=values + rng.normal((500, 2), scale=0.01))
-        report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=2), PATCH)
+        report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=2), PATCH, **_RUN)
         assert np.isfinite(report.metric("MSE", "O=12"))
 
     def test_baseline_repeats_each_windows_last_input(self):
@@ -274,7 +290,7 @@ class TestForecast:
         rng = seeded_rng(61)
         values = np.stack([sinusoid(400, 24.0), 5.0 * sinusoid(400, 7.0) + 2.0], axis=1)
         ds = TimeSeriesDataset(name="two", values=values + rng.normal((400, 2), scale=0.1))
-        report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH)
+        report, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, **_RUN)
         inputs, outs = make_windows(ds, WSPEC, "test")
         naive = inputs[:, -1, :].T.reshape(-1, 1)  # channel-major rows
         err = outs.transpose(2, 0, 1).reshape(-1, WSPEC.horizon) - naive
@@ -286,7 +302,8 @@ class TestImputation:
     def test_table_shape_and_masked_metrics(self):
         ratios = (0.125, 0.25, 0.375, 0.5)
         report, stores = run_imputation(
-            _sine_ds(T=600), ratios, 48, tiny_backbone(), _tcfg(epochs=3), PATCH
+            _sine_ds(T=600), ratios, 48, tiny_backbone(), _tcfg(epochs=3), PATCH, stride=None,
+            **_RUN,
         )
         scopes = [r["scope"] for r in report.rows]
         assert scopes == [f"ratio={r}" for r in ratios] + ["avg"]
@@ -296,21 +313,27 @@ class TestImputation:
 
     def test_tiny_ratio_masks_at_least_one_point(self):
         report, _ = run_imputation(
-            _sine_ds(T=400), (0.001,), 48, tiny_backbone(), _tcfg(epochs=1), PATCH
+            _sine_ds(T=400), (0.001,), 48, tiny_backbone(), _tcfg(epochs=1), PATCH, stride=None,
+            **_RUN,
         )
         assert np.isfinite(report.metric("MSE", "ratio=0.001"))
 
     def test_invalid_ratio(self):
         with pytest.raises(InvalidInput):
-            run_imputation(_sine_ds(T=400), (1.5,), 48, tiny_backbone(), _tcfg(), PATCH)
+            run_imputation(
+                _sine_ds(T=400), (1.5,), 48, tiny_backbone(), _tcfg(), PATCH, stride=None, **_RUN,
+            )
 
     def test_zero_stride_rejected(self):
         with pytest.raises(InvalidInput):
-            run_imputation(_sine_ds(T=400), (0.5,), 48, tiny_backbone(), _tcfg(), PATCH, stride=0)
+            run_imputation(
+                _sine_ds(T=400), (0.5,), 48, tiny_backbone(), _tcfg(), PATCH, stride=0, **_RUN,
+            )
 
     def test_beats_mean_imputation_baseline(self):
         report, _ = run_imputation(
-            _sine_ds(T=600), (0.125,), 48, tiny_backbone(), _tcfg(epochs=3), PATCH
+            _sine_ds(T=600), (0.125,), 48, tiny_backbone(), _tcfg(epochs=3), PATCH, stride=None,
+            **_RUN,
         )
         model_mse = report.metric("MSE", "ratio=0.125")
         baseline_mse = report.metadata["baseline"]["ratio=0.125"]["MSE"]
@@ -328,7 +351,8 @@ class TestClassification:
         ds = self._corpus()
         cfg = tiny_backbone(d_model=32, n_heads=4, d_ff=64)
         report, _ = run_classification(
-            ds, cfg, _tcfg(epochs=15, batch_size=32, learning_rate=5e-3), PATCH
+            ds, cfg, _tcfg(epochs=15, batch_size=32, learning_rate=5e-3), PATCH, n_classes=None,
+            **_RUN,
         )
         assert report.metric("accuracy", "test") >= 0.95
         assert len(report.metadata["history"]["val"]) >= 1
@@ -338,7 +362,9 @@ class TestClassification:
         tcfg = _tcfg(epochs=2, batch_size=16)
 
         def trained(dropout):
-            _, store = run_classification(ds, tiny_backbone(dropout=dropout), tcfg, PATCH)
+            _, store = run_classification(
+                ds, tiny_backbone(dropout=dropout), tcfg, PATCH, n_classes=None, **_RUN,
+            )
             return param_hash(store)
 
         assert trained(0.3) == trained(0.3)
@@ -360,7 +386,9 @@ class TestClassification:
         train_for_real = tasks._train
         monkeypatch.setattr(tasks, "_train", counting_train)
         ds = replace(self._corpus(n_series=29, length=64), split=split)
-        report, _ = run_classification(ds, tiny_backbone(), _tcfg(epochs=0), PATCH)
+        report, _ = run_classification(
+            ds, tiny_backbone(), _tcfg(epochs=0), PATCH, n_classes=None, **_RUN,
+        )
         bounds = split.bounds(29)
         assert [hi - lo for lo, hi in (bounds.train, bounds.val, bounds.test)] == sizes
         assert seen == [tuple(sizes[:2])] and report.metadata["n_test"] == sizes[2]
@@ -375,7 +403,9 @@ class TestClassification:
         monkeypatch.setattr(backbone, "forward", counting_forward)
         monkeypatch.setattr(backbone, "_EVAL_CHUNK", 8)
         ds = self._corpus(n_series=60, length=64)  # 12 test series
-        report, _ = run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
+        report, _ = run_classification(
+            ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=None, **_RUN,
+        )
         assert report.metadata["n_test"] > 8
         assert rows and max(rows) <= 8
 
@@ -385,7 +415,7 @@ class TestClassification:
             name="mono", values=values, labels=np.zeros(20, dtype=np.int64), label_kind="series"
         )
         with pytest.raises(InvalidInput):
-            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
+            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=None, **_RUN)
 
     @pytest.mark.parametrize("top", [2, 5], ids=["train-label", "test-label"])
     def test_label_beyond_n_classes_rejected(self, top):
@@ -394,12 +424,12 @@ class TestClassification:
         labels[-1 if top == 5 else 0] = top  # the last series is a test sample
         ds = TimeSeriesDataset(name="w", values=ds.values, labels=labels, label_kind="series")
         with pytest.raises(InvalidInput, match=f"label {top} is out of range for n_classes 2"):
-            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=2)
+            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=2, **_RUN)
 
     def test_unlabeled_rejected(self):
         ds = TimeSeriesDataset(name="none", values=seeded_rng(72).normal((64, 10)))
         with pytest.raises(InvalidInput):
-            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH)
+            run_classification(ds, tiny_backbone(), _tcfg(epochs=1), PATCH, n_classes=None, **_RUN)
 
 
 class TestAnomaly:
@@ -426,14 +456,21 @@ class TestAnomaly:
 
     def test_injected_spikes_detected(self):
         report, _ = run_anomaly(
-            self._spiky(), 0.99, 48, tiny_backbone(), _tcfg(epochs=3), PATCH, stride=4
+            self._spiky(), 0.99, 48, tiny_backbone(), _tcfg(epochs=3), PATCH, stride=4,
+            point_adjust=False, **_RUN,
         )
         assert report.metric("F1", "q=0.99") >= 0.9
 
     def test_threshold_monotone_in_quantile(self):
         ds = self._spiky()
-        r1, _ = run_anomaly(ds, 0.9, 48, tiny_backbone(), _tcfg(epochs=1), PATCH, stride=4)
-        r2, _ = run_anomaly(ds, 0.99, 48, tiny_backbone(), _tcfg(epochs=1), PATCH, stride=4)
+        r1, _ = run_anomaly(
+            ds, 0.9, 48, tiny_backbone(), _tcfg(epochs=1), PATCH, stride=4, point_adjust=False,
+            **_RUN,
+        )
+        r2, _ = run_anomaly(
+            ds, 0.99, 48, tiny_backbone(), _tcfg(epochs=1), PATCH, stride=4, point_adjust=False,
+            **_RUN,
+        )
         assert r2.metadata["threshold"] >= r1.metadata["threshold"]
 
     def test_no_true_anomalies_reports_nan_with_warning(self):
@@ -442,21 +479,33 @@ class TestAnomaly:
             name="calm", values=base[:, None],
             labels=np.zeros(800, dtype=np.int64), label_kind="timestep",
         )
-        report, _ = run_anomaly(ds, 0.99, 48, tiny_backbone(), _tcfg(epochs=1), PATCH)
+        report, _ = run_anomaly(
+            ds, 0.99, 48, tiny_backbone(), _tcfg(epochs=1), PATCH, point_adjust=False, stride=None,
+            **_RUN,
+        )
         assert math.isnan(report.metric("recall", "q=0.99"))
         assert any("recall" in w for w in report.metadata["warnings"])
 
     def test_requires_timestep_labels(self):
         with pytest.raises(InvalidInput):
-            run_anomaly(_sine_ds(), 0.99, 48, tiny_backbone(), _tcfg(), PATCH)
+            run_anomaly(
+                _sine_ds(), 0.99, 48, tiny_backbone(), _tcfg(), PATCH, point_adjust=False,
+                stride=None, **_RUN,
+            )
 
     def test_quantile_domain(self):
         with pytest.raises(InvalidInput):
-            run_anomaly(self._spiky(), 1.5, 48, tiny_backbone(), _tcfg(), PATCH)
+            run_anomaly(
+                self._spiky(), 1.5, 48, tiny_backbone(), _tcfg(), PATCH, point_adjust=False,
+                stride=None, **_RUN,
+            )
 
     def test_zero_stride_rejected(self):
         with pytest.raises(InvalidInput):
-            run_anomaly(self._spiky(), 0.99, 48, tiny_backbone(), _tcfg(), PATCH, stride=0)
+            run_anomaly(
+                self._spiky(), 0.99, 48, tiny_backbone(), _tcfg(), PATCH, stride=0,
+                point_adjust=False, **_RUN,
+            )
 
     def test_batched_errors_match_per_window_loop(self):
         lookback, eps = 16, 1e-5
@@ -489,8 +538,10 @@ class TestAnomaly:
 
 class TestFewShot:
     def test_full_percent_equals_forecast(self):
-        full, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH)
-        few, _ = run_few_shot(_sine_ds(), 1.0, WSPEC, tiny_backbone(), _tcfg(), PATCH)
+        full, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
+        few, _ = run_few_shot(
+            _sine_ds(), 1.0, WSPEC, tiny_backbone(), _tcfg(), PATCH, position="suffix", **_RUN,
+        )
         assert few.metric("MSE", "O=12") == full.metric("MSE", "O=12")
         assert few.metric("MAE", "O=12") == full.metric("MAE", "O=12")
         assert few.metadata["percent"] == 1.0
@@ -500,20 +551,26 @@ class TestFewShot:
         # train to early-stopping convergence under identical configs
         ds = _sine_ds(T=2000, noise=0.05, seed=55, name="noisy-sine")
         tcfg = _tcfg(epochs=60, early_stop_patience=8)
-        full, _ = run_forecast(ds, WSPEC, tiny_backbone(), tcfg, PATCH)
-        few, _ = run_few_shot(ds, 0.10, WSPEC, tiny_backbone(), tcfg, PATCH)
+        full, _ = run_forecast(ds, WSPEC, tiny_backbone(), tcfg, PATCH, **_RUN)
+        few, _ = run_few_shot(
+            ds, 0.10, WSPEC, tiny_backbone(), tcfg, PATCH, position="suffix", **_RUN,
+        )
         assert few.metric("MSE", "O=12") <= 2 * full.metric("MSE", "O=12")
 
     def test_percent_domain(self):
         with pytest.raises(InvalidInput):
-            run_few_shot(_sine_ds(), 0.0, WSPEC, tiny_backbone(), _tcfg(), PATCH)
+            run_few_shot(
+                _sine_ds(), 0.0, WSPEC, tiny_backbone(), _tcfg(), PATCH, position="suffix", **_RUN,
+            )
 
 
 class TestZeroShot:
     def test_source_equals_target_matches_forecast(self):
         ds = _sine_ds()
-        forecast, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(), PATCH)
-        zero, _ = run_zero_shot(ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape")
+        forecast, _ = run_forecast(ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, **_RUN)
+        zero, _ = run_zero_shot(
+            ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape", **_RUN,
+        )
         assert zero.metric("MSE", "O=12") == forecast.metric("MSE", "O=12")
         assert zero.metric("MAE", "O=12") == forecast.metric("MAE", "O=12")
 
@@ -523,7 +580,7 @@ class TestZeroShot:
             name="tgt", values=sinusoid(800, 24.0, phase=1.3)[:, None]
         )
         report, _ = run_zero_shot(
-            source, target, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape"
+            source, target, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape", **_RUN
         )
         assert report.metadata["param_hash_before"] == report.metadata["param_hash_after"]
 
@@ -533,27 +590,29 @@ class TestZeroShot:
             name="tgt", values=sinusoid(800, 24.0, phase=1.3)[:, None]
         )
         report, _ = run_zero_shot(
-            source, target, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape"
+            source, target, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="smape", **_RUN
         )
         assert report.metric("SMAPE", "O=12") < report.metadata["baseline"]["SMAPE"]
 
     def test_unknown_metric(self):
         ds = _sine_ds()
         with pytest.raises(InvalidInput):
-            run_zero_shot(ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="rmsle")
+            run_zero_shot(ds, ds, WSPEC, tiny_backbone(), _tcfg(), PATCH, metric="rmsle", **_RUN)
 
 
 class TestAblationSuite:
     def test_keeps_each_arms_history_by_scope(self):
         """Each arm's history is the one its forecast run records."""
-        arms = ("no_pretrain", "gpt0")
         tcfg = _tcfg(epochs=2)
-        report = run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), tcfg, PATCH, None, arms)
-        assert [r["scope"] for r in report.rows] == [*arms, "avg"]
-        assert list(report.metadata["history"]) == list(arms)
-        for arm in arms:
+        donor = init_random(tasks._forecast_config(tiny_backbone(), PATCH, WSPEC), seeded_rng(62))
+        report = run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), tcfg, PATCH, donor, 1e-5)
+        assert [r["scope"] for r in report.rows] == [*ABLATION_ARMS, "avg"]
+        assert list(report.metadata["history"]) == list(ABLATION_ARMS)
+        for arm in ABLATION_ARMS:
             arm_tcfg = replace(tcfg, ablation=arm)
-            alone, _ = run_forecast(_sine_ds(), WSPEC, tiny_backbone(), arm_tcfg, PATCH)
+            alone, _ = run_forecast(
+                _sine_ds(), WSPEC, tiny_backbone(), arm_tcfg, PATCH, donor, 1e-5
+            )
             assert report.metadata["history"][arm] == alone.metadata["history"]
 
     def test_splits_are_built_once_for_every_arm(self, monkeypatch):
@@ -567,5 +626,5 @@ class TestAblationSuite:
             return normalize_windows(*args)
 
         monkeypatch.setattr(tasks, "normalize_windows", counting)
-        run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, donor)
+        run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, donor, 1e-5)
         assert len(calls) == 3
