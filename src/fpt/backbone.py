@@ -124,7 +124,18 @@ def expected_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _check_store(store) -> None:
+    """A weight store is a dict of string names to numeric arrays; anything
+    else raises ``FormatError``."""
+    if not isinstance(store, dict) or not all(isinstance(name, str) for name in store):
+        raise FormatError("a weight store maps string names to tensors")
+    for name, arr in store.items():
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+            raise FormatError(f"{name}: a tensor must be a numeric array, got {arr!r:.40}")
+
+
 def validate_store(store: dict, cfg: BackboneConfig) -> None:
+    _check_store(store)
     want = expected_shapes(cfg)
     missing = sorted(set(want) - set(store))
     if missing:
@@ -178,6 +189,7 @@ def init_random(cfg: BackboneConfig, rng: RandomStream, dtype=np.float32) -> dic
 
 def param_hash(store: dict) -> str:
     """SHA-256 over (name, raw bytes) in sorted order."""
+    _check_store(store)
     h = hashlib.sha256()
     for name in sorted(store):
         h.update(name.encode())
@@ -188,13 +200,10 @@ def param_hash(store: dict) -> str:
 def save_weights(store: dict, path) -> None:
     """Write the weight container (directory with manifest.json, weights.bin);
     the store is checked first, so ``load_weights`` accepts every one written."""
-    if not isinstance(store, dict) or not all(isinstance(name, str) for name in store):
-        raise FormatError("a weight store maps string names to tensors")
+    _check_store(store)
     entries, blob = [], bytearray()
     for name in sorted(store):
         arr = store[name]
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
-            raise FormatError(f"{name}: a tensor must be a numeric array, got {arr!r:.40}")
         with np.errstate(over="ignore"):  # an overflow to inf is refused below
             arr = np.ascontiguousarray(arr, dtype="<f4")
         if not np.isfinite(arr).all():

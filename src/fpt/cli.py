@@ -49,6 +49,7 @@ from .numerics import is_number
 from .preprocess import PatchConfig
 from .rng import seeded_rng
 from .tasks import (
+    _PRETRAINED_ARMS,
     TrainConfig,
     _derive_config,
     _samples,
@@ -142,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p, "config", "seed", "weights")
         p.set_defaults(func=_cmd_task, command=name)
 
-    p = sub.add_parser("ablate", help="run every ablation arm and tabulate MSE/MAE")
+    p = sub.add_parser("ablate", help="run the config's task under every ablation arm")
     common(p, "config", "seed", "weights")
     p.add_argument(
         "--synthetic-pretrain",
@@ -262,13 +263,13 @@ def _load_config(path) -> dict:
 
 _REQUIRED = object()  # a _SCHEMA row with no default
 
-_ALL = _TASKS + ("ablate",)
-_FORECASTING = ("forecast", "fewshot", "zeroshot", "ablate")
+_FORECASTING = ("forecast", "fewshot", "zeroshot")
 _WINDOWED = _FORECASTING + ("imputation", "anomaly")  # the tasks that read a lookback
-_ONE_DATASET = tuple(t for t in _ALL if t != "zeroshot")  # zeroshot names source and target
+_ONE_DATASET = tuple(t for t in _TASKS if t != "zeroshot")  # zeroshot names source and target
 
 # One row per run-config key: (dotted path, type, default or _REQUIRED, tasks
-# that read it).  It is the one home of the run defaults: TrainConfig,
+# that read it; the donor rows name the ablate command, which reads them
+# whatever its task).  It is the one home of the run defaults: TrainConfig,
 # WindowSpec and the runners take every value from their caller.  Types and
 # defaults only: the constructors and runners make the range checks, and the
 # InvalidInput they raise exits 2.  Null stands for the default only where the
@@ -276,31 +277,31 @@ _ONE_DATASET = tuple(t for t in _ALL if t != "zeroshot")  # zeroshot names sourc
 # sections are the keyword names of WindowSpec, PatchConfig, BackboneConfig,
 # TrainConfig and synthetic_pretrain.
 _SCHEMA = (
-    ("dataset.manifest", str, _REQUIRED, _ALL),
+    ("dataset.manifest", str, _REQUIRED, _TASKS),
     ("dataset.name", str, _REQUIRED, _ONE_DATASET),
     ("zeroshot.source", str, _REQUIRED, ("zeroshot",)),
     ("zeroshot.target", str, _REQUIRED, ("zeroshot",)),
     ("zeroshot.metric", str, "smape", ("zeroshot",)),
-    ("weights", str, None, _ALL),
-    ("revin_eps", float, 1e-5, _ALL),
+    ("weights", str, None, _TASKS),
+    ("revin_eps", float, 1e-5, _TASKS),
     ("window.lookback", int, _REQUIRED, _WINDOWED),
     ("window.horizon", int, _REQUIRED, _FORECASTING),
     ("window.stride", int, 1, _FORECASTING),
-    ("patch.patch_len", int, _REQUIRED, _ALL),
-    ("patch.stride", int, _REQUIRED, _ALL),
-    ("backbone.n_layers", int, _REQUIRED, _ALL),
-    ("backbone.d_model", int, _REQUIRED, _ALL),
-    ("backbone.n_heads", int, _REQUIRED, _ALL),
-    ("backbone.d_ff", int, _REQUIRED, _ALL),
-    ("backbone.dropout", float, 0.0, _ALL),
-    ("backbone.causal", bool, False, _ALL),
-    ("backbone.max_tokens", int, 512, _ALL),
-    ("train.epochs", int, _REQUIRED, _ALL),
-    ("train.batch_size", int, _REQUIRED, _ALL),
-    ("train.learning_rate", float, _REQUIRED, _ALL),
-    ("train.early_stop_patience", int, 3, _ALL),
-    ("train.seed", int, 0, _ALL),
-    ("train.ablation", str, "no_pretrain", _ALL),
+    ("patch.patch_len", int, _REQUIRED, _TASKS),
+    ("patch.stride", int, _REQUIRED, _TASKS),
+    ("backbone.n_layers", int, _REQUIRED, _TASKS),
+    ("backbone.d_model", int, _REQUIRED, _TASKS),
+    ("backbone.n_heads", int, _REQUIRED, _TASKS),
+    ("backbone.d_ff", int, _REQUIRED, _TASKS),
+    ("backbone.dropout", float, 0.0, _TASKS),
+    ("backbone.causal", bool, False, _TASKS),
+    ("backbone.max_tokens", int, 512, _TASKS),
+    ("train.epochs", int, _REQUIRED, _TASKS),
+    ("train.batch_size", int, _REQUIRED, _TASKS),
+    ("train.learning_rate", float, _REQUIRED, _TASKS),
+    ("train.early_stop_patience", int, 3, _TASKS),
+    ("train.seed", int, 0, _TASKS),
+    ("train.ablation", str, "no_pretrain", _TASKS),
     ("imputation.mask_ratios", list, _REQUIRED, ("imputation",)),
     ("imputation.stride", int, None, ("imputation",)),
     ("fewshot.percent", float, _REQUIRED, ("fewshot",)),
@@ -324,10 +325,11 @@ _KINDS = {
 }
 
 
-def _resolve(cfg, task: str | None) -> dict:
+def _resolve(cfg, task: str | None, command: str) -> dict:
     """Walk _SCHEMA over a parsed config.  Returns the value of every row the
-    task reads, keyed by dotted path, with defaults filled in, plus the task
-    itself; a task of None is read from the config's ``task`` selector."""
+    task or the command reads, keyed by dotted path, with defaults filled in,
+    plus the task itself; a task of None is read from the config's ``task``
+    selector."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: expected an object, got {type(cfg).__name__}")
     if task is None:
@@ -335,8 +337,8 @@ def _resolve(cfg, task: str | None) -> dict:
         if task not in _TASKS:
             raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
     resolved = {"task": task}
-    for path, kind, default, tasks in _SCHEMA:
-        if task not in tasks:
+    for path, kind, default, readers in _SCHEMA:
+        if task not in readers and command not in readers:
             continue
         node, where = cfg, "config"
         for name in path.split("."):
@@ -369,7 +371,7 @@ def _run_config(args, task: str | None) -> dict:
     """The resolved config of one command: ``_resolve`` plus every
     command-line override.  It is the whole description of the run, and the
     report's config hash is taken over it."""
-    v = _resolve(_load_config(args.config), task)
+    v = _resolve(_load_config(args.config), task, args.command)
     if getattr(args, "seed", None) is not None:  # analyze similarity takes no --seed
         v["train.seed"] = args.seed
     if args.weights:
@@ -472,63 +474,76 @@ def _write(args, obj: dict, v: dict | None = None, table: list | None = None) ->
 
 def _cmd_task(args) -> int:
     v = _run_config(args, _COMMAND_TASKS.get(args.command))
-    task, eps = v["task"], v["revin_eps"]
     wspec, patch, base, tcfg, weights = _build_parts(v)
     if args.command == "eval" and weights is None:
         raise MissingWeights("eval requires --weights (or config.weights)")
-    out = _outdir(args)
-
-    # every runner takes these five by the same names
-    run = dict(base_cfg=base, tcfg=tcfg, patch=patch, weights=weights, revin_eps=eps)
-    # zeroshot trains on its source dataset and scores its target
-    dataset = _load_dataset(v, v["zeroshot.source"] if task == "zeroshot" else None)
-    if task == "forecast":
-        report, store = run_forecast(dataset, wspec, **run)
-    elif task == "fewshot":
-        percent, position = v["fewshot.percent"], v["fewshot.position"]
-        report, store = run_few_shot(dataset, percent, wspec, position=position, **run)
-    elif task == "zeroshot":
-        target = _load_dataset(v, v["zeroshot.target"])
-        report, store = run_zero_shot(dataset, target, wspec, metric=v["zeroshot.metric"], **run)
-    elif task == "imputation":
-        ratios, stride = v["imputation.mask_ratios"], v["imputation.stride"]
-        report, stores = run_imputation(dataset, ratios, v["window.lookback"], stride=stride, **run)
-        store = next(iter(stores.values()))
-    elif task == "classification":
-        report, store = run_classification(dataset, n_classes=v["classification.n_classes"], **run)
-    else:
-        quantile, lookback = v["anomaly.quantile"], v["window.lookback"]
-        report, store = run_anomaly(
-            dataset,
-            quantile,
-            lookback,
-            point_adjust=v["anomaly.point_adjust"],
-            stride=v["anomaly.stride"],
-            **run,
+    if weights is not None and tcfg.ablation not in _PRETRAINED_ARMS:
+        raise ConfigError(
+            f"arm {tcfg.ablation!r} starts from random weights and reads none; "
+            f"drop weights and --weights, or train under one of {_PRETRAINED_ARMS}"
         )
-
+    out = _outdir(args)
+    report, store = _task_runner(v, wspec, patch, base, weights)(tcfg)
     print(_write(args, asdict(report), v, report.table()), end="")
     if args.command != "eval":
         save_weights(store, out / "model")
     return 0
 
 
+def _task_runner(v: dict, wspec, patch, base, weights):
+    """The task runner of the resolved config ``v`` as ``run(tcfg) ->
+    (report, store)``: every value but the TrainConfig is bound, ``weights``
+    included, and the datasets are loaded here, once.  A task command calls
+    it once; ``ablate`` calls it once per arm."""
+    task = v["task"]
+    # every runner takes these four, and its task's keyword options, by the same names
+    kw = dict(base_cfg=base, patch=patch, weights=weights, revin_eps=v["revin_eps"])
+    # zeroshot trains on its source dataset and scores its target
+    dataset = _load_dataset(v, v["zeroshot.source"] if task == "zeroshot" else None)
+    if task == "forecast":
+        return lambda tcfg: run_forecast(dataset, wspec, tcfg=tcfg, **kw)
+    if task == "fewshot":
+        percent, kw["position"] = v["fewshot.percent"], v["fewshot.position"]
+        return lambda tcfg: run_few_shot(dataset, percent, wspec, tcfg=tcfg, **kw)
+    if task == "zeroshot":
+        target, kw["metric"] = _load_dataset(v, v["zeroshot.target"]), v["zeroshot.metric"]
+        return lambda tcfg: run_zero_shot(dataset, target, wspec, tcfg=tcfg, **kw)
+    if task == "classification":
+        kw["n_classes"] = v["classification.n_classes"]
+        return lambda tcfg: run_classification(dataset, tcfg=tcfg, **kw)
+    lookback = v["window.lookback"]
+    if task == "anomaly":
+        quantile = v["anomaly.quantile"]
+        kw.update(point_adjust=v["anomaly.point_adjust"], stride=v["anomaly.stride"])
+        return lambda tcfg: run_anomaly(dataset, quantile, lookback, tcfg=tcfg, **kw)
+    ratios, kw["stride"] = v["imputation.mask_ratios"], v["imputation.stride"]
+
+    def run_imputation_first_model(tcfg):  # one model per ratio; the first ratio's is kept
+        report, stores = run_imputation(dataset, ratios, lookback, tcfg=tcfg, **kw)
+        return report, next(iter(stores.values()))
+
+    return run_imputation_first_model
+
+
 def _cmd_ablate(args) -> int:
-    v = _run_config(args, "ablate")
+    v = _run_config(args, None)
     wspec, patch, base, tcfg, weights = _build_parts(v)
     if weights is None and not args.synthetic_pretrain:
         raise MissingWeights(
             "ablate needs --weights or --synthetic-pretrain to obtain donor weights"
+        )
+    if weights is None and v["task"] not in _FORECASTING:
+        raise ConfigError(
+            f"--synthetic-pretrain trains a forecasting donor, which serves {_FORECASTING} "
+            f"configs, not {v['task']!r}; pass --weights (ROADMAP item 1, a donor that "
+            "gives only its blocks, lifts this)"
         )
     out = _outdir(args)
     if weights is None:
         store = synthetic_pretrain(base, wspec, patch, tcfg, v["revin_eps"], **_kwargs(v, "donor"))
         weights = out / "donor"
         save_weights(store, weights)
-    dataset = _load_dataset(v)
-    report = run_ablation_suite(
-        dataset, wspec, base, tcfg, patch, weights, revin_eps=v["revin_eps"]
-    )
+    report = run_ablation_suite(_task_runner(v, wspec, patch, base, weights), tcfg)
     print(_write(args, asdict(report), v, report.table()), end="")
     return 0
 

@@ -251,8 +251,10 @@ def _fit(
     return (store if best_val == math.inf else best_store), history
 
 
-def _base_metadata(task, dataset, tcfg, **extra) -> dict:
-    return {"task": task, "dataset": dataset.name, "seed": tcfg.seed, "warnings": [], **extra}
+def _report(task, dataset, tcfg, **extra) -> MetricReport:
+    """A report with no rows yet, its metadata naming the run."""
+    meta = {"task": task, "dataset": dataset.name, "seed": tcfg.seed, "warnings": [], **extra}
+    return MetricReport(metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +324,7 @@ def run_forecast(
     store, setup, history = _train_mse(dataset, wspec, cfg, tcfg, patch, weights, revin_eps)
     test = _samples(dataset, wspec, patch, revin_eps, "test")
     values, baseline = _forecast_scores(store, setup.cfg, test, _MSE_MAE, _MSE_MAE)
-    report = MetricReport(
-        metadata=_base_metadata("forecast", dataset, tcfg, baseline=baseline, history=history)
-    )
+    report = _report("forecast", dataset, tcfg, baseline=baseline, history=history)
     report.add_row(f"O={wspec.horizon}", values)
     return report.finalize(), store
 
@@ -373,18 +373,9 @@ def run_zero_shot(
     fns = {**_MSE_MAE, name: metric_fns[metric]}
     values, baseline = _forecast_scores(store, setup.cfg, test, fns, {name: fns[name]})
     hash_after = param_hash(store)
-    report = MetricReport(
-        metadata=_base_metadata(
-            "zeroshot",
-            target,
-            tcfg,
-            source=source.name,
-            metric=metric,
-            param_hash_before=hash_before,
-            param_hash_after=hash_after,
-            baseline=baseline,
-            history=history,
-        )
+    report = _report("zeroshot", target, tcfg, source=source.name, metric=metric, history=history)
+    report.metadata.update(
+        param_hash_before=hash_before, param_hash_after=hash_after, baseline=baseline
     )
     report.add_row(f"O={wspec.horizon}", values)
     return report.finalize(), store
@@ -411,15 +402,7 @@ def run_imputation(
     if not ratios or not all(is_number(r) and 0.0 < r < 1.0 for r in ratios):
         raise InvalidInput("mask ratios must be numbers in (0, 1)")
     wspec, cfg = _reconstruction_setup(base_cfg, patch, lookback, stride)
-    report = MetricReport(
-        metadata=_base_metadata(
-            "imputation",
-            dataset,
-            tcfg,
-            baseline={},
-            history={},
-        )
-    )
+    report = _report("imputation", dataset, tcfg, baseline={}, history={})
     stores: dict[float, dict] = {}
     for ri, ratio in enumerate(map(float, ratios)):
         rng = seeded_rng(tcfg.seed).child(100 + ri)
@@ -472,16 +455,8 @@ def run_classification(
     store, setup, history = _train(cfg, tcfg, weights, train, val, seeded_rng(tcfg.seed))
     pred_classes = np.argmax(_outputs(store, setup.cfg, test.tokens), axis=1)
     accuracy = float(np.mean(pred_classes == test.labels))
-    report = MetricReport(
-        metadata=_base_metadata(
-            "classification",
-            dataset,
-            tcfg,
-            n_classes=n_classes,
-            n_test=len(test.labels),
-            history=history,
-        )
-    )
+    report = _report("classification", dataset, tcfg, n_classes=n_classes, history=history)
+    report.metadata["n_test"] = len(test.labels)
     report.add_row("test", {"accuracy": accuracy})
     return report.finalize(), store
 
@@ -552,55 +527,36 @@ def run_anomaly(
         warnings.simplefilter("always")
         precision, recall, f1 = prf1(flags, truth, point_adjust=point_adjust)
         captured = [str(w.message) for w in caught]
-    report = MetricReport(
-        metadata=_base_metadata(
-            "anomaly",
-            dataset,
-            tcfg,
-            threshold=threshold,
-            point_adjust=point_adjust,
-            history=history,
-            warnings=captured,
-        )
-    )
-    report.add_row(
-        f"q={quantile}", {"precision": precision, "recall": recall, "F1": f1}
-    )
+    report = _report("anomaly", dataset, tcfg, threshold=threshold, history=history)
+    report.metadata.update(point_adjust=point_adjust, warnings=captured)
+    report.add_row(f"q={quantile}", {"precision": precision, "recall": recall, "F1": f1})
     return report.finalize(), store
 
 
-def run_ablation_suite(
-    dataset: TimeSeriesDataset,
-    wspec: WindowSpec,
-    base_cfg: BackboneConfig,
-    tcfg: TrainConfig,
-    patch: PatchConfig,
-    weights,
-    revin_eps: float,
-) -> MetricReport:
-    """Run every ablation arm on one forecasting setup and tabulate MSE/MAE.
+def run_ablation_suite(run, tcfg: TrainConfig) -> MetricReport:
+    """Run one task under every ablation arm and tabulate each run's avg row.
 
-    Also records each arm's training history, keyed by its row's scope, and
-    the maximum step-0 prediction divergence between the fpt and no_freeze
-    arms, which share identical initial parameters.
+    ``run(tcfg) -> (report, store)`` is a task runner with every value but
+    its TrainConfig bound; it runs once per arm, at ``tcfg`` under that
+    arm.  Each arm's history is kept under ``metadata.history.<arm>`` as its
+    run recorded it, and its warnings with the arm's name in front.  The fpt
+    and no_freeze arms start from the same weights:
+    ``step0_divergence_fpt_vs_no_freeze`` is the largest absolute difference
+    between their runs' reports at zero epochs, over every row and metric.
     """
-    cfg = _forecast_config(base_cfg, patch, wspec)
-    report = MetricReport(metadata=_base_metadata("ablate", dataset, tcfg, history={}))
-    train, val, test = (
-        _samples(dataset, wspec, patch, revin_eps, split) for split in ("train", "val", "test")
-    )
-    probe = test.tokens[:8]
-    weights = _pretrained(weights, cfg, "fpt")  # one read of the container serves both arms
-    step0: dict[str, np.ndarray] = {}
+    meta = {"task": "ablate", "seed": tcfg.seed, "warnings": [], "history": {}}
+    report = MetricReport(metadata=meta)
     for arm in ABLATION_ARMS:
-        arm_tcfg = replace(tcfg, ablation=arm)
-        store, setup, history = _train(cfg, arm_tcfg, weights, train, val, seeded_rng(tcfg.seed))
-        step0[arm] = predict(setup.store, setup.cfg, probe)
-        report.metadata["history"][arm] = history
-        report.add_row(arm, _forecast_scores(store, setup.cfg, test, _MSE_MAE, {})[0])
-    report.metadata["step0_divergence_fpt_vs_no_freeze"] = float(
-        np.abs(step0["fpt"] - step0["no_freeze"]).max()
-    )
+        arm_report, _ = run(replace(tcfg, ablation=arm))
+        arm_meta = arm_report.metadata
+        meta["dataset"], meta["history"][arm] = arm_meta["dataset"], arm_meta["history"]
+        meta["warnings"] += [f"{arm}: {w}" for w in arm_meta["warnings"]]
+        report.add_row(arm, arm_report.rows[-1]["metrics"])  # finalize puts avg last
+    untrained = [run(replace(tcfg, ablation=arm, epochs=0))[0] for arm in _PRETRAINED_ARMS]
+    a, b = (np.array([x for r in rep.rows for x in r["metrics"].values()]) for rep in untrained)
+    apart = ~((a == b) | (np.isnan(a) & np.isnan(b)))  # two NaNs are not apart
+    gap = np.subtract(a, b, out=np.zeros_like(a), where=apart)
+    meta["step0_divergence_fpt_vs_no_freeze"] = float(np.abs(gap).max())
     return report.finalize()
 
 

@@ -327,7 +327,9 @@ def test_c10_ablation_plumbing():
     fixture = TimeSeriesDataset(
         name="transfer-fixture", values=sine_mixture(600, seeded_rng(511), noise=0.15)[:, None]
     )
-    report = run_ablation_suite(fixture, wspec, base, tcfg, patch, donor, revin_eps=1e-5)
+    report = run_ablation_suite(
+        lambda tcfg: run_forecast(fixture, wspec, base, tcfg, patch, donor, revin_eps=1e-5), tcfg
+    )
     values = {r["scope"]: r["metrics"] for r in report.rows if r["scope"] != "avg"}
     all_arms = set(values) == {"fpt", "no_freeze", "no_pretrain", "no_pretrain_freeze", "gpt0"}
     finite = all(np.isfinite(list(m.values())).all() for m in values.values())

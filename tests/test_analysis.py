@@ -35,6 +35,7 @@ from fpt.backbone import (
     load_weights,
     loss_and_grads,
     mix_weights,
+    param_hash,
     predict,
     save_weights,
     validate_store,
@@ -767,6 +768,13 @@ _MALFORMED_CALLS = {
         ShapeError,
         lambda: validate_store(_store_with("ln_f.gamma", np.zeros(3)), tiny_backbone()),
     ),
+    # one type check of a store, behind validate_store, param_hash and save_weights
+    "store-not-a-dict": (FormatError, lambda: validate_store(3, tiny_backbone())),
+    "store-list-tensor": (
+        FormatError,
+        lambda: validate_store(_store_with("ln_f.gamma", [1.0] * 16), tiny_backbone()),
+    ),
+    "param-hash-string-tensor": (FormatError, lambda: param_hash({"a": "x"})),
     # save_weights checks the store before it writes: at a path no directory
     # can be made at, a check made only while writing raises IoError instead
     "save-weights-nan": (

@@ -717,9 +717,11 @@ class TestConfigSchema:
         manifest = _write_task_datasets(tmp_path)
         values = {**_REQUIRED_VALUES, "dataset.manifest": str(manifest)}
         values["dataset.name"] = _TASK_DATASET.get(task, "sine")
+        # ablate runs the config's task, forecast by default, and reads the donor rows
+        readers = {"forecast", "ablate"} if task == "ablate" else {task}
         minimal, unread = {}, {}
         for path, kind, default, tasks in _SCHEMA:
-            if task not in tasks:
+            if readers.isdisjoint(tasks):
                 node, key = _leaf(unread, path)
                 node[key] = _ILL_TYPED[kind]
             elif default is _REQUIRED:
@@ -759,13 +761,43 @@ def _non_finite(node, path: str = "") -> list[str]:
     return [path] if isinstance(node, float) and not math.isfinite(node) else []
 
 
-def test_config_mutations_exit_cleanly(tmp_path, capsys):
-    """A seeded sample of 100 single-leaf mutations of the workspace run
-    config, across the task commands at one epoch, each leaf set to one of
-    ``_MUTANTS``.  Every run exits 0 with only finite numbers in its report,
-    or exits 2 or 3 with one ``error: <Type>:`` line and no traceback.  The
-    one NaN allowed is ``prf1``'s recall and F1 on a test split without an
-    anomaly, which the report's warnings record."""
+def _mutant_fault(argv: list[str], out: Path, case: str, capsys) -> str | None:
+    """What is wrong with one mutated run, or None.  A run must exit 0 with
+    only finite numbers in its report, or exit 2 or 3 with one ``error:
+    <Type>:`` line and no traceback.  The one NaN allowed is ``prf1``'s
+    recall and F1 on a test split without an anomaly, which the report's
+    warnings record."""
+    try:
+        code = main(argv + ["--output", str(out)])
+    except Exception as exc:  # reported with its case, not as the test's own error
+        return f"{case}: raised {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 0:
+        report = out / ("ablation.json" if argv[0] == "ablate" else "report.json")
+        report = json.loads(report.read_text())
+        bad = _non_finite(report)
+        if any("recall and F1 undefined" in w for w in report["metadata"]["warnings"]):
+            bad = [p for p in bad if p.rsplit(".", 1)[1] not in ("recall", "F1")]
+        return f"{case}: exit 0 with non-finite {bad}" if bad else None
+    if code not in (2, 3) or "Traceback" in err or len(errors) != 1:
+        return f"{case}: exit {code}, stderr {err!r}"
+    if not re.match(r"error: [A-Za-z]+: ", errors[0]):
+        return f"{case}: untyped {errors[0]!r}"
+    return None
+
+
+def _mutated(config: dict, path: str, value) -> dict:
+    """A copy of config with the leaf at a dotted path (created if absent) set to value."""
+    config = json.loads(json.dumps(config))
+    node, key = _leaf(config, path)
+    node[key] = value
+    return config
+
+
+def _task_configs(tmp_path) -> dict:
+    """The workspace run config of every task at one epoch, on the datasets
+    of ``_write_task_datasets``."""
     _write_task_datasets(tmp_path)
     base = json.loads((tmp_path / "run.json").read_text())
     configs = {
@@ -774,6 +806,14 @@ def test_config_mutations_exit_cleanly(tmp_path, capsys):
     }
     for task, name in _TASK_DATASET.items():
         configs[task]["dataset"]["name"] = name
+    return configs
+
+
+def test_config_mutations_exit_cleanly(tmp_path, capsys):
+    """A seeded sample of 100 single-leaf mutations of the workspace run
+    config, across the task commands at one epoch, each leaf set to one of
+    ``_MUTANTS``; every run passes ``_mutant_fault``."""
+    configs = _task_configs(tmp_path)
     cases = [
         (task, path, value)
         for task, config in configs.items()
@@ -783,33 +823,75 @@ def test_config_mutations_exit_cleanly(tmp_path, capsys):
     faults = []
     for i in seeded_rng(0).permutation(len(cases))[:100]:
         task, path, value = cases[i]
-        config = json.loads(json.dumps(configs[task]))
-        node, key = _leaf(config, path)
-        node[key] = value
-        cfg_path, out = tmp_path / f"m{i}.json", tmp_path / f"m{i}"
-        cfg_path.write_text(json.dumps(config))
-        argv = [_TASK_COMMAND[task], "--config", str(cfg_path), "--output", str(out)]
-        case = f"{task} {path}={value!r}"
-        try:
-            code = main(argv + ["--synthetic-pretrain"] * (task == "ablate"))
-        except Exception as exc:  # reported with its case, not as the test's own error
-            faults.append(f"{case}: raised {type(exc).__name__}: {exc}")
-            continue
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        if code == 0:
-            report = out / ("ablation.json" if task == "ablate" else "report.json")
-            report = json.loads(report.read_text())
-            bad = _non_finite(report)
-            if any("recall and F1 undefined" in w for w in report["metadata"]["warnings"]):
-                bad = [p for p in bad if p.rsplit(".", 1)[1] not in ("recall", "F1")]
-            if bad:
-                faults.append(f"{case}: exit 0 with non-finite {bad}")
-        elif code not in (2, 3) or "Traceback" in err or len(errors) != 1:
-            faults.append(f"{case}: exit {code}, stderr {err!r}")
-        elif not re.match(r"error: [A-Za-z]+: ", errors[0]):
-            faults.append(f"{case}: untyped {errors[0]!r}")
-    assert faults == []
+        cfg_path = tmp_path / f"m{i}.json"
+        cfg_path.write_text(json.dumps(_mutated(configs[task], path, value)))
+        argv = [_TASK_COMMAND[task], "--config", str(cfg_path)]
+        argv += ["--synthetic-pretrain"] * (task == "ablate")
+        faults.append(_mutant_fault(argv, tmp_path / f"m{i}", f"{task} {path}={value!r}", capsys))
+    assert [fault for fault in faults if fault] == []
+
+
+# The _SCHEMA rows with a default that the workspace config leaves out
+_DEFAULTED_ROWS = (
+    "revin_eps",
+    "backbone.dropout",
+    "backbone.causal",
+    "backbone.max_tokens",
+    "donor.length",
+    "donor.n_channels",
+    "donor.noise",
+    "anomaly.quantile",
+    "anomaly.point_adjust",
+    "anomaly.stride",
+    "classification.n_classes",
+    "imputation.stride",
+    "fewshot.position",
+    "zeroshot.metric",
+)
+
+
+def _defaulted_row_cases(configs: dict) -> list[tuple[str, str, str, object]]:
+    """(command, task, row, value) for every run of the defaulted-row probe:
+    every task command, and ablate on each task's config, with each row of
+    ``_DEFAULTED_ROWS`` that the run reads set to each of ``_MUTANTS``."""
+    readers = {path: tasks for path, _, _, tasks in _SCHEMA}
+    runs = [(_TASK_COMMAND[task], task) for task in configs if task != "ablate"]
+    runs += [("ablate", task) for task in configs if task != "ablate"]
+    return [
+        (command, task, path, value)
+        for command, task in runs
+        for path in _DEFAULTED_ROWS
+        if task in readers[path] or command in readers[path]
+        for value in _MUTANTS
+    ]
+
+
+def test_defaulted_row_mutations_exit_cleanly(tmp_path, capsys):
+    """The probe of ``test_config_mutations_exit_cleanly`` over the
+    defaulted rows that the workspace config leaves out: a seeded sample of
+    100 of ``_defaulted_row_cases``.  Ablate runs the config's task, on a
+    synthetic donor where the task forecasts and on the task command's own
+    saved model elsewhere."""
+    configs = _task_configs(tmp_path)
+    flags = {}
+    for task, config in configs.items():
+        if task in ("forecast", "fewshot", "zeroshot"):
+            flags[task] = ["--synthetic-pretrain"]
+        elif task != "ablate":
+            cfg_path, out = tmp_path / f"{task}.json", tmp_path / f"{task}-model"
+            cfg_path.write_text(json.dumps(config))
+            assert main([_TASK_COMMAND[task], "--config", str(cfg_path), "--output", str(out)]) == 0
+            flags[task] = ["--weights", str(out / "model")]
+    cases = _defaulted_row_cases(configs)
+    faults = []
+    for i in seeded_rng(0).permutation(len(cases))[:100]:
+        command, task, path, value = cases[i]
+        cfg_path = tmp_path / f"m{i}.json"
+        cfg_path.write_text(json.dumps(_mutated({**configs[task], "task": task}, path, value)))
+        argv = [command, "--config", str(cfg_path)] + flags[task] * (command == "ablate")
+        case = f"{command} ({task}) {path}={value!r}"
+        faults.append(_mutant_fault(argv, tmp_path / f"m{i}", case, capsys))
+    assert [fault for fault in faults if fault] == []
 
 
 class TestTaskCommands:
@@ -996,6 +1078,80 @@ class TestTaskCommands:
         assert code == 2
         assert "MissingWeights" in capsys.readouterr().err
 
+    def test_ablate_synthetic_pretrain_on_impute_exits_2_writing_nothing(
+        self, workspace, capsys, monkeypatch
+    ):
+        """The synthetic donor is a forecasting model, which an imputation run
+        cannot load: ablate refuses before it trains or writes anything."""
+        tmp, cfg_path, config = workspace
+        config = _with(config, {**_TASK_SECTIONS["imputation"], "task": "imputation"})
+        cfg_path.write_text(json.dumps(config))
+
+        def no_donor(*args, **kwargs):
+            raise AssertionError("a refused run trained a donor")
+
+        monkeypatch.setattr(cli, "synthetic_pretrain", no_donor)
+        out = tmp / "abl"
+        argv = ["ablate", "--config", str(cfg_path), "--synthetic-pretrain", "--output", str(out)]
+        assert main(argv) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1 and errors[0].startswith("error: ConfigError: --synthetic-pretrain")
+        assert "'imputation'" in errors[0] and "ROADMAP item 1" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for t, c in _TASK_COMMAND.items() if t != "ablate"])
+    def test_weights_under_a_random_init_arm_exit_2(self, workspace, capsys, command):
+        """Weights named by --weights or by the config, under an arm that
+        starts from random weights, exit 2 naming the arm before any data
+        is read or anything is written."""
+        tmp, cfg_path, config = workspace
+        for section in _TASK_SECTIONS.values():
+            config = _with(config, section)
+        out = tmp / "o"
+        for arm in ("no_pretrain", "no_pretrain_freeze", "gpt0"):
+            for flags, key in (("--weights", "nowhere"), {}), ((), {"weights": "nowhere"}):
+                cfg_path.write_text(json.dumps(_with(config, {"train": {"ablation": arm}, **key})))
+                argv = [command, "--config", str(cfg_path), "--output", str(out), *flags]
+                assert main(argv) == 2
+                errors = _error_lines(capsys)
+                assert len(errors) == 1 and errors[0].startswith(f"error: ConfigError: arm {arm!r}")
+                assert not out.exists()
+
+
+@pytest.mark.parametrize("task", [t for t in _TASK_COMMAND if t != "ablate"])
+def test_ablate_arms_are_the_task_commands_reports(tmp_path, task):
+    """``fpt ablate`` on a task's config runs that task under every arm: an
+    arm's row is, bit for bit, the avg row of the task command's report under
+    that arm, and its history that report's history.  The forecasting tasks
+    take a synthetic donor, the others the task command's own saved model."""
+    _write_task_datasets(tmp_path)
+    config = json.loads((tmp_path / "run.json").read_text())
+    config = _with(config, {**_TASK_SECTIONS.get(task, {}), "task": task, "train": {"epochs": 1}})
+    config["dataset"]["name"] = _TASK_DATASET.get(task, "sine")
+    cfg_path, command = tmp_path / "task.json", _TASK_COMMAND[task]
+
+    def run(name, out, updates, *flags):
+        cfg_path.write_text(json.dumps(_with(config, updates)))
+        assert main([name, "--config", str(cfg_path), "--output", str(tmp_path / out), *flags]) == 0
+        report = tmp_path / out / ("ablation.json" if name == "ablate" else "report.json")
+        return json.loads(report.read_text())
+
+    if task in ("forecast", "fewshot", "zeroshot"):
+        ablation = run("ablate", "abl", {}, "--synthetic-pretrain")
+        donor = tmp_path / "abl" / "donor"
+    else:
+        run(command, "own", {})
+        donor = tmp_path / "own" / "model"
+        ablation = run("ablate", "abl", {}, "--weights", str(donor))
+    assert [row["scope"] for row in ablation["rows"]] == [*tasks.ABLATION_ARMS, "avg"]
+    for arm, row in zip(tasks.ABLATION_ARMS, ablation["rows"]):
+        flags = ("--weights", str(donor)) if arm in ("fpt", "no_freeze") else ()
+        alone = run(command, arm, {"train": {"ablation": arm}}, *flags)
+        assert json.dumps(row["metrics"]) == json.dumps(alone["rows"][-1]["metrics"])
+        history = ablation["metadata"]["history"][arm]
+        assert json.dumps(history) == json.dumps(alone["metadata"]["history"])
+    assert ablation["metadata"]["step0_divergence_fpt_vs_no_freeze"] == 0.0
+
 
 # Pairs of runs (command, config updates, flags) on one workspace config.
 _SAME_HASH = {
@@ -1018,6 +1174,11 @@ _OTHER_HASH = {
         ("zeroshot", {"zeroshot": {"metric": "mae"}}),
     ),
     "ablate-revin-eps": (("ablate", {"revin_eps": 1e-5}), ("ablate", {"revin_eps": 1e-2})),
+    # ablate runs the config's task and also reads the donor rows
+    "ablate-vs-train": (
+        ("ablate", {"train": {"ablation": "fpt"}}),
+        ("train", {"train": {"ablation": "fpt"}}),
+    ),
     "seed-flag": (("train", {}, "--seed", "9"), ("train", {})),
 }
 
@@ -1033,11 +1194,13 @@ class TestConfigHash:
         config["zeroshot"] = {"source": "sine", "target": "shifted"}
         cfg_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg_path), "--output", str(tmp / "donor")]) == 0
-        config["weights"] = str(tmp / "donor" / "model")
         runs = iter(range(10))
 
         def hash_of(command, updates, *flags):
-            cfg_path.write_text(json.dumps(_with(config, updates)))
+            run = _with(config, updates)
+            if command in ("eval", "ablate") or run["train"]["ablation"] == "fpt":
+                run["weights"] = str(tmp / "donor" / "model")  # only where they are read
+            cfg_path.write_text(json.dumps(run))
             out = tmp / f"run{next(runs)}"
             assert main([command, "--config", str(cfg_path), "--output", str(out), *flags]) == 0
             report = out / ("ablation.json" if command == "ablate" else "report.json")

@@ -16,6 +16,7 @@ from fpt.data import (
     window_masks,
 )
 from fpt.errors import InvalidInput, MissingWeights, NumericalFailure
+from fpt.metrics import MetricReport
 from fpt.preprocess import PatchConfig, normalize_windows, patchify_windows
 from fpt.rng import seeded_rng
 from fpt.synthetic import classification_values, inject_spikes, sinusoid
@@ -602,29 +603,38 @@ class TestZeroShot:
 
 class TestAblationSuite:
     def test_keeps_each_arms_history_by_scope(self):
-        """Each arm's history is the one its forecast run records."""
+        """Each arm's row and history are those of the runner's own run under
+        that arm, bit for bit."""
         tcfg = _tcfg(epochs=2)
         donor = init_random(tasks._forecast_config(tiny_backbone(), PATCH, WSPEC), seeded_rng(62))
-        report = run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), tcfg, PATCH, donor, 1e-5)
+
+        def run(tcfg):
+            return run_forecast(_sine_ds(), WSPEC, tiny_backbone(), tcfg, PATCH, donor, 1e-5)
+
+        report = run_ablation_suite(run, tcfg)
         assert [r["scope"] for r in report.rows] == [*ABLATION_ARMS, "avg"]
         assert list(report.metadata["history"]) == list(ABLATION_ARMS)
-        for arm in ABLATION_ARMS:
-            arm_tcfg = replace(tcfg, ablation=arm)
-            alone, _ = run_forecast(
-                _sine_ds(), WSPEC, tiny_backbone(), arm_tcfg, PATCH, donor, 1e-5
-            )
+        for arm, row in zip(ABLATION_ARMS, report.rows):
+            alone, _ = run(replace(tcfg, ablation=arm))
+            assert row["metrics"] == alone.rows[-1]["metrics"]
             assert report.metadata["history"][arm] == alone.metadata["history"]
+        assert report.metadata["step0_divergence_fpt_vs_no_freeze"] == 0.0
 
-    def test_splits_are_built_once_for_every_arm(self, monkeypatch):
-        """Train, val and test are normalized once each, not once per arm."""
-        cfg = tasks._forecast_config(tiny_backbone(), PATCH, WSPEC)
-        donor = init_random(cfg, seeded_rng(62))
+    def test_runs_each_arm_then_fpt_and_no_freeze_untrained(self):
+        """The runner runs once per arm, then under fpt and no_freeze at zero
+        epochs; the step-0 value is the largest gap between those two
+        reports, where two NaNs are no gap."""
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return normalize_windows(*args)
+        def run(tcfg):
+            calls.append((tcfg.ablation, tcfg.epochs))
+            report = MetricReport(metadata={"dataset": "d", "history": {}, "warnings": ["w"]})
+            gap = 0.25 if calls[-1] == ("no_freeze", 0) else 0.0
+            report.add_row("x", {"MSE": 1.0 + gap, "recall": math.nan})
+            return report.finalize(), {}
 
-        monkeypatch.setattr(tasks, "normalize_windows", counting)
-        run_ablation_suite(_sine_ds(), WSPEC, tiny_backbone(), _tcfg(epochs=1), PATCH, donor, 1e-5)
-        assert len(calls) == 3
+        report = run_ablation_suite(run, _tcfg(epochs=3))
+        assert calls == [(arm, 3) for arm in ABLATION_ARMS] + [("fpt", 0), ("no_freeze", 0)]
+        assert report.metadata["step0_divergence_fpt_vs_no_freeze"] == 0.25
+        assert report.metadata["warnings"] == [f"{arm}: w" for arm in ABLATION_ARMS]
+        assert report.metadata["task"] == "ablate" and report.metadata["dataset"] == "d"
